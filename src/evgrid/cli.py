@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config value")
     common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument("--threads", type=int, default=1, help="worker count (advisory)")
 
     parser = argparse.ArgumentParser(prog="evgrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

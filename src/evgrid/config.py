@@ -65,9 +65,6 @@ DEFAULTS = {
         "conflict_guard": True,
         "split": "test",
     },
-    "io": {
-        "threads": 1,
-    },
 }
 
 

@@ -6,6 +6,10 @@ order. Only the primitives the U-Net needs are provided: conv2d, transposed
 conv2d, leaky ReLU, dropout with a fixed mask, channel concat, elementwise
 square, and the two fused loss heads live in losses.py.
 
+conv2d sums one matmul per kernel tap on a shifted view of the zero-padded
+input (split into phase planes when strided), so no patch matrix is built or
+kept on the tape; the transposed convolution is one contraction each way.
+
 Arrays keep whatever float dtype they come in with, so gradient checks can
 run the whole graph in float64 while training uses float32.
 """
@@ -61,33 +65,27 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# convolution helpers (im2col / col2im)
+# convolution: one matmul per kernel tap on a shifted view of the input
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(N,C,H,W) -> (N, Ho*Wo, C*kh*kw) patch matrix."""
+def _phase_planes(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Zero-padded x as planes (stride*stride, N, C, hq*wq) of rows a::stride, columns b::stride.
+
+    Tap (i, j) of all outputs is the slice of length ho*wq at a fixed offset in
+    plane (i % stride, j % stride); of each output row's wq columns, the last
+    wq - wo are discarded. Returns planes, (ho, wo, hq, wq), taps (i, j, plane, offset).
+    """
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N,C,Ho,Wo,kh,kw)
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
-
-
-def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter patch gradients back onto the input."""
-    n, c, h, w = xshape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += d6[:, :, :, :, i, j]
-    if pad:
-        return dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+    s = stride
+    ho, wo = (h + 2 * pad - kh) // s + 1, (w + 2 * pad - kw) // s + 1
+    # a spare row keeps the last slice in bounds, and s*hq > h + pad always;
+    # wq widens where stride > pad + 1 would leave input columns off the planes
+    hq, wq = ho + (kh - 1) // s + 1, max(wo + (kw - 1) // s, -(-(w + pad) // s))
+    xp = np.zeros((n, c, s * hq, s * wq), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    planes = xp.reshape(n, c, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, n, c, hq * wq)
+    taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    return planes, (ho, wo, hq, wq), taps
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -95,18 +93,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ConfigError(f"conv2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
-    wmat = w.data.reshape(cout, -1)
-    out = cols @ wmat.T  # (N, Ho*Wo, Cout)
-    out = out.transpose(0, 2, 1).reshape(x.shape[0], cout, ho, wo) + b.data[None, :, None, None]
-    t = Tensor(out, parents=(x, w, b))
+    n, _, h, wdt = x.shape
+    planes, (ho, wo, hq, wq), taps = _phase_planes(x.data, kh, kw, stride, pad)
+    span = ho * wq
+    out = np.zeros((n, cout, span), dtype=np.result_type(x.data, w.data))
+    for i, j, q, off in taps:
+        out += w.data[:, :, i, j] @ planes[q][:, :, off:off + span]
+    t = Tensor(out.reshape(n, cout, ho, wq)[..., :wo] + b.data[None, :, None, None], parents=(x, w, b))
 
     def backward(g):
-        gm = g.reshape(x.shape[0], cout, ho * wo).transpose(0, 2, 1)  # (N,L,Cout)
-        _accumulate(w, np.einsum("nlo,nlk->ok", gm, cols).reshape(w.shape))
+        gq = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wq - wo))).reshape(n, cout, span)
+        dw, dplanes = np.empty_like(w.data), np.zeros_like(planes)
+        for i, j, q, off in taps:
+            dw[:, :, i, j] = (gq @ planes[q][:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+            dplanes[q][:, :, off:off + span] += w.data[:, :, i, j].T @ gq
+        s = stride
+        dxp = dplanes.reshape(s, s, n, cin, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(n, cin, s * hq, s * wq)
+        _accumulate(x, dxp[:, :, pad:pad + h, pad:pad + wdt])
+        _accumulate(w, dw)
         _accumulate(b, g.sum(axis=(0, 2, 3)))
-        dcols = gm @ wmat  # (N,L,C*kh*kw)
-        _accumulate(x, _col2im(dcols, x.shape, kh, kw, stride, pad))
 
     t._backward = backward
     return t
@@ -123,23 +128,17 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor
     if x.shape[1] != cin:
         raise ConfigError(f"conv_transpose2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
     n, _, h, wdt = x.shape
-    out = np.zeros((n, cout, h * stride, wdt * stride), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i::stride, j::stride] = np.einsum("nchw,cd->ndhw", x.data, w.data[:, :, i, j])
-    out += b.data[None, :, None, None]
+    s = stride
+    xm = x.data.reshape(n, cin, h * wdt)
+    wm = w.data.reshape(cin, cout * s * s)
+    blocks = (wm.T @ xm).reshape(n, cout, s, s, h, wdt)
+    out = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, wdt * s) + b.data[None, :, None, None]
     t = Tensor(out, parents=(x, w, b))
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
-        for i in range(kh):
-            for j in range(kw):
-                gij = g[:, :, i::stride, j::stride]
-                dx += np.einsum("ndhw,cd->nchw", gij, w.data[:, :, i, j])
-                dw[:, :, i, j] = np.einsum("nchw,ndhw->cd", x.data, gij)
-        _accumulate(x, dx)
-        _accumulate(w, dw)
+        gm = g.reshape(n, cout, h, s, wdt, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * wdt)
+        _accumulate(x, (wm @ gm).reshape(x.shape))
+        _accumulate(w, (xm @ gm.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
         _accumulate(b, g.sum(axis=(0, 2, 3)))
 
     t._backward = backward

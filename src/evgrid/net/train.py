@@ -12,6 +12,7 @@ from evgrid.errors import ConfigError, TrainingDiverged
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
+from evgrid.net.tensor import square
 from evgrid.net.unet import UNetSpec, forward, init_params, save_checkpoint
 from evgrid.sim import augment_arrays, load_manifest
 
@@ -94,8 +95,6 @@ def _batch_loss(params, spec: UNetSpec, x, target, model: str, dropout_rng):
     if model == "soft":
         loss = softmax_cross_entropy(out, target)
     else:
-        from evgrid.net.tensor import square
-
         loss = evidential_bayes_risk(square(out), target)
     return loss, leaves
 
@@ -111,20 +110,19 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
 
 
 def eval_loss(params, spec: UNetSpec, x, target, model: str, batch_size: int = 16) -> float:
-    total, n = 0.0, 0
+    total = 0.0
     for i in range(0, len(x), batch_size):
         loss, _ = _batch_loss(params, spec, x[i:i + batch_size], target[i:i + batch_size],
                               model, dropout_rng=None)
         total += float(loss.data) * len(x[i:i + batch_size])
-        n += len(x[i:i + batch_size])
-    return total / max(n, 1)
+    return total / max(len(x), 1)
 
 
 def train(dataset_dir, cfg: TrainConfig, out_dir=None):
     """Train one model on the dataset's train split.
 
     Seeded and reproducible; logs per-epoch train/val loss. When ``out_dir``
-    is given, writes checkpoint.ckpt and metrics.csv there.
+    is given, updates checkpoint.ckpt and metrics.csv there after every epoch.
 
     Returns (params, unet spec, metrics rows [(epoch, split, loss), ...]).
     """
@@ -138,6 +136,8 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
         raise ConfigError("train split is empty")
 
     metrics: list[tuple[int, str, float]] = []
+    if out_dir is not None:
+        write_metrics(Path(out_dir) / "metrics.csv", [])
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(x_train))
         for i in range(0, len(order), cfg.batch_size):
@@ -156,22 +156,24 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
                 train_step(params, spec, xb, tb, cfg.model, opt, dropout_rng=rng)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"epoch {epoch}, batch {i // cfg.batch_size}: {exc}") from exc
-        metrics.append((epoch, "train", eval_loss(params, spec, x_train, t_train, cfg.model)))
+        rows = [(epoch, "train", eval_loss(params, spec, x_train, t_train, cfg.model))]
         if len(x_val):
-            metrics.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model)))
+            rows.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model)))
+        metrics.extend(rows)
         if out_dir is not None:
+            write_metrics(Path(out_dir) / "metrics.csv", rows, append=True)
             save_checkpoint(Path(out_dir) / "checkpoint.ckpt", params, spec,
                             seed=cfg.seed, epoch=epoch)
-    if out_dir is not None:
-        write_metrics(Path(out_dir) / "metrics.csv", metrics)
     return params, spec, metrics
 
 
-def write_metrics(path, metrics) -> None:
-    with open(path, "w", newline="") as f:
+def write_metrics(path, rows, append: bool = False) -> None:
+    """Write (epoch, split, loss) rows to a metrics CSV, after a header unless appending."""
+    with open(path, "a" if append else "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", "split", "loss"])
-        for epoch, split, loss in metrics:
+        if not append:
+            writer.writerow(["epoch", "split", "loss"])
+        for epoch, split, loss in rows:
             writer.writerow([epoch, split, f"{loss:.8f}"])
 
 
@@ -179,9 +181,10 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
                rng: np.random.Generator, percentile: float = 10.0) -> np.ndarray:
     """Monte-Carlo dropout prediction for one input image (2, H, W).
 
-    mode "ev": mean evidence over samples; "ev-s": nearest-rank percentile
-    of the evidence samples; "soft": mean pre-softmax output through the
-    softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
+    The samples are one batched forward of the image repeated ``n_samples``
+    times. mode "ev": mean evidence over samples; "ev-s": nearest-rank
+    percentile of the evidence samples; "soft": mean pre-softmax output
+    through the softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
     """
     if mode not in ("ev", "ev-s", "soft"):
         raise ConfigError(f"unknown prediction mode {mode!r}")
@@ -189,12 +192,9 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
         raise ConfigError(f"mode {mode!r} incompatible with a {spec.out_channels}-channel head")
     if n_samples < 1:
         raise ConfigError("need at least one MC sample")
-    xb = x[None].astype(np.float32)
-    samples = []
-    for _ in range(n_samples):
-        out, _ = forward(params, spec, xb, dropout_rng=rng)
-        samples.append(out.data[0].astype(np.float64))
-    stack = np.stack(samples)  # (N, C, H, W)
+    xb = np.broadcast_to(x.astype(np.float32), (n_samples, *x.shape))
+    out, _ = forward(params, spec, xb, dropout_rng=rng)
+    stack = out.data.astype(np.float64)  # (N, C, H, W)
     if mode == "soft":
         return softmax(stack.mean(axis=0), axis=0)
     evidence = np.square(stack)

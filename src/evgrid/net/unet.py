@@ -11,7 +11,7 @@ encoder/decoder block. The head is chosen by the output channel count:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,13 +102,7 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
 def save_checkpoint(path, params: dict[str, np.ndarray], spec: UNetSpec,
                     seed: int = 0, epoch: int = 0) -> None:
     header = {
-        "arch": {
-            "in_channels": spec.in_channels,
-            "out_channels": spec.out_channels,
-            "base_channels": spec.base_channels,
-            "leaky_slope": spec.leaky_slope,
-            "dropout": spec.dropout,
-        },
+        "arch": asdict(spec),
         "seed": seed,
         "epoch": epoch,
         "params": [{"name": k, "shape": list(params[k].shape)} for k in sorted(params)],
@@ -125,20 +119,26 @@ def save_checkpoint(path, params: dict[str, np.ndarray], spec: UNetSpec,
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], UNetSpec, dict]:
+    """Read a checkpoint; a malformed or truncated file raises EvgridError naming it."""
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            head, _, payload = f.read().partition(b"\n")  # no newline: empty payload
     except OSError as exc:
         raise EvgridError(f"cannot read checkpoint {path}: {exc}") from exc
-    nl = blob.find(b"\n")
-    header = json.loads(blob[:nl].decode())
-    spec = UNetSpec(**header["arch"])
-    params = {}
-    offset = nl + 1
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        params[entry["name"]] = arr.astype(np.float32)
-        offset += count * 4
+    try:
+        header = json.loads(head.decode())
+        spec = UNetSpec(**header["arch"])
+        shapes = {entry["name"]: tuple(map(int, entry["shape"])) for entry in header["params"]}
+        element_type = header["element_type"]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON, UTF-8 and ConfigError
+        raise EvgridError(f"checkpoint {path} has a malformed header: {exc!r}") from exc
+    if element_type != "f32":
+        raise EvgridError(f"checkpoint {path}: unsupported element type {element_type!r}")
+    if shapes != _layer_shapes(spec):
+        raise EvgridError(f"checkpoint {path}: parameter shapes do not match its architecture")
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    if len(payload) != 4 * sum(sizes):
+        raise EvgridError(f"checkpoint {path}: payload is {len(payload)} bytes, expected {4 * sum(sizes)}")
+    parts = np.split(np.frombuffer(payload, dtype="<f4").astype(np.float32), np.cumsum(sizes)[:-1])
+    params = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
     return params, spec, header

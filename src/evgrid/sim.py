@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from evgrid.errors import DomainError, EvgridError
-from evgrid.grid import Grid2D, GridSpec, Pose2D, grid_to_bytes, wrap_angle, write_grid
+from evgrid.grid import Grid2D, GridSpec, Pose2D, wrap_angle, write_grid
 from evgrid.rayism import Detection, RadarNoiseModel
 
 TARGET_FREE = (1.0, 0.0, 0.0)

@@ -52,6 +52,40 @@ def _check(build, arrays, rtol=1e-5, atol=1e-8):
 RNG = np.random.default_rng(12345)
 
 
+def _conv2d_direct(x, w, b, stride, pad):
+    """Nested-loop float64 convolution, one output element at a time."""
+    n, _, h, wd = x.shape
+    cout, cin, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    out = np.zeros((n, cout, ho, wo))
+    for i in range(n):
+        for o in range(cout):
+            for y in range(ho):
+                for z in range(wo):
+                    acc = b[o]
+                    for c in range(cin):
+                        for p in range(kh):
+                            for q in range(kw):
+                                acc += xp[i, c, y * stride + p, z * stride + q] * w[o, c, p, q]
+                    out[i, o, y, z] = acc
+    return out
+
+
+def _conv_transpose2d_direct(x, w, b, stride):
+    """Nested-loop float64 transposed convolution (kernel size = stride)."""
+    n, cin, h, wd = x.shape
+    cout = w.shape[1]
+    out = np.zeros((n, cout, h * stride, wd * stride)) + b[None, :, None, None]
+    for i in range(n):
+        for c in range(cin):
+            for y in range(h):
+                for z in range(wd):
+                    out[i, :, y * stride:(y + 1) * stride, z * stride:(z + 1) * stride] += \
+                        x[i, c, y, z] * w[c]
+    return out
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = RNG.normal(size=(1, 1, 5, 5))
@@ -83,6 +117,25 @@ class TestConv2d:
         _check(lambda t: _weighted_sum(
             conv2d(t["x"], t["w"], t["b"], stride=stride, pad=1), wsum), arrays)
 
+    @pytest.mark.parametrize("xshape, wshape, stride, pad", [
+        ((3, 2, 6, 6), (5, 2, 3, 3), 1, 1),
+        ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1),
+        ((2, 4, 5, 7), (3, 4, 3, 3), 2, 1),  # odd, non-square input
+        ((2, 3, 5, 7), (2, 3, 2, 2), 2, 0),  # last column meets no tap
+    ])
+    def test_matches_direct_reference(self, xshape, wshape, stride, pad):
+        rng = np.random.default_rng(21)
+        x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[0])
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+        np.testing.assert_allclose(out.data, _conv2d_direct(x, w, b, stride, pad), rtol=1e-12, atol=1e-12)
+
+    def test_gradients_unused_input_column(self):
+        rng = np.random.default_rng(22)
+        arrays = {"x": rng.normal(size=(2, 2, 5, 5)), "w": rng.normal(size=(3, 2, 2, 2)),
+                  "b": rng.normal(size=(3,))}
+        wsum = rng.normal(size=(2, 3, 2, 2))
+        _check(lambda t: _weighted_sum(conv2d(t["x"], t["w"], t["b"], stride=2, pad=0), wsum), arrays)
+
 
 class TestConvTranspose2d:
     def test_upsamples_by_stride(self):
@@ -113,6 +166,17 @@ class TestConvTranspose2d:
         wsum = RNG.normal(size=(2, 2, 8, 8))
         _check(lambda t: _weighted_sum(
             conv_transpose2d(t["x"], t["w"], t["b"], stride=2), wsum), arrays)
+
+    @pytest.mark.parametrize("xshape, wshape, stride", [
+        ((3, 4, 3, 5), (4, 2, 2, 2), 2),
+        ((2, 2, 2, 2), (2, 3, 3, 3), 3),
+    ])
+    def test_matches_direct_reference(self, xshape, wshape, stride):
+        rng = np.random.default_rng(23)
+        x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[1])
+        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
+        np.testing.assert_allclose(out.data, _conv_transpose2d_direct(x, w, b, stride),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestElementwise:

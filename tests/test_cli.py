@@ -5,6 +5,7 @@ import pytest
 
 from evgrid.cli import main
 from evgrid.grid import read_grid
+from evgrid.net.unet import UNetSpec, init_params, save_checkpoint
 
 FAST = ["--set", "sim.n_scenes=6", "--set", "sim.side_cells=16",
         "--set", "sim.lidar_rays=90", "--set", "net.base_channels=4",
@@ -104,6 +105,23 @@ class TestExitCodes:
         assert main(["infer", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--dataset", str(dataset), "--mode", "ev",
                      "--out", str(tmp_path / "o")] + FAST) == 3
+
+    @pytest.mark.parametrize("damage", ["truncated", "no_newline", "wrong_element_type"])
+    def test_bad_checkpoint(self, dataset, tmp_path, damage):
+        spec = UNetSpec(base_channels=4)
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, init_params(spec, np.random.default_rng(0)), spec)
+        blob = good.read_bytes()
+        bad_blob = {
+            "truncated": blob[:-100],
+            "no_newline": blob[:blob.index(b"\n")],
+            "wrong_element_type": blob.replace(b'"element_type":"f32"', b'"element_type":"f64"'),
+        }[damage]
+        assert bad_blob != blob
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bad_blob)
+        assert main(["infer", "--checkpoint", str(bad), "--dataset", str(dataset),
+                     "--mode", "ev", "--out", str(tmp_path / "o")] + FAST) == 3
 
     def test_unknown_split(self, dataset, tmp_path):
         assert main(["eval", str(tmp_path), "--dataset", str(dataset),

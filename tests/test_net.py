@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ class TestForward:
         a, _ = forward(params, spec, x)
         b, _ = forward(params, spec, x)
         assert np.array_equal(a.data, b.data)
+
+    def test_batch_rows_match_single_forward(self):
+        spec = UNetSpec(base_channels=4)
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(5, 2, 8, 8)).astype(np.float32)
+        batched, _ = forward(params, spec, x)
+        for i in range(len(x)):
+            single, _ = forward(params, spec, x[i:i + 1])
+            assert np.array_equal(batched.data[i], single.data[0])
 
     def test_dropout_perturbs_output(self):
         spec = UNetSpec(base_channels=4, dropout=0.5)
@@ -134,6 +145,24 @@ class TestTrainLoop:
         # two epochs, train and val rows each
         assert len(lines) == 1 + 4
 
+    def test_metrics_kept_when_later_epoch_diverges(self, dataset, tmp_path, monkeypatch):
+        real_step = train_step
+
+        def diverge_after_first_epoch(*args, **kwargs):
+            if (tmp_path / "checkpoint.ckpt").exists():
+                raise TrainingDiverged("non-finite training loss: nan")
+            return real_step(*args, **kwargs)
+
+        # evgrid.net re-exports train(), which shadows the module's dotted path
+        monkeypatch.setattr(importlib.import_module("evgrid.net.train"), "train_step",
+                            diverge_after_first_epoch)
+        cfg = TrainConfig(model="ev", epochs=2, base_channels=4, batch_size=4)
+        with pytest.raises(TrainingDiverged, match="epoch 1"):
+            train(dataset, cfg, out_dir=tmp_path)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "epoch,split,loss"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "train"], ["0", "val"]]
+
     def test_load_split(self, dataset):
         x, t, m, ids = load_split(dataset, "train")
         assert x.shape[1:] == (2, 16, 16) and t.shape[1:] == (3, 16, 16)
@@ -174,6 +203,13 @@ class TestMcPredict:
         pred = mc_predict(params, spec, x, 1, "soft", np.random.default_rng(0))
         out, _ = forward(params, spec, x[None])
         assert np.allclose(pred, softmax(out.data[0].astype(np.float64), axis=0))
+
+    @pytest.mark.parametrize("mode, out_ch", [("ev", 2), ("ev-s", 2), ("soft", 3)])
+    def test_sample_count_irrelevant_without_dropout(self, mode, out_ch):
+        params, spec, x = self._setup(out_ch, 0.0)
+        one = mc_predict(params, spec, x, 1, mode, np.random.default_rng(0))
+        many = mc_predict(params, spec, x, 30, mode, np.random.default_rng(0))
+        np.testing.assert_allclose(many, one, rtol=1e-12, atol=1e-15)
 
     def test_percentile_head_not_above_mean_unknown(self):
         # low-percentile evidence is weakly smaller, so unknown mass is larger
