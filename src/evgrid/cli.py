@@ -20,7 +20,7 @@ from evgrid.net.train import mc_predict, train
 from evgrid.net.unet import load_checkpoint
 from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
-from evgrid.sim import corner_sensor_poses, detections_from_jsonl, load_manifest, write_dataset
+from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, write_dataset
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
@@ -96,7 +96,7 @@ def cmd_rayism(args, cfg: dict) -> int:
     for sid in _sample_ids(manifest, "all"):
         sdir = Path(args.dataset) / "samples" / sid
         ego = read_grid(sdir / "radar.grid").origin
-        dets = detections_from_jsonl((sdir / "detections.jsonl").read_text())
+        dets = read_detections(sdir / "detections.jsonl")
         pred = ray_ism_scene(dets, corner_sensor_poses(ego), spec, rcfg, ego=ego,
                              dynamic_velocity_threshold=threshold)
         write_grid(out / f"{sid}.grid", pred)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON value checks
+the file readers use before raising them."""
+
+import math
 
 
 class EvgridError(Exception):
@@ -16,3 +19,13 @@ class ConfigError(EvgridError, ValueError):
 
 class TrainingDiverged(EvgridError, RuntimeError):
     """Training produced a non-finite loss; aborted with diagnostics."""
+
+
+def is_int(value) -> bool:
+    """A JSON integer (bool excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite JSON number (bool excluded)."""
+    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)

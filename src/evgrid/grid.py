@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evgrid.errors import DomainError, EvgridError
+from evgrid.errors import DomainError, EvgridError, is_int, is_number
 from evgrid.evidential import EvidentialState, ProbabilisticState
 
 DEFAULT_LOGODDS_CLAMP = 10.0
@@ -242,32 +242,62 @@ def extract_patch(src: Grid2D, ego: Pose2D, spec: GridSpec) -> Grid2D:
 # serialization: JSON header line + little-endian float32 payload
 # ---------------------------------------------------------------------------
 
+def pack_f32(header: dict, arrays) -> bytes:
+    """A compact, key-sorted JSON header line, then the arrays as little-endian f32."""
+    header = {**header, "element_type": "f32"}
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+
+
+def unpack_f32(blob: bytes) -> tuple[dict, bytes]:
+    """Split a container into its header and raw payload; checks the header is f32 JSON.
+
+    A blob with no newline has an empty payload, which the size check of
+    ``f32_values`` then rejects.
+    """
+    head, _, payload = blob.partition(b"\n")
+    try:
+        header = json.loads(head.decode())
+    except ValueError as exc:  # covers JSON and UTF-8 errors
+        raise EvgridError(f"header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise EvgridError("header is not a JSON object")
+    if header.get("element_type") != "f32":
+        raise EvgridError(f"unsupported element type {header.get('element_type')!r}")
+    return header, payload
+
+
+def f32_values(payload: bytes, count: int) -> np.ndarray:
+    """A read-only view of the payload as ``count`` values; any other length is an error."""
+    if len(payload) != 4 * count:
+        raise EvgridError(f"payload is {len(payload)} bytes, expected {4 * count}")
+    return np.frombuffer(payload, dtype="<f4")
+
+
 def grid_to_bytes(grid: Grid2D) -> bytes:
     header = {
         "side_cells": grid.spec.side_cells,
         "cell_size": grid.spec.cell_size,
         "channels": list(grid.channels),
-        "element_type": "f32",
         "origin": {"x": grid.origin.x, "y": grid.origin.y, "heading": grid.origin.heading},
     }
-    payload = np.ascontiguousarray(grid.data, dtype="<f4").tobytes()
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+    return pack_f32(header, [grid.data])
 
 
 def grid_from_bytes(blob: bytes) -> Grid2D:
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise EvgridError("grid blob has no header line")
-    header = json.loads(blob[:nl].decode())
-    if header.get("element_type") != "f32":
-        raise EvgridError(f"unsupported element type {header.get('element_type')!r}")
-    spec = GridSpec(side_cells=header["side_cells"], cell_size=header["cell_size"])
-    channels = tuple(header["channels"])
-    n = spec.side_cells
-    data = np.frombuffer(blob[nl + 1:], dtype="<f4").reshape(len(channels), n, n).astype(np.float64)
-    o = header.get("origin", {})
-    origin = Pose2D(o.get("x", 0.0), o.get("y", 0.0), o.get("heading", 0.0))
-    return Grid2D(spec, data, channels, origin)
+    """Parse a grid container; a malformed or truncated blob raises EvgridError."""
+    header, payload = unpack_f32(blob)
+    side, cell_size = header.get("side_cells"), header.get("cell_size")
+    channels, o = header.get("channels"), header.get("origin")
+    if not (is_int(side) and is_number(cell_size)):
+        raise EvgridError(f"header needs integer side_cells and numeric cell_size, got {side!r}, {cell_size!r}")
+    if not (isinstance(channels, list) and channels and all(isinstance(c, str) for c in channels)):
+        raise EvgridError(f"header channels must be a non-empty list of names, got {channels!r}")
+    if not (isinstance(o, dict) and all(is_number(o.get(k)) for k in ("x", "y", "heading"))):
+        raise EvgridError(f"header origin must hold numeric x, y and heading, got {o!r}")
+    spec = GridSpec(side_cells=side, cell_size=cell_size)
+    data = f32_values(payload, len(channels) * side * side).reshape(len(channels), side, side)
+    return Grid2D(spec, data.astype(np.float64), tuple(channels), Pose2D(o["x"], o["y"], o["heading"]))
 
 
 def write_grid(path, grid: Grid2D) -> None:
@@ -284,7 +314,10 @@ def read_grid(path) -> Grid2D:
             blob = f.read()
     except OSError as exc:
         raise EvgridError(f"cannot read grid file {path}: {exc}") from exc
-    return grid_from_bytes(blob)
+    try:
+        return grid_from_bytes(blob)
+    except EvgridError as exc:
+        raise EvgridError(f"grid file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

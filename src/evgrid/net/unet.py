@@ -10,12 +10,12 @@ encoder/decoder block. The head is chosen by the output channel count:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from evgrid.errors import ConfigError, EvgridError
+from evgrid.errors import ConfigError, EvgridError, is_int, is_number
+from evgrid.grid import f32_values, pack_f32, unpack_f32
 from evgrid.net import tensor as T
 from evgrid.net.tensor import Tensor
 
@@ -31,9 +31,13 @@ class UNetSpec:
     dropout: float = 0.2
 
     def __post_init__(self) -> None:
+        if not all(is_int(v) and v >= 1 for v in (self.in_channels, self.out_channels, self.base_channels)):
+            raise ConfigError("in_channels, out_channels and base_channels must be positive integers")
         if self.out_channels not in (2, 3):
             raise ConfigError("out_channels must be 2 (evidence) or 3 (softmax)")
-        if not (0.0 <= self.dropout < 1.0):
+        if not is_number(self.leaky_slope):
+            raise ConfigError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
+        if not (is_number(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
 
 
@@ -106,14 +110,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], spec: UNetSpec,
         "seed": seed,
         "epoch": epoch,
         "params": [{"name": k, "shape": list(params[k].shape)} for k in sorted(params)],
-        "element_type": "f32",
     }
-    payload = b"".join(np.ascontiguousarray(params[k], dtype="<f4").tobytes() for k in sorted(params))
     try:
         with open(path, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-            f.write(b"\n")
-            f.write(payload)
+            f.write(pack_f32(header, [params[k] for k in sorted(params)]))
     except OSError as exc:
         raise EvgridError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -122,23 +122,22 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], UNetSpec, dict]:
     """Read a checkpoint; a malformed or truncated file raises EvgridError naming it."""
     try:
         with open(path, "rb") as f:
-            head, _, payload = f.read().partition(b"\n")  # no newline: empty payload
+            blob = f.read()
     except OSError as exc:
         raise EvgridError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        header = json.loads(head.decode())
-        spec = UNetSpec(**header["arch"])
-        shapes = {entry["name"]: tuple(map(int, entry["shape"])) for entry in header["params"]}
-        element_type = header["element_type"]
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON, UTF-8 and ConfigError
-        raise EvgridError(f"checkpoint {path} has a malformed header: {exc!r}") from exc
-    if element_type != "f32":
-        raise EvgridError(f"checkpoint {path}: unsupported element type {element_type!r}")
-    if shapes != _layer_shapes(spec):
-        raise EvgridError(f"checkpoint {path}: parameter shapes do not match its architecture")
-    sizes = [int(np.prod(shape)) for shape in shapes.values()]
-    if len(payload) != 4 * sum(sizes):
-        raise EvgridError(f"checkpoint {path}: payload is {len(payload)} bytes, expected {4 * sum(sizes)}")
-    parts = np.split(np.frombuffer(payload, dtype="<f4").astype(np.float32), np.cumsum(sizes)[:-1])
+        header, payload = unpack_f32(blob)
+        try:
+            spec = UNetSpec(**header["arch"])
+            shapes = {entry["name"]: tuple(map(int, entry["shape"])) for entry in header["params"]}
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
+            raise EvgridError(f"malformed header: {exc!r}") from exc
+        if shapes != _layer_shapes(spec):
+            raise EvgridError("parameter shapes do not match its architecture")
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        values = f32_values(payload, sum(sizes)).astype(np.float32)
+    except EvgridError as exc:
+        raise EvgridError(f"checkpoint {path}: {exc}") from exc
+    parts = np.split(values, np.cumsum(sizes)[:-1])
     params = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
     return params, spec, header

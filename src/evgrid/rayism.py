@@ -5,6 +5,16 @@ occupancy probability field obtained by integrating an ideal radial sensor
 model against Gaussian range noise, modulated by a unit-peak Gaussian
 angular kernel. IDMs are accumulated per cell in log-odds and finally
 converted to belief masses for scoring.
+
+A scene's static detections are accumulated by one kernel. The range and
+bearing of every cell are computed once per sensor, and the cells sorted by
+bearing, so a binary search finds each detection's candidates: the cells
+within phi_meas +- 4 sigma_phi, a window that wraps at +-pi and is capped at
+one full turn. The footprint test and the IDM run on all candidate
+(detection, cell) pairs at once. The logits are then added in detection
+order and clamped after each detection, touching only that detection's
+cells, so cells that saturate end up exactly as in a one-detection-at-a-time
+loop.
 """
 
 from __future__ import annotations
@@ -25,6 +35,11 @@ from evgrid.grid import (
     prob_to_evidential_array,
     wrap_angle,
 )
+
+# widens each bearing window past 4 sigma_phi, so a cell whose wrapped offset
+# rounds onto the footprint edge is still a candidate; the footprint test
+# itself is exact
+_BEARING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,28 +119,98 @@ def angular_kernel(phi, phi_meas: float, sigma_phi: float):
 
 def idm(r, phi, det: Detection, cfg: RayIsmConfig):
     """Inverse detection model: 0.5 + (range_model - 0.5) * angular kernel."""
-    return 0.5 + (range_model(r, det.r, cfg) - 0.5) * angular_kernel(phi, det.phi, cfg.noise.sigma_phi)
+    return _idm(r, phi, det.r, det.phi, cfg)
 
 
-def rasterize_idm(det: Detection, sensor_pose: Pose2D, grid: Grid2D, cfg: RayIsmConfig) -> None:
-    """Accumulate one detection's IDM into a log-odds grid, in place.
+def _idm(r, phi, r_meas, phi_meas, cfg: RayIsmConfig):
+    return 0.5 + (range_model(r, r_meas, cfg) - 0.5) * angular_kernel(phi, phi_meas, cfg.noise.sigma_phi)
 
-    Only cells inside the beam footprint (range <= r_meas + 4 sigma_r,
-    |angular offset| <= 4 sigma_phi) are touched; outside it the IDM is
-    indistinguishable from 0.5 and contributes zero logit.
-    """
+
+def _polar_cells(grid: Grid2D, poses: list[Pose2D]):
+    """Range, bearing and bearing sort order of every cell, one row per sensor."""
     wx, wy = cell_centers(grid.spec, grid.origin)
-    dx, dy = wx - sensor_pose.x, wy - sensor_pose.y
-    rng = np.hypot(dx, dy)
-    phi = wrap_angle(np.arctan2(dy, dx) - sensor_pose.heading)
-    dphi = wrap_angle(phi - det.phi)
-    mask = (rng <= det.r + 4.0 * cfg.noise.sigma_r) & (np.abs(dphi) <= 4.0 * cfg.noise.sigma_phi)
-    if not mask.any():
+    rng, phi = [], []
+    for pose in poses:
+        dx, dy = wx - pose.x, wy - pose.y
+        rng.append(np.hypot(dx, dy).ravel())
+        phi.append(wrap_angle(np.arctan2(dy, dx) - pose.heading).ravel())
+    phi = np.stack(phi)
+    return np.stack(rng), phi, np.argsort(phi, axis=1, kind="stable")
+
+
+def _bearing_slices(sorted_phi: np.ndarray, phi_meas: np.ndarray, half: float):
+    """Slices of a bearing-sorted cell list within phi_meas +- half, wrapped at +-pi.
+
+    Returns (starts, ends), each (D, 3): the window clipped to [-pi, pi],
+    then the parts wrapping past -pi and past +pi. The three never overlap.
+    """
+    n = len(sorted_phi)
+    if half >= math.pi:  # a window of a full turn or more holds every cell once
+        return np.zeros((len(phi_meas), 3), np.int64), np.tile([n, 0, 0], (len(phi_meas), 1))
+    centre = wrap_angle(phi_meas)
+    lo, hi = centre - half, centre + half
+    a = np.searchsorted(sorted_phi, np.maximum(lo, -math.pi), "left")
+    b = np.searchsorted(sorted_phi, np.minimum(hi, math.pi), "right")
+    wrap_lo = np.where(lo < -math.pi, np.searchsorted(sorted_phi, lo + 2.0 * math.pi, "left"), n)
+    wrap_hi = np.where(hi > math.pi, np.searchsorted(sorted_phi, hi - 2.0 * math.pi, "right"), 0)
+    starts = np.stack([a, np.maximum(wrap_lo, b), np.zeros_like(a)], axis=1)
+    ends = np.stack([b, np.full_like(a, n), np.minimum(wrap_hi, a)], axis=1)
+    return starts, ends
+
+
+def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid: Grid2D,
+                    cfg: RayIsmConfig) -> None:
+    """Accumulate the IDMs of a list of detections into a log-odds grid, in place.
+
+    Only cells inside a detection's beam footprint (range <= r_meas + 4 sigma_r,
+    |angular offset| <= 4 sigma_phi) are touched; outside it the IDM is
+    indistinguishable from 0.5 and contributes zero logit. The candidates
+    for that test are the cells whose bearing from the detection's sensor
+    lies in phi_meas +- 4 sigma_phi, found by binary search in the sensor's
+    cells sorted by bearing. The IDMs of all (detection, cell) pairs that
+    pass are evaluated as one block; the logits are then added detection by
+    detection, clamping after each, so saturated cells depend on the order
+    of ``dets``.
+    """
+    for det in dets:
+        if det.sensor_id not in sensor_poses:
+            raise DomainError(f"no pose for sensor {det.sensor_id}")
+    if not dets:
         return
-    p = idm(rng[mask], phi[mask], det, cfg)
+    sensors = sorted({det.sensor_id for det in dets})
+    rng, phi, order = _polar_cells(grid, [sensor_poses[sid] for sid in sensors])
+    row = np.searchsorted(sensors, [det.sensor_id for det in dets])
+    r_meas = np.array([det.r for det in dets])
+    phi_meas = np.array([det.phi for det in dets])
+    r4, phi4 = 4.0 * cfg.noise.sigma_r, 4.0 * cfg.noise.sigma_phi
+
+    starts = np.empty((len(dets), 3), np.int64)
+    ends = np.empty((len(dets), 3), np.int64)
+    for k in range(len(sensors)):
+        sel = row == k
+        starts[sel], ends[sel] = _bearing_slices(phi[k, order[k]], phi_meas[sel], phi4 + _BEARING_SLACK)
+    # expand the slices into (detection, cell) pairs, grouped by detection
+    lengths = np.maximum(ends - starts, 0).ravel()
+    pair_det = np.repeat(np.arange(len(dets)), lengths.reshape(-1, 3).sum(axis=1))
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - starts.ravel(), lengths)
+    pair_row = row[pair_det]
+    cell = order[pair_row, pos]
+    pair_rng, pair_phi = rng[pair_row, cell], phi[pair_row, cell]
+    pair_r, pair_phi_meas = r_meas[pair_det], phi_meas[pair_det]
+
+    keep = (pair_rng <= pair_r + r4) & (np.abs(wrap_angle(pair_phi - pair_phi_meas)) <= phi4)
+    p = _idm(pair_rng[keep], pair_phi[keep], pair_r[keep], pair_phi_meas[keep], cfg)
     p = np.clip(p, cfg.prob_clamp, 1.0 - cfg.prob_clamp)
-    lo = grid.data[0]
-    lo[mask] = np.clip(lo[mask] + np.log(p / (1.0 - p)), -cfg.logodds_clamp, cfg.logodds_clamp)
+    logit = np.log(p / (1.0 - p))
+    cell, bounds = cell[keep], np.searchsorted(pair_det[keep], np.arange(len(dets) + 1))
+
+    logodds = grid.data[0].ravel()  # a copy when the grid is not contiguous
+    clamp = cfg.logodds_clamp
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        c = cell[a:b]
+        v = logodds[c] + logit[a:b]
+        logodds[c] = np.minimum(np.maximum(v, -clamp, out=v), clamp, out=v)
+    grid.data[0] = logodds.reshape(grid.data.shape[1:])
 
 
 def ray_ism_scene(
@@ -144,11 +229,7 @@ def ray_ism_scene(
     """
     cfg = cfg or RayIsmConfig()
     logodds = Grid2D.zeros(spec, channels=("logodds",), origin=ego)
-    for det in detections:
-        if abs(det.v_r) > dynamic_velocity_threshold:
-            continue
-        if det.sensor_id not in sensor_poses:
-            raise DomainError(f"no pose for sensor {det.sensor_id}")
-        rasterize_idm(det, sensor_poses[det.sensor_id], logodds, cfg)
+    static = [det for det in detections if abs(det.v_r) <= dynamic_velocity_threshold]
+    accumulate_idms(static, sensor_poses, logodds, cfg)
     p_o = 1.0 / (1.0 + np.exp(-logodds.data[0]))
     return Grid2D(spec, prob_to_evidential_array(p_o), channels=("b_f", "b_o", "u"), origin=ego)

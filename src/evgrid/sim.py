@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from evgrid.errors import DomainError, EvgridError
+from evgrid.errors import DomainError, EvgridError, is_int, is_number
 from evgrid.grid import Grid2D, GridSpec, Pose2D, wrap_angle, write_grid
 from evgrid.rayism import Detection, RadarNoiseModel
 
@@ -515,16 +516,39 @@ def detection_json(det: Detection) -> str:
     )
 
 
-def detections_from_jsonl(text: str) -> list[Detection]:
+def detections_from_jsonl(text: str, source: str = "detections") -> list[Detection]:
+    """Parse one detection per line; a malformed line raises EvgridError naming source and line."""
     dets = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        dets.append(Detection(r=obj["r"], phi=obj["phi"], v_r=obj["v_r"],
-                              sensor_id=obj["sensor_id"], t=obj.get("t", 0.0)))
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise EvgridError("not a JSON object")
+            for key in ("r", "phi", "v_r", "sensor_id"):
+                if key not in obj:
+                    raise EvgridError(f"missing key {key!r}")
+            obj.setdefault("t", 0.0)
+            for key in ("r", "phi", "v_r", "t"):
+                if not is_number(obj[key]):
+                    raise EvgridError(f"{key!r} must be a finite number, got {obj[key]!r}")
+            if not is_int(obj["sensor_id"]):
+                raise EvgridError(f"'sensor_id' must be an integer, got {obj['sensor_id']!r}")
+            dets.append(Detection(r=obj["r"], phi=obj["phi"], v_r=obj["v_r"],
+                                  sensor_id=obj["sensor_id"], t=obj["t"]))
+        except (EvgridError, ValueError) as exc:  # ValueError covers JSON errors
+            raise EvgridError(f"{source} line {lineno}: {exc}") from exc
     return dets
+
+
+def read_detections(path) -> list[Detection]:
+    try:
+        text = Path(path).read_bytes().decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EvgridError(f"cannot read detections file {path}: {exc}") from exc
+    return detections_from_jsonl(text, source=str(path))
 
 
 def _scene_seed(master_seed: int, index: int) -> int:
@@ -609,11 +633,26 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
 
 
 def load_manifest(dataset_dir) -> dict:
+    """Read a dataset manifest; checks the splits and grid fields that readers use."""
     path = Path(dataset_dir) / "manifest.json"
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_bytes().decode())
     except OSError as exc:
         raise EvgridError(f"cannot read dataset manifest {path}: {exc}") from exc
+    except ValueError as exc:  # covers JSON and UTF-8 errors
+        raise EvgridError(f"dataset manifest {path} is not JSON: {exc}") from exc
+    splits = manifest.get("splits") if isinstance(manifest, dict) else None
+    grid = manifest.get("grid") if isinstance(manifest, dict) else None
+    if not (isinstance(splits, dict) and {"train", "val", "test"} <= splits.keys()
+            and all(isinstance(ids, list) and all(isinstance(sid, str) and re.fullmatch("[0-9]+", sid)
+                                                  for sid in ids)
+                    for ids in splits.values())):
+        raise EvgridError(f"dataset manifest {path}: 'splits' must map train, val and test "
+                          "to lists of numeric sample ids")
+    if not (isinstance(grid, dict) and is_int(grid.get("side_cells")) and is_number(grid.get("cell_size"))):
+        raise EvgridError(f"dataset manifest {path}: 'grid' must hold integer side_cells "
+                          "and numeric cell_size")
+    return manifest
 
 
 def augment_arrays(arrays: list[np.ndarray], k_rot: int, flip_h: bool, flip_v: bool) -> list[np.ndarray]:

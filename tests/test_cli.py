@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -106,7 +107,8 @@ class TestExitCodes:
                      "--dataset", str(dataset), "--mode", "ev",
                      "--out", str(tmp_path / "o")] + FAST) == 3
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_newline", "wrong_element_type"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_newline", "wrong_element_type",
+                                        "string_leaky_slope"])
     def test_bad_checkpoint(self, dataset, tmp_path, damage):
         spec = UNetSpec(base_channels=4)
         good = tmp_path / "good.ckpt"
@@ -116,6 +118,7 @@ class TestExitCodes:
             "truncated": blob[:-100],
             "no_newline": blob[:blob.index(b"\n")],
             "wrong_element_type": blob.replace(b'"element_type":"f32"', b'"element_type":"f64"'),
+            "string_leaky_slope": blob.replace(b'"leaky_slope":0.1', b'"leaky_slope":"0.1"'),
         }[damage]
         assert bad_blob != blob
         bad = tmp_path / "bad.ckpt"
@@ -126,3 +129,71 @@ class TestExitCodes:
     def test_unknown_split(self, dataset, tmp_path):
         assert main(["eval", str(tmp_path), "--dataset", str(dataset),
                      "--out", str(tmp_path / "e"), "--set", "eval.split=bogus"] + FAST) == 2
+
+
+def _damaged_copy(dataset, tmp_path, rel, edit):
+    """A copy of the dataset with one file's bytes replaced by edit(bytes)."""
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    path = copy / rel
+    blob = path.read_bytes()
+    damaged = edit(blob)
+    assert damaged != blob
+    path.write_bytes(damaged)
+    return copy
+
+
+def _first_line_edit(fn):
+    """Edit the first detection of a detections.jsonl file as a dict."""
+    def edit(blob):
+        first, rest = blob.split(b"\n", 1)
+        obj = json.loads(first)
+        fn(obj)
+        return json.dumps(obj).encode() + b"\n" + rest
+    return edit
+
+
+class TestBadDatasetFiles:
+    """Malformed dataset files fail with exit 3 and a message naming the file."""
+
+    DETS = "samples/00000/detections.jsonl"
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: b"{not json\n" + blob,
+        _first_line_edit(lambda obj: obj.pop("phi")),
+        _first_line_edit(lambda obj: obj.update(r="5.0")),
+        _first_line_edit(lambda obj: obj.update(v_r=None)),
+        _first_line_edit(lambda obj: obj.update(sensor_id="0")),
+        _first_line_edit(lambda obj: obj.update(sensor_id=1.0)),
+    ], ids=["bad_json", "missing_key", "string_range", "null_velocity", "string_sensor",
+            "float_sensor"])
+    def test_bad_detections(self, dataset, tmp_path, capsys, edit):
+        data = _damaged_copy(dataset, tmp_path, self.DETS, edit)
+        assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
+        assert "detections.jsonl line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: blob[:-10],
+        lambda blob: json.dumps({k: v for k, v in json.loads(blob).items() if k != "splits"}).encode(),
+        lambda blob: json.dumps({**json.loads(blob), "grid": {"side_cells": "16"}}).encode(),
+        lambda blob: blob.replace(b'"00000"', b'"../x"'),
+        lambda blob: json.dumps({**json.loads(blob),
+                                 "splits": {**json.loads(blob)["splits"], "extra": 5}}).encode(),
+    ], ids=["truncated", "missing_splits", "string_side", "bad_sample_id", "extra_split_not_list"])
+    @pytest.mark.parametrize("command", ["rayism", "train"])
+    def test_bad_manifest(self, dataset, tmp_path, capsys, edit, command):
+        data = _damaged_copy(dataset, tmp_path, "manifest.json", edit)
+        assert main([command, "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: blob[:-100],
+        lambda blob: blob[:blob.index(b"\n")],
+        lambda blob: b"{" + blob,
+        lambda blob: blob.replace(b'"side_cells":16', b'"side_cells":"16"'),
+        lambda blob: blob.replace(b'"channels":["static","dynamic"]', b'"channels":"static"'),
+    ], ids=["truncated", "no_newline", "bad_header_json", "string_side", "string_channels"])
+    def test_bad_grid(self, dataset, tmp_path, capsys, edit):
+        data = _damaged_copy(dataset, tmp_path, "samples/00000/radar.grid", edit)
+        assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
+        assert "radar.grid" in capsys.readouterr().err

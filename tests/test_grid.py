@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evgrid.errors import DomainError
+from evgrid.errors import DomainError, EvgridError
 from evgrid.evidential import EvidentialState, ProbabilisticState, evidential_to_probability
 from evgrid.grid import (
     Grid2D,
@@ -19,6 +19,7 @@ from evgrid.grid import (
     logodds_update,
     prob_to_evidential,
     prob_to_evidential_array,
+    read_grid,
     render_pgm,
     render_ppm,
     trace_ray,
@@ -277,6 +278,48 @@ class TestSerialization:
         header = json.loads(blob.split(b"\n", 1)[0])
         assert header["element_type"] == "f32"
         assert header["channels"] == ["b_f", "b_o", "u"]
+
+
+class TestGridValidation:
+    BLOB = grid_to_bytes(unknown_grid(GridSpec(8, 0.5), origin=Pose2D(1.0, 2.0, 0.5)))
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:-1],
+        lambda b: b + b"\0\0\0\0",
+        lambda b: b[:b.index(b"\n")],
+        lambda b: b"[1]" + b[b.index(b"\n"):],
+        lambda b: b.replace(b'"element_type":"f32"', b'"element_type":"f64"'),
+        lambda b: b.replace(b'"side_cells":8', b'"side_cells":8.0'),
+        lambda b: b.replace(b'"side_cells":8', b'"side_cells":true'),
+        lambda b: b.replace(b'"cell_size":0.5', b'"cell_size":NaN'),
+        lambda b: b.replace(b'"channels":["b_f","b_o","u"]', b'"channels":[]'),
+        lambda b: b.replace(b'"heading":0.5', b'"heading":"0.5"'),
+        lambda b: b.replace(b'"side_cells":8', b'"side_cells":4'),
+    ], ids=["short", "long", "no_newline", "not_object", "f64", "float_side", "bool_side",
+            "nan_cell_size", "no_channels", "string_heading", "too_small"])
+    def test_rejected(self, damage):
+        bad = damage(self.BLOB)
+        assert bad != self.BLOB
+        with pytest.raises(EvgridError):
+            grid_from_bytes(bad)
+
+    def test_read_grid_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.grid"
+        path.write_bytes(self.BLOB[:-100])
+        with pytest.raises(EvgridError, match="cut.grid"):
+            read_grid(path)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cut_or_flipped_blob_parses_or_raises_evgrid_error(self, data):
+        blob = bytearray(self.BLOB[:data.draw(st.integers(0, len(self.BLOB)))])
+        if blob:
+            i = data.draw(st.integers(0, len(blob) - 1))
+            blob[i] ^= data.draw(st.integers(0, 255))
+        try:
+            grid_from_bytes(bytes(blob))
+        except EvgridError:
+            pass
 
 
 class TestRendering:

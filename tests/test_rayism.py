@@ -8,17 +8,26 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from evgrid.errors import DomainError
-from evgrid.grid import Grid2D, GridSpec, Pose2D, world_to_cell
+from evgrid.grid import (
+    Grid2D,
+    GridSpec,
+    Pose2D,
+    cell_centers,
+    prob_to_evidential_array,
+    world_to_cell,
+    wrap_angle,
+)
 from evgrid.rayism import (
     Detection,
     RadarNoiseModel,
     RayIsmConfig,
+    accumulate_idms,
     angular_kernel,
     idm,
     range_model,
-    rasterize_idm,
     ray_ism_scene,
 )
+from evgrid.sim import corner_sensor_poses
 
 CFG = RayIsmConfig(noise=RadarNoiseModel(sigma_r=0.5, sigma_phi=0.02))
 
@@ -146,14 +155,20 @@ class TestDetectionValidation:
 SPEC = GridSpec(side_cells=32, cell_size=0.5)
 
 
+def rasterize_one(det, pose, grid, cfg):
+    accumulate_idms([det], {det.sensor_id: pose}, grid, cfg)
+
+
 class TestRasterize:
+    """The scene kernel called with a single detection."""
+
     def _logodds(self):
         return Grid2D.zeros(SPEC, channels=("logodds",), origin=Pose2D())
 
     def test_target_cell_positive_free_cell_negative(self):
         g = self._logodds()
         det = Detection(r=5.0, phi=0.0)
-        rasterize_idm(det, Pose2D(), g, CFG)
+        rasterize_one(det, Pose2D(), g, CFG)
         # cell centers sit 0.25 off the beam axis; pick a free cell far
         # enough out that its angular offset stays inside the footprint
         hit = world_to_cell(SPEC, (5.0, 0.0), Pose2D())
@@ -163,7 +178,7 @@ class TestRasterize:
 
     def test_outside_footprint_untouched(self):
         g = self._logodds()
-        rasterize_idm(Detection(r=5.0, phi=0.0), Pose2D(), g, CFG)
+        rasterize_one(Detection(r=5.0, phi=0.0), Pose2D(), g, CFG)
         off_axis = world_to_cell(SPEC, (0.0, 5.0), Pose2D())
         behind = world_to_cell(SPEC, (7.5, 0.0), Pose2D())
         assert g.data[0][off_axis] == 0.0
@@ -172,15 +187,15 @@ class TestRasterize:
     def test_two_identical_detections_double_the_logit(self):
         once, twice = self._logodds(), self._logodds()
         det = Detection(r=5.0, phi=0.0)
-        rasterize_idm(det, Pose2D(), once, CFG)
-        rasterize_idm(det, Pose2D(), twice, CFG)
-        rasterize_idm(det, Pose2D(), twice, CFG)
+        rasterize_one(det, Pose2D(), once, CFG)
+        rasterize_one(det, Pose2D(), twice, CFG)
+        rasterize_one(det, Pose2D(), twice, CFG)
         assert np.allclose(twice.data, np.clip(2.0 * once.data, -CFG.logodds_clamp, CFG.logodds_clamp))
 
     def test_matches_pointwise_idm(self):
         g = self._logodds()
         det = Detection(r=5.0, phi=0.0)
-        rasterize_idm(det, Pose2D(), g, CFG)
+        rasterize_one(det, Pose2D(), g, CFG)
         hit = world_to_cell(SPEC, (5.0, 0.0), Pose2D())
         # recompute the IDM at this cell's center by hand
         cx = (hit[1] - 16 + 0.5) * SPEC.cell_size
@@ -219,3 +234,115 @@ class TestScene:
         out = ray_ism_scene(dets, self.POSES, SPEC)
         assert np.all(np.minimum(out.data[0], out.data[1]) == 0.0)
         assert np.allclose(out.data.sum(axis=0), 1.0, atol=1e-7)
+
+
+def _reference_logodds(detections, sensor_poses, spec, cfg, ego, threshold):
+    """The per-detection loop the scene kernel replaced, kept as its oracle.
+
+    Every detection recomputes the polar geometry of the whole grid, masks
+    its footprint and clamps its logits into the grid before the next one.
+    """
+    logodds = np.zeros((spec.side_cells, spec.side_cells))
+    for det in detections:
+        if abs(det.v_r) > threshold:
+            continue
+        if det.sensor_id not in sensor_poses:
+            raise DomainError(f"no pose for sensor {det.sensor_id}")
+        pose = sensor_poses[det.sensor_id]
+        wx, wy = cell_centers(spec, ego)
+        dx, dy = wx - pose.x, wy - pose.y
+        rng = np.hypot(dx, dy)
+        phi = wrap_angle(np.arctan2(dy, dx) - pose.heading)
+        dphi = wrap_angle(phi - det.phi)
+        mask = (rng <= det.r + 4.0 * cfg.noise.sigma_r) & (np.abs(dphi) <= 4.0 * cfg.noise.sigma_phi)
+        if not mask.any():
+            continue
+        p = idm(rng[mask], phi[mask], det, cfg)
+        p = np.clip(p, cfg.prob_clamp, 1.0 - cfg.prob_clamp)
+        logodds[mask] = np.clip(logodds[mask] + np.log(p / (1.0 - p)),
+                                -cfg.logodds_clamp, cfg.logodds_clamp)
+    return logodds
+
+
+def _random_scene(rng, n, bearings=None, max_range=12.0):
+    ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
+    phis = rng.uniform(-math.pi, math.pi, n) if bearings is None else rng.choice(bearings, n)
+    dets = [Detection(r=float(rng.uniform(0.0, max_range)), phi=float(phi),
+                      v_r=float(rng.choice([0.0, 0.2, -0.3, 1.5, -2.0])),
+                      sensor_id=int(rng.integers(0, 4))) for phi in phis]
+    return dets, corner_sensor_poses(ego), ego
+
+
+class TestSceneKernelParity:
+    """ray_ism_scene is float64-identical to the per-detection loop."""
+
+    SPEC = GridSpec(side_cells=24, cell_size=0.5)
+    THRESHOLD = 0.5
+
+    def _assert_parity(self, dets, poses, ego, cfg, spec=None):
+        spec = spec or self.SPEC
+        want = _reference_logodds(dets, poses, spec, cfg, ego, self.THRESHOLD)
+        static = [det for det in dets if abs(det.v_r) <= self.THRESHOLD]
+        got = Grid2D.zeros(spec, channels=("logodds",), origin=ego)
+        accumulate_idms(static, poses, got, cfg)
+        assert np.array_equal(got.data[0], want)
+        out = ray_ism_scene(dets, poses, spec, cfg, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
+        assert np.array_equal(out.data, prob_to_evidential_array(1.0 / (1.0 + np.exp(-want))))
+        return want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scenes(self, seed):
+        rng = np.random.default_rng(seed)
+        dets, poses, ego = _random_scene(rng, int(rng.integers(1, 120)))
+        self._assert_parity(dets, poses, ego, RayIsmConfig())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bearings_near_pi(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        # within 4 sigma_phi of +-pi, exactly +-pi, and just outside (-pi, pi]
+        bearings = [math.pi, -math.pi, math.pi - 0.01, -math.pi + 0.03, math.pi - 0.079,
+                    math.pi + 0.02, -math.pi - 0.05, np.nextafter(-math.pi, 0.0)]
+        dets, poses, ego = _random_scene(rng, 60, bearings=bearings)
+        self._assert_parity(dets, poses, ego, RayIsmConfig())
+
+    @pytest.mark.parametrize("sigma_phi", [0.5, math.pi / 4.0, 0.8, 2.0])
+    def test_window_of_a_full_turn_or_more(self, sigma_phi):
+        rng = np.random.default_rng(7)
+        dets, poses, ego = _random_scene(rng, 40)
+        cfg = RayIsmConfig(noise=RadarNoiseModel(sigma_r=0.25, sigma_phi=sigma_phi))
+        self._assert_parity(dets, poses, ego, cfg)
+
+    def test_saturation_then_opposite_sign(self):
+        ego = Pose2D()
+        poses = corner_sensor_poses(ego)
+        far, near = Detection(r=8.0, phi=0.05), Detection(r=3.0, phi=0.05)
+        clamp = RayIsmConfig().logodds_clamp
+        # six far detections drive the free cells before them to the lower
+        # clamp; the near one then raises its target cells from the clamp
+        after = self._assert_parity([far] * 6 + [near], poses, ego, RayIsmConfig())
+        before = self._assert_parity([near] + [far] * 6, poses, ego, RayIsmConfig())
+        assert after.min() == -clamp
+        assert not np.array_equal(after, before)
+
+    def test_dynamic_detections_and_their_unknown_sensors_are_ignored(self):
+        rng = np.random.default_rng(3)
+        dets, poses, ego = _random_scene(rng, 50)
+        dets += [Detection(r=5.0, phi=0.2, v_r=3.0, sensor_id=9)]
+        self._assert_parity(dets, poses, ego, RayIsmConfig())
+
+    def test_unknown_sensor_on_static_detection_raises(self):
+        rng = np.random.default_rng(4)
+        dets, poses, ego = _random_scene(rng, 20)
+        dets.insert(5, Detection(r=5.0, phi=0.2, v_r=0.0, sensor_id=9))
+        with pytest.raises(DomainError):
+            ray_ism_scene(dets, poses, self.SPEC, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
+        with pytest.raises(DomainError):
+            _reference_logodds(dets, poses, self.SPEC, RayIsmConfig(), ego, self.THRESHOLD)
+
+    def test_empty(self):
+        self._assert_parity([], corner_sensor_poses(Pose2D()), Pose2D(), RayIsmConfig())
+
+    def test_dense_64_cell_scene(self):
+        rng = np.random.default_rng(11)
+        dets, poses, ego = _random_scene(rng, 200, max_range=25.0)
+        self._assert_parity(dets, poses, ego, RayIsmConfig(), spec=GridSpec(64, 0.5))

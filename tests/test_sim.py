@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from evgrid.errors import EvgridError
 from evgrid.grid import GridSpec, Pose2D, read_grid, world_to_cell
-from evgrid.rayism import RadarNoiseModel
+from evgrid.rayism import Detection, RadarNoiseModel
 from evgrid.sim import (
     SceneParams,
     Scene,
@@ -235,6 +236,14 @@ class TestDetectionsJsonl:
                 Detection(r=1.5, phi=-0.8, v_r=0.0, sensor_id=0)]
         text = "".join(detection_json(d) + "\n" for d in dets)
         assert detections_from_jsonl(text) == dets
+
+    def test_bad_line_names_source_and_line(self):
+        good = detection_json(Detection(r=1.0, phi=0.0))
+        for bad in ['{"r": 1.0', '{"r": 1.0, "phi": 0.0, "v_r": 0.0}', '[1, 2]',
+                    good.replace('"sensor_id":0', '"sensor_id":"0"'),
+                    good.replace('"r":1.0', '"r":-1.0'), good.replace('"phi":0.0', '"phi":NaN')]:
+            with pytest.raises(EvgridError, match="dets.jsonl line 3"):
+                detections_from_jsonl(f"{good}\n\n{bad}\n", source="dets.jsonl")
 
     def test_line_is_compact_sorted_json(self):
         from evgrid.rayism import Detection
