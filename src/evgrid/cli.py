@@ -96,9 +96,13 @@ def cmd_rayism(args, cfg: dict) -> int:
     for sid in _sample_ids(manifest, "all"):
         sdir = Path(args.dataset) / "samples" / sid
         ego = read_grid(sdir / "radar.grid").origin
-        dets = read_detections(sdir / "detections.jsonl")
-        pred = ray_ism_scene(dets, corner_sensor_poses(ego), spec, rcfg, ego=ego,
-                             dynamic_velocity_threshold=threshold)
+        det_path = sdir / "detections.jsonl"
+        dets = read_detections(det_path)
+        try:
+            pred = ray_ism_scene(dets, corner_sensor_poses(ego), spec, rcfg, ego=ego,
+                                 dynamic_velocity_threshold=threshold)
+        except DomainError as exc:  # a detection the scene cannot place, e.g. an unknown sensor_id
+            raise EvgridError(f"{det_path}: {exc}") from exc
         write_grid(out / f"{sid}.grid", pred)
     return EXIT_OK
 

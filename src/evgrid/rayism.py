@@ -4,7 +4,9 @@ One radar detection induces an inverse detection model (IDM): a closed-form
 occupancy probability field obtained by integrating an ideal radial sensor
 model against Gaussian range noise, modulated by a unit-peak Gaussian
 angular kernel. IDMs are accumulated per cell in log-odds and finally
-converted to belief masses for scoring.
+converted to belief masses for scoring. The standard normal CDF of the
+closed form is ``_ndtr``, a numpy port of the Cephes ``ndtr``, so the
+module needs numpy alone.
 
 A scene's static detections are accumulated by one kernel. The range and
 bearing of every cell are computed once per sensor, and the cells sorted by
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from evgrid.errors import DomainError
 from evgrid.grid import (
@@ -40,6 +41,26 @@ from evgrid.grid import (
 # rounds onto the footprint edge is still a candidate; the footprint test
 # itself is exact
 _BEARING_SLACK = 1e-9
+
+# Cephes ndtr.c coefficients: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond;
+# U, Q and S have an implicit leading 1
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # erfc is 0 once x^2 exceeds this
+_SQRT1_2 = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -94,18 +115,65 @@ class RayIsmConfig:
             raise DomainError("prob_clamp must be in (0, 0.5)")
 
 
+def _polevl(x: np.ndarray, coef: tuple[float, ...], monic: bool = False) -> np.ndarray:
+    """Horner evaluation; ``monic`` prepends an implicit leading coefficient of 1."""
+    y = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Cephes erfc for x >= 1 (inf included)."""
+    y = np.zeros_like(x)
+    with np.errstate(over="ignore"):  # x * x is inf for huge x, which lands in neither branch
+        far = (x >= 8.0) & (x * x <= _MAXLOG)
+    for i, p, q in ((np.flatnonzero(x < 8.0), _ERFC_P, _ERFC_Q), (np.flatnonzero(far), _ERFC_R, _ERFC_S)):
+        xs = x[i]
+        y[i] = np.exp(-xs * xs) * _polevl(xs, p) / _polevl(xs, q, monic=True)
+    return y
+
+
+def _ndtr(a) -> np.ndarray:
+    """Standard normal CDF, a numpy port of the Cephes ndtr.
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), otherwise
+    0.5 erfc(|x|) reflected for x > 0, where erfc(|x|) = 1 - erf(|x|) below 1.
+    Each branch runs only on its own elements (integer indices, which gather
+    and scatter faster than boolean masks); NaN stays NaN.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    y = np.full(x.shape, np.nan)
+    centre, mid, tail = (np.flatnonzero(m) for m in (z < _SQRT1_2, (z >= _SQRT1_2) & (z < 1.0), z >= 1.0))
+    y[centre] = 0.5 + 0.5 * _erf(x[centre])
+    y[mid] = 0.5 * (1.0 - _erf(z[mid]))
+    y[tail] = 0.5 * _erfc(z[tail])
+    upper = np.flatnonzero((z >= _SQRT1_2) & (x > 0.0))
+    y[upper] = 1.0 - y[upper]
+    return y.reshape(a.shape)
+
+
 def range_model(r, r_meas: float, cfg: RayIsmConfig):
     """Occupancy probability along the beam axis given a range measurement.
 
     Closed form of the ideal piecewise model integrated against Gaussian
-    range noise N(r_meas, sigma_r); vectorized over r.
+    range noise N(r_meas, sigma_r); vectorized over r. The normal CDF is
+    ``_ndtr``, a numpy port of the Cephes ``ndtr``.
     """
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0):
         raise DomainError("evaluation range must be >= 0")
     s = cfg.noise.sigma_r
-    hi = ndtr((r + cfg.delta / 2.0 - r_meas) / s)
-    lo = ndtr((r - cfg.delta / 2.0 - r_meas) / s)
+    hi = _ndtr((r + cfg.delta / 2.0 - r_meas) / s)
+    lo = _ndtr((r - cfg.delta / 2.0 - r_meas) / s)
     p = cfg.eps_free * (1.0 - hi) + cfg.p_max * (hi - lo) + 0.5 * lo
     return float(p) if p.ndim == 0 else p
 

@@ -455,51 +455,42 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig | None = None,
     detections: list[Detection] = []
     dyn_flags: list[bool] = []
     counts = np.zeros((2, spec.side_cells, spec.side_cells), dtype=np.float64)
+    sigmas = [cfg.noise.sigma_r, cfg.noise.sigma_phi, cfg.vr_sigma]
     for sid in sorted(sensors):
         pose = sensors[sid]
         origin = np.array([pose.x, pose.y])
-        recs: list[tuple[float, float, float, bool]] = []
-        if len(pts):
-            rel = pts - origin[None]
-            r_true = np.hypot(rel[:, 0], rel[:, 1])
-            phi_world = np.arctan2(rel[:, 1], rel[:, 0])
-            phi_true = wrap_angle(phi_world - pose.heading)
-            in_fov = (np.abs(phi_true) <= cfg.sensor_fov / 2.0) & (r_true > 0.3) & (r_true <= r_max)
-            if in_fov.any():
-                sel = np.flatnonzero(in_fov)
-                dirs = rel[sel] / r_true[sel, None]
-                t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), dirs, edges)
-                visible = t_near >= r_true[sel] - 1e-6
-                sel = sel[visible]
-                keep = rng.uniform(size=len(sel)) < cfg.detection_prob
-                sel = sel[keep]
-                for idx in sel:
-                    r_meas = max(0.0, r_true[idx] + rng.normal(0.0, cfg.noise.sigma_r))
-                    phi_meas = wrap_angle(phi_true[idx] + rng.normal(0.0, cfg.noise.sigma_phi))
-                    los = rel[idx] / r_true[idx]
-                    v_r = float(vels[idx] @ los + rng.normal(0.0, cfg.vr_sigma))
-                    speed = float(np.hypot(*vels[idx]))
-                    recs.append((r_meas, phi_meas, v_r, speed > cfg.dynamic_velocity_threshold))
+        rel = pts - origin[None]
+        r_true = np.hypot(rel[:, 0], rel[:, 1])
+        phi_true = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - pose.heading)
+        sel = np.flatnonzero((np.abs(phi_true) <= cfg.sensor_fov / 2.0) & (r_true > 0.3) & (r_true <= r_max))
+        t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), rel[sel] / r_true[sel, None], edges)
+        sel = sel[t_near >= r_true[sel] - 1e-6]
+        sel = sel[rng.uniform(size=len(sel)) < cfg.detection_prob]
+        # one (r, phi, v_r) noise row per detection: the same stream as three
+        # scalar draws per detection in turn
+        noise = rng.normal(0.0, sigmas, size=(len(sel), 3))
+        los = rel[sel] / r_true[sel, None]
+        # a batched (1, 2) @ (2, 1) product rounds like a dot product; a written-out
+        # vx * lx + vy * ly can differ in the last bit
+        v_los = (vels[sel, None, :] @ los[:, :, None])[:, 0, 0]
+        meas = np.stack([np.maximum(r_true[sel] + noise[:, 0], 0.0),
+                         wrap_angle(phi_true[sel] + noise[:, 1]),
+                         v_los + noise[:, 2]], axis=1)
+        dyn = np.hypot(vels[sel, 0], vels[sel, 1]) > cfg.dynamic_velocity_threshold
         n_clutter = rng.poisson(cfg.clutter_rate)
-        for _ in range(n_clutter):
-            recs.append((
-                float(rng.uniform(0.5, r_max)),
-                float(rng.uniform(-cfg.sensor_fov / 2.0, cfg.sensor_fov / 2.0)),
-                float(rng.normal(0.0, cfg.vr_sigma)),
-                False,
-            ))
-        if len(recs) > cfg.max_detections:
-            pick = rng.choice(len(recs), size=cfg.max_detections, replace=False)
-            recs = [recs[i] for i in np.sort(pick)]
-        for r_meas, phi_meas, v_r, dyn in recs:
-            det = Detection(r=r_meas, phi=phi_meas, v_r=v_r, sensor_id=sid)
-            detections.append(det)
-            dyn_flags.append(dyn)
-            wx = pose.x + r_meas * math.cos(pose.heading + phi_meas)
-            wy = pose.y + r_meas * math.sin(pose.heading + phi_meas)
-            rows, cols = _world_to_cells(spec, scene.ego, np.array([wx]), np.array([wy]))
-            if 0 <= rows[0] < spec.side_cells and 0 <= cols[0] < spec.side_cells:
-                counts[1 if dyn else 0, rows[0], cols[0]] += 1.0
+        clutter = [(rng.uniform(0.5, r_max), rng.uniform(-cfg.sensor_fov / 2.0, cfg.sensor_fov / 2.0),
+                    rng.normal(0.0, cfg.vr_sigma)) for _ in range(n_clutter)]
+        meas = np.concatenate([meas, np.reshape(clutter, (n_clutter, 3))])
+        dyn = np.concatenate([dyn, np.zeros(n_clutter, dtype=bool)])
+        if len(meas) > cfg.max_detections:
+            pick = np.sort(rng.choice(len(meas), size=cfg.max_detections, replace=False))
+            meas, dyn = meas[pick], dyn[pick]
+        detections += [Detection(r=r, phi=phi, v_r=v_r, sensor_id=sid) for r, phi, v_r in meas.tolist()]
+        dyn_flags += dyn.tolist()
+        r, phi = meas[:, 0], pose.heading + meas[:, 1]
+        rows, cols = _world_to_cells(spec, scene.ego, pose.x + r * np.cos(phi), pose.y + r * np.sin(phi))
+        inb = (rows >= 0) & (rows < spec.side_cells) & (cols >= 0) & (cols < spec.side_cells)
+        np.add.at(counts, (dyn[inb].astype(np.intp), rows[inb], cols[inb]), 1.0)
 
     image = Grid2D(spec, counts, channels=("static", "dynamic"), origin=scene.ego)
     return image, detections, dyn_flags

@@ -172,6 +172,14 @@ class TestBadDatasetFiles:
         assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
         assert "detections.jsonl line 1" in capsys.readouterr().err
 
+    def test_detection_from_sensor_without_pose(self, dataset, tmp_path, capsys):
+        # a static detection (v_r 0) is placed by its sensor's pose; there is no sensor 9
+        edit = _first_line_edit(lambda obj: obj.update(sensor_id=9, v_r=0.0))
+        data = _damaged_copy(dataset, tmp_path, self.DETS, edit)
+        assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
+        err = capsys.readouterr().err
+        assert self.DETS in err and "sensor 9" in err
+
     @pytest.mark.parametrize("edit", [
         lambda blob: blob[:-10],
         lambda blob: json.dumps({k: v for k, v in json.loads(blob).items() if k != "splits"}).encode(),

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
+
+import evgrid
 
 from evgrid.errors import DomainError
 from evgrid.grid import (
@@ -21,6 +28,7 @@ from evgrid.rayism import (
     Detection,
     RadarNoiseModel,
     RayIsmConfig,
+    _ndtr,
     accumulate_idms,
     angular_kernel,
     idm,
@@ -97,6 +105,65 @@ class TestRangeModel:
         r = np.array([1.0, 9.5, 10.0, 12.0])
         vec = range_model(r, 10.0, CFG)
         assert vec == pytest.approx([range_model(v, 10.0, CFG) for v in r])
+
+
+class TestNdtr:
+    """_ndtr, the numpy port of the Cephes ndtr, against scipy's ndtr."""
+
+    ROOT2 = math.sqrt(2.0)
+
+    @staticmethod
+    def _assert_close(x):
+        x = np.asarray(x, dtype=np.float64)
+        got, want = _ndtr(x), ndtr(x)
+        assert got.shape == want.shape
+        err = np.abs(got - want)
+        # within 2 ulp of scipy, or 1e-16 absolute where the value is tiny
+        assert np.all(err <= np.maximum(2.0 * np.spacing(np.abs(want)), 1e-16))
+        # and within 8 ulp relative wherever scipy's value is a normal float:
+        # the two differ only by the rounding of exp
+        normal = np.abs(want) >= np.finfo(np.float64).tiny
+        assert np.all(err[normal] <= 8.0 * np.spacing(np.abs(want[normal])))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0),  # erf(x)
+        (1.0, math.sqrt(2.0)),  # 1 - erf(|x|)
+        (math.sqrt(2.0), 8.0 * math.sqrt(2.0)),  # erfc P/Q
+        (8.0 * math.sqrt(2.0), 40.0),  # erfc R/S, then 0 on the left
+    ])
+    def test_each_branch_both_signs(self, lo, hi):
+        a = np.linspace(lo, hi, 20_001)
+        self._assert_close(np.concatenate([a, -a]))
+
+    def test_branch_boundaries(self):
+        edges = np.array([1.0, self.ROOT2, 8.0 * self.ROOT2, math.sqrt(2.0 * 7.09782712893383996843E2)])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        self._assert_close(np.concatenate([near, -near]))
+
+    def test_special_values(self):
+        got = _ndtr(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(got[4])
+
+    def test_deep_left_tail(self):
+        a = -np.geomspace(1.0, 40.0, 50_001)
+        self._assert_close(a)
+        assert np.all(_ndtr(a) >= 0.0) and np.all(np.diff(_ndtr(a)) <= 0.0)
+
+    def test_random_points(self):
+        self._assert_close(np.random.default_rng(0).uniform(-100.0, 10.0, 200_000))
+
+    def test_zero_dimensional(self):
+        self._assert_close(0.3)
+        self._assert_close(-3.7)
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime import path needs numpy alone; scipy is a test oracle only."""
+    code = "import sys, evgrid.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(evgrid.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestAngularKernel:

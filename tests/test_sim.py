@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evgrid.errors import EvgridError
-from evgrid.grid import GridSpec, Pose2D, read_grid, world_to_cell
+from evgrid.grid import GridSpec, Pose2D, read_grid, world_to_cell, wrap_angle
 from evgrid.rayism import Detection, RadarNoiseModel
 from evgrid.sim import (
     SceneParams,
@@ -28,7 +28,9 @@ from evgrid.sim import (
     rect,
     simulate_radar,
     write_dataset,
+    _boundary_points,
     _scene_seed,
+    _world_to_cells,
 )
 
 SPEC = GridSpec(side_cells=32, cell_size=0.5)
@@ -226,6 +228,116 @@ class TestRadar:
         b = simulate_radar(scene, SPEC, rng=np.random.default_rng(1))
         assert np.array_equal(a[0].data, b[0].data)
         assert a[1] == b[1]
+
+
+def _reference_simulate_radar(scene, spec, cfg, rng):
+    """The per-detection loop the per-sensor block replaced, kept as its oracle.
+
+    Three scalar noise draws per detection, then clutter, then subsampling;
+    each kept detection is binned into the radar image on its own.
+    """
+    sensors = corner_sensor_poses(scene.ego)
+    edges = polygon_edges(list(scene.static_shapes) + [p for p, _ in scene.dynamic_objects])
+    r_max = spec.extent
+    stat_pts = _boundary_points(scene.static_shapes, cfg.boundary_spacing)
+    cand_pts, cand_vel = [stat_pts], [np.zeros_like(stat_pts)]
+    for poly, vel in scene.dynamic_objects:
+        pts = _boundary_points([poly], cfg.boundary_spacing)
+        cand_pts.append(pts)
+        cand_vel.append(np.broadcast_to(np.asarray(vel, dtype=np.float64), pts.shape).copy())
+    pts, vels = np.concatenate(cand_pts), np.concatenate(cand_vel)
+
+    detections, dyn_flags = [], []
+    counts = np.zeros((2, spec.side_cells, spec.side_cells))
+    for sid in sorted(sensors):
+        pose = sensors[sid]
+        origin = np.array([pose.x, pose.y])
+        recs = []
+        if len(pts):
+            rel = pts - origin[None]
+            r_true = np.hypot(rel[:, 0], rel[:, 1])
+            phi_true = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - pose.heading)
+            in_fov = (np.abs(phi_true) <= cfg.sensor_fov / 2.0) & (r_true > 0.3) & (r_true <= r_max)
+            if in_fov.any():
+                sel = np.flatnonzero(in_fov)
+                dirs = rel[sel] / r_true[sel, None]
+                t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), dirs, edges)
+                sel = sel[t_near >= r_true[sel] - 1e-6]
+                sel = sel[rng.uniform(size=len(sel)) < cfg.detection_prob]
+                for idx in sel:
+                    r_meas = max(0.0, r_true[idx] + rng.normal(0.0, cfg.noise.sigma_r))
+                    phi_meas = wrap_angle(phi_true[idx] + rng.normal(0.0, cfg.noise.sigma_phi))
+                    los = rel[idx] / r_true[idx]
+                    v_r = float(vels[idx] @ los + rng.normal(0.0, cfg.vr_sigma))
+                    speed = float(np.hypot(*vels[idx]))
+                    recs.append((r_meas, phi_meas, v_r, speed > cfg.dynamic_velocity_threshold))
+        for _ in range(rng.poisson(cfg.clutter_rate)):
+            recs.append((float(rng.uniform(0.5, r_max)),
+                         float(rng.uniform(-cfg.sensor_fov / 2.0, cfg.sensor_fov / 2.0)),
+                         float(rng.normal(0.0, cfg.vr_sigma)), False))
+        if len(recs) > cfg.max_detections:
+            pick = rng.choice(len(recs), size=cfg.max_detections, replace=False)
+            recs = [recs[i] for i in np.sort(pick)]
+        for r_meas, phi_meas, v_r, dyn in recs:
+            detections.append(Detection(r=r_meas, phi=phi_meas, v_r=v_r, sensor_id=sid))
+            dyn_flags.append(dyn)
+            wx = pose.x + r_meas * math.cos(pose.heading + phi_meas)
+            wy = pose.y + r_meas * math.sin(pose.heading + phi_meas)
+            rows, cols = _world_to_cells(spec, scene.ego, np.array([wx]), np.array([wy]))
+            if 0 <= rows[0] < spec.side_cells and 0 <= cols[0] < spec.side_cells:
+                counts[1 if dyn else 0, rows[0], cols[0]] += 1.0
+    return counts, detections, dyn_flags
+
+
+class TestRadarBlockParity:
+    """simulate_radar is identical, draw for draw, to the per-detection loop."""
+
+    def _assert_parity(self, scene, cfg, spec=SPEC, seed=0):
+        image, dets, flags = simulate_radar(scene, spec, cfg, np.random.default_rng(seed))
+        counts, want_dets, want_flags = _reference_simulate_radar(scene, spec, cfg,
+                                                                  np.random.default_rng(seed))
+        assert [detection_json(d) for d in dets] == [detection_json(d) for d in want_dets]
+        assert flags == want_flags and all(type(f) is bool for f in flags)
+        assert np.array_equal(image.data, counts)
+        return image.data, dets, flags
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_scenes(self, seed):
+        _, dets, _ = self._assert_parity(generate_scene(100 + seed), SimConfig(), seed=seed)
+        assert dets
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    def test_detection_prob_extremes(self, prob):
+        self._assert_parity(generate_scene(7), SimConfig(detection_prob=prob), seed=3)
+
+    def test_subsampled_below_candidates(self):
+        cfg = SimConfig(detection_prob=1.0, max_detections=20, clutter_rate=20.0)
+        _, dets, _ = self._assert_parity(generate_scene(8), cfg, seed=4)
+        per_sensor = [sum(d.sensor_id == sid for d in dets) for sid in range(4)]
+        assert max(per_sensor) == 20
+
+    @pytest.mark.parametrize("clutter", [0.0, 20.0])
+    def test_clutter_rates(self, clutter):
+        self._assert_parity(generate_scene(9), SimConfig(clutter_rate=clutter, max_detections=500), seed=5)
+
+    def test_empty_scene(self):
+        scene = generate_scene(10, SceneParams(n_shapes=0))
+        _, dets, _ = self._assert_parity(scene, SimConfig(clutter_rate=5.0), seed=6)
+        assert dets  # clutter only
+        self._assert_parity(scene, SimConfig(clutter_rate=0.0), seed=6)
+
+    @pytest.mark.parametrize("vel", [(3.0, 0.0), (1.3, -0.7), (0.2, 0.1)])
+    def test_moving_object(self, vel):
+        scene = Scene([rect(-8.0, 3.0, 8.0, 3.6)], [(rect(3.0, -1.5, 5.0, -0.5), np.array(vel))],
+                      Pose2D(0.2, -0.1, 0.25), rng_seed=0)
+        cfg = SimConfig(detection_prob=0.8, max_detections=500)
+        _, _, flags = self._assert_parity(scene, cfg, seed=7)
+        assert any(flags) == (math.hypot(*vel) > cfg.dynamic_velocity_threshold)
+
+    def test_detections_outside_the_grid(self):
+        spec = GridSpec(side_cells=12, cell_size=0.5)
+        counts, dets, _ = self._assert_parity(generate_scene(11), SimConfig(clutter_rate=20.0), spec=spec, seed=8)
+        assert 0 < counts.sum() < len(dets)
 
 
 class TestDetectionsJsonl:
