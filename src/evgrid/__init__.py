@@ -1,7 +1,7 @@
 """Evidential radar occupancy grids.
 
 Subjective-Logic state algebra, a closed-form detection-based inverse sensor
-model, Dempster-Shafer grid fusion, a from-scratch differentiable U-Net with
+model, Dempster's rule of combination, a from-scratch differentiable U-Net with
 evidential and softmax heads, a synthetic 2-D world generator, and
 conditional-probability scoring of the resulting occupancy estimates.
 """

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from evgrid import config as cfgmod
-from evgrid.errors import ConfigError, DomainError, EvgridError
-from evgrid.grid import read_grid, render_pgm, render_ppm, write_grid
+from evgrid.errors import ConfigError, DomainError, EvgridError, write_atomic
+from evgrid.grid import Grid2D, read_grid, render_pgm, render_ppm, write_grid
 from evgrid.net.train import mc_predict, train
 from evgrid.net.unet import load_checkpoint
 from evgrid.rayism import ray_ism_scene
@@ -90,17 +90,16 @@ def cmd_rayism(args, cfg: dict) -> int:
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
     manifest = load_manifest(args.dataset)
-    spec = cfgmod.grid_spec(cfg)
     rcfg = cfgmod.rayism_config(cfg)
     threshold = cfg["sim"]["dynamic_velocity_threshold"]
     for sid in _sample_ids(manifest, "all"):
         sdir = Path(args.dataset) / "samples" / sid
-        ego = read_grid(sdir / "radar.grid").origin
+        radar = read_grid(sdir / "radar.grid")
         det_path = sdir / "detections.jsonl"
         dets = read_detections(det_path)
         try:
-            pred = ray_ism_scene(dets, corner_sensor_poses(ego), spec, rcfg, ego=ego,
-                                 dynamic_velocity_threshold=threshold)
+            pred = ray_ism_scene(dets, corner_sensor_poses(radar.origin), radar.spec, rcfg,
+                                 ego=radar.origin, dynamic_velocity_threshold=threshold)
         except DomainError as exc:  # a detection the scene cannot place, e.g. an unknown sensor_id
             raise EvgridError(f"{det_path}: {exc}") from exc
         write_grid(out / f"{sid}.grid", pred)
@@ -121,8 +120,6 @@ def cmd_infer(args, cfg: dict) -> int:
     params, spec, _header = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.dataset)
     tcfg = cfgmod.train_config(cfg)
-    from evgrid.grid import Grid2D
-
     for sid in _sample_ids(manifest, "all"):
         sdir = Path(args.dataset) / "samples" / sid
         radar = read_grid(sdir / "radar.grid")
@@ -151,20 +148,19 @@ def cmd_eval(args, cfg: dict) -> int:
             acc.add(pred, target, mask)
         tables.append((pdir.name, acc.table()))
     text, csv_out = render_table(tables)
-    (out / "scores.txt").write_text(text)
-    (out / "scores.csv").write_text(csv_out)
+    write_atomic(out / "scores.txt", text, "score table")
+    write_atomic(out / "scores.csv", csv_out, "score table")
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_render(args, cfg: dict) -> int:
     grid = read_grid(args.grid_file)
-    out = Path(args.out_image)
-    if out.suffix == ".pgm" or grid.data.shape[0] == 1:
+    if Path(args.out_image).suffix == ".pgm" or grid.data.shape[0] == 1:
         blob = render_pgm(grid.data[0])
     else:
         blob = render_ppm(grid)
-    out.write_bytes(blob)
+    write_atomic(args.out_image, blob, "image")
     return EXIT_OK
 
 
@@ -187,9 +183,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         return EXIT_USAGE
     try:
-        cfg = cfgmod.load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg["master_seed"] = args.seed
+        seed = [] if args.seed is None else [f"master_seed={args.seed}"]
+        cfg = cfgmod.load_config(args.config, args.overrides + seed)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

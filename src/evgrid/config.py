@@ -2,65 +2,39 @@
 
 Unknown keys are rejected; every value has a default, so an empty document
 is a valid configuration. ``--set a.b.c=value`` style overrides are applied
-on top of the loaded document.
+on top of the loaded document. The defaults are the field defaults of the
+dataclasses the sections build, and loading builds every section, so a bad
+value fails here, before any command writes output.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from evgrid.errors import ConfigError
+from evgrid.errors import ConfigError, DomainError, write_atomic
 from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
-from evgrid.rayism import RadarNoiseModel, RayIsmConfig
-from evgrid.sim import SceneParams, SimConfig
+from evgrid.rayism import RayIsmConfig
+from evgrid.sim import SceneParams, SimConfig, flat_fields
+
+_TRAIN = TrainConfig()
+_NET_KEYS = ("base_channels", "dropout")  # TrainConfig fields set in the "net" section
+_SCENE_KEYS = {"scene_extent": "extent", "p_dynamic": "p_dynamic"}  # "sim" key -> SceneParams field
 
 DEFAULTS = {
-    "master_seed": 0,
+    "master_seed": _TRAIN.seed,
     "sim": {
         "n_scenes": 100,
-        "side_cells": 32,
-        "cell_size": 0.5,
-        "lidar_rays": 720,
-        "max_detections": 64,
-        "detection_prob": 0.35,
-        "clutter_rate": 2.0,
-        "sigma_r": 0.25,
-        "sigma_phi": 0.02,
-        "vr_sigma": 0.05,
-        "dynamic_velocity_threshold": 0.5,
-        "sensor_fov": 2.0 * math.pi / 3.0,
-        "boundary_spacing": 0.3,
-        "frames": 1,
-        "ego_step": 2.0,
-        "occlude_by_dynamic": False,
-        "scene_extent": 16.0,
-        "p_dynamic": 0.5,
+        **flat_fields(GridSpec()),
+        **flat_fields(SimConfig()),
+        **{key: getattr(SceneParams(), name) for key, name in _SCENE_KEYS.items()},
     },
-    "ray_ism": {
-        "eps_free": 0.05,
-        "p_max": 0.95,
-        "delta": 0.5,
-        "sigma_r": 0.25,
-        "sigma_phi": 0.02,
-        "prob_clamp": 0.01,
-        "logodds_clamp": 10.0,
-    },
-    "net": {
-        "base_channels": 8,
-        "dropout": 0.2,
-    },
-    "train": {
-        "model": "ev",
-        "lr": 1e-3,
-        "batch_size": 8,
-        "epochs": 10,
-        "mc_samples": 30,
-        "percentile": 10.0,
-        "augment": True,
-    },
+    "ray_ism": flat_fields(RayIsmConfig()),
+    "net": {key: getattr(_TRAIN, key) for key in _NET_KEYS},
+    "train": {f.name: getattr(_TRAIN, f.name) for f in fields(TrainConfig)
+              if f.name not in (*_NET_KEYS, "seed")},
     "eval": {
         "conflict_guard": True,
         "split": "test",
@@ -132,65 +106,52 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set path {key!r} crosses a non-object value")
         node[parts[-1]] = value
-    return _merge(DEFAULTS, doc)
+    cfg = _merge(DEFAULTS, doc)
+    if cfg["sim"]["n_scenes"] < 1:
+        raise ConfigError(f"sim.n_scenes must be >= 1, got {cfg['sim']['n_scenes']}")
+    for build in (grid_spec, sim_config, scene_params, rayism_config, train_config):
+        try:
+            build(cfg)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+    return cfg
+
+
+def _build(cls, values: dict):
+    """A config dataclass from a flat section; a nested dataclass field (the
+    radar noise model) is built from the same section."""
+    kwargs = {}
+    for f in fields(cls):
+        nested = is_dataclass(f.default_factory)
+        kwargs[f.name] = _build(f.default_factory, values) if nested else values[f.name]
+    return cls(**kwargs)
 
 
 def grid_spec(cfg: dict) -> GridSpec:
-    return GridSpec(side_cells=cfg["sim"]["side_cells"], cell_size=cfg["sim"]["cell_size"])
+    return _build(GridSpec, cfg["sim"])
 
 
 def sim_config(cfg: dict) -> SimConfig:
-    s = cfg["sim"]
-    return SimConfig(
-        lidar_rays=s["lidar_rays"],
-        max_detections=s["max_detections"],
-        detection_prob=s["detection_prob"],
-        clutter_rate=s["clutter_rate"],
-        noise=RadarNoiseModel(sigma_r=s["sigma_r"], sigma_phi=s["sigma_phi"]),
-        vr_sigma=s["vr_sigma"],
-        dynamic_velocity_threshold=s["dynamic_velocity_threshold"],
-        sensor_fov=s["sensor_fov"],
-        boundary_spacing=s["boundary_spacing"],
-        frames=s["frames"],
-        ego_step=s["ego_step"],
-        occlude_by_dynamic=s["occlude_by_dynamic"],
-    )
+    return _build(SimConfig, cfg["sim"])
 
 
 def scene_params(cfg: dict) -> SceneParams:
-    return SceneParams(extent=cfg["sim"]["scene_extent"], p_dynamic=cfg["sim"]["p_dynamic"])
+    return SceneParams(**{name: cfg["sim"][key] for key, name in _SCENE_KEYS.items()})
 
 
 def rayism_config(cfg: dict) -> RayIsmConfig:
-    r = cfg["ray_ism"]
-    return RayIsmConfig(
-        eps_free=r["eps_free"],
-        p_max=r["p_max"],
-        delta=r["delta"],
-        noise=RadarNoiseModel(sigma_r=r["sigma_r"], sigma_phi=r["sigma_phi"]),
-        prob_clamp=r["prob_clamp"],
-        logodds_clamp=r["logodds_clamp"],
-    )
+    return _build(RayIsmConfig, cfg["ray_ism"])
 
 
 def train_config(cfg: dict, model: str | None = None) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        model=model or t["model"],
-        lr=t["lr"],
-        batch_size=t["batch_size"],
-        epochs=t["epochs"],
-        dropout=cfg["net"]["dropout"],
-        base_channels=cfg["net"]["base_channels"],
-        seed=cfg["master_seed"],
-        mc_samples=t["mc_samples"],
-        percentile=t["percentile"],
-        augment=t["augment"],
-    )
+    values = {**cfg["net"], **cfg["train"], "seed": cfg["master_seed"]}
+    if model:
+        values["model"] = model
+    return _build(TrainConfig, values)
 
 
 def echo_config(cfg: dict, out_dir) -> None:
     """Write the effective configuration into an output directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+    write_atomic(out / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n", "config echo")

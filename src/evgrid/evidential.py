@@ -1,9 +1,11 @@
 """Subjective-Logic state algebra.
 
-Connects the three views of a cell's occupancy state: a nonnegative evidence
-vector, the belief/unknown masses it induces, and the expectation of the
-Dirichlet distribution it parameterizes. Works for any class count K but the
-rest of the package only exercises K = 2 (free, occupied).
+Connects the three views of a cell's occupancy state over the two classes
+(free, occupied): a nonnegative evidence vector, the belief/unknown masses
+it induces, and the expectation of the Dirichlet distribution it
+parameterizes. ``evidence_to_belief_array`` is the one implementation of
+b = e/S, u = K/S, and ``evidence_to_evidential`` a thin per-state wrapper
+over it; the per-state functions serve the tests as oracles.
 
 Also provides the sample reductions used for epistemic (dropout-sampled)
 evidence: component-wise mean and nearest-rank percentile.
@@ -122,9 +124,10 @@ def evidence_to_evidential(e: Evidence, cfg: SubjectiveLogicConfig | None = None
     """Map evidence to belief masses: b = e/S, u = K/S with S = K + sum(e)."""
     cfg = cfg or SubjectiveLogicConfig(K=len(e.e))
     _check_k(e, cfg)
-    s = cfg.K + sum(e.e)
-    b = [v / s for v in e.e]
-    return EvidentialState(b_f=b[0], b_o=b[1], u=cfg.K / s) if cfg.K == 2 else _general_state(b, cfg.K / s)
+    if cfg.K != 2:
+        raise DomainError("EvidentialState is binary; use evidence_to_belief_array for K > 2")
+    b_f, b_o, u = evidence_to_belief_array(np.array(e.e)).tolist()
+    return EvidentialState(b_f=b_f, b_o=b_o, u=u)
 
 
 def evidence_to_dirichlet(e: Evidence, cfg: SubjectiveLogicConfig | None = None) -> DirichletParams:
@@ -184,26 +187,21 @@ def percentile_reduce_array(samples: np.ndarray, n: float, axis: int = 0) -> np.
     return np.take(ordered, rank - 1, axis=axis)
 
 
-def evidence_to_belief_array(e: np.ndarray, axis: int = 0, k: int | None = None) -> np.ndarray:
-    """Vectorized form of evidence_to_evidential over a raw array.
+def evidence_to_belief_array(e: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Map evidence to belief masses over a raw array: b = e/S, u = K/S.
 
     ``e`` holds K evidence components along ``axis``; the result holds K + 1
     components along the same axis, the last being the unknown mass.
     """
     e = np.asarray(e, dtype=np.float64)
-    kk = k if k is not None else e.shape[axis]
+    k = e.shape[axis]
     if np.any(~np.isfinite(e)) or np.any(e < 0):
         raise DomainError("evidence must be finite and >= 0")
-    s = kk + e.sum(axis=axis, keepdims=True)
-    b = e / s
-    u = kk / s
-    return np.concatenate([b, u], axis=axis)
+    s = k + e.sum(axis=axis, keepdims=True)
+    return np.concatenate([e / s, k / s], axis=axis)
 
 
 def _check_k(e: Evidence, cfg: SubjectiveLogicConfig) -> None:
     if len(e.e) != cfg.K:
         raise DomainError(f"evidence has {len(e.e)} components, config expects {cfg.K}")
 
-
-def _general_state(b: list[float], u: float) -> EvidentialState:
-    raise DomainError("EvidentialState is binary; use evidence_to_belief_array for K > 2")

@@ -1,9 +1,8 @@
 """2-D occupancy grid data model.
 
-Ego-centered square grids with coordinate transforms, supercover ray
-traversal, per-cell accumulation in log-odds and Dempster-Shafer form,
-pose-aligned patch extraction, and the binary grid file format plus
-PGM/PPM rendering.
+Ego-centered square grids with the world/cell transforms, Dempster-Shafer
+combination of two cells' belief masses, the probability-to-belief map, and
+the binary grid file format plus PGM/PPM rendering.
 
 Grids are stored row-major with shape (channels, side, side); row index
 follows the ego-frame y axis and column index the x axis, so the cell at
@@ -18,10 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evgrid.errors import DomainError, EvgridError, is_int, is_number
-from evgrid.evidential import EvidentialState, ProbabilisticState
-
-DEFAULT_LOGODDS_CLAMP = 10.0
+from evgrid.errors import DomainError, EvgridError, is_int, is_number, write_atomic
+from evgrid.evidential import EvidentialState
 
 
 def wrap_angle(theta: float | np.ndarray):
@@ -89,33 +86,32 @@ class Grid2D:
         return cls(spec, np.zeros((len(channels), n, n), dtype=dtype), channels, origin)
 
 
-def unknown_grid(spec: GridSpec, origin: Pose2D = Pose2D()) -> Grid2D:
-    """Evidential grid with every cell fully unknown (0, 0, 1)."""
-    g = Grid2D.zeros(spec, channels=("b_f", "b_o", "u"), origin=origin)
-    g.data[2] = 1.0
-    return g
-
-
-def world_to_cell(spec: GridSpec, point: tuple[float, float], ego: Pose2D) -> tuple[int, int] | None:
-    """Map a world point into (row, col), or None when outside the grid.
+def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
+    """Map world points into grid cells: (row, col, inside) arrays.
 
     Ego-relative rotation, then translation to grid frame, then floor
     division by the cell size; points exactly on a cell boundary go to the
-    cell whose lower edge they sit on.
+    cell whose lower edge they sit on. ``row`` and ``col`` are int64 and lie
+    outside [0, side) where ``inside`` is False.
     """
-    px, py = point
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise DomainError("point must be finite")
     c, s = math.cos(ego.heading), math.sin(ego.heading)
     dx, dy = px - ego.x, py - ego.y
     xr = c * dx - s * dy
     yr = s * dx + c * dy
     half = spec.side_cells // 2
-    col = math.floor(xr / spec.cell_size) + half
-    row = math.floor(yr / spec.cell_size) + half
-    if 0 <= row < spec.side_cells and 0 <= col < spec.side_cells:
-        return row, col
-    return None
+    col = np.floor(xr / spec.cell_size).astype(np.int64) + half
+    row = np.floor(yr / spec.cell_size).astype(np.int64) + half
+    inside = (row >= 0) & (row < spec.side_cells) & (col >= 0) & (col < spec.side_cells)
+    return row, col, inside
+
+
+def world_to_cell(spec: GridSpec, point: tuple[float, float], ego: Pose2D) -> tuple[int, int] | None:
+    """Map one world point into (row, col), or None when outside the grid."""
+    px, py = point
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise DomainError("point must be finite")
+    row, col, inside = world_to_cells(spec, ego, px, py)
+    return (int(row), int(col)) if inside else None
 
 
 def cell_centers(spec: GridSpec, ego: Pose2D) -> tuple[np.ndarray, np.ndarray]:
@@ -129,69 +125,13 @@ def cell_centers(spec: GridSpec, ego: Pose2D) -> tuple[np.ndarray, np.ndarray]:
     return wx, wy
 
 
-def trace_ray(spec: GridSpec, from_cell: tuple[int, int], to_cell: tuple[int, int]) -> list[tuple[int, int]]:
-    """Supercover traversal between two cell centers.
-
-    Visits every cell the center-to-center segment intersects, ordered from
-    start to end, endpoints included; a segment passing exactly through a
-    cell corner includes both edge-touched neighbours.
-    """
-    for cell in (from_cell, to_cell):
-        r, c = cell
-        if not (0 <= r < spec.side_cells and 0 <= c < spec.side_cells):
-            raise DomainError(f"cell {cell} out of bounds")
-    (y0, x0), (y1, x1) = from_cell, to_cell
-    dx, dy = x1 - x0, y1 - y0
-    nx, ny = abs(dx), abs(dy)
-    sx = 1 if dx > 0 else -1
-    sy = 1 if dy > 0 else -1
-    x, y = x0, y0
-    cells = [(y, x)]
-    ix = iy = 0
-    while ix < nx or iy < ny:
-        decision = (1 + 2 * ix) * ny - (1 + 2 * iy) * nx
-        if decision == 0:
-            # exact corner crossing: include both side cells
-            cells.append((y, x + sx))
-            cells.append((y + sy, x))
-            x += sx
-            y += sy
-            ix += 1
-            iy += 1
-        elif decision < 0:
-            x += sx
-            ix += 1
-        else:
-            y += sy
-            iy += 1
-        cells.append((y, x))
-    return cells
-
-
-def logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-def logodds_update(cell_logodds: float, p_o: float, clamp: float = DEFAULT_LOGODDS_CLAMP) -> float:
-    """Accumulate one occupancy probability into a cell's log-odds."""
-    if not (0.0 < p_o < 1.0):
-        raise DomainError(f"p_o must be strictly inside (0,1), got {p_o}")
-    return float(np.clip(cell_logodds + logit(p_o), -clamp, clamp))
-
-
-def prob_to_evidential(p: ProbabilisticState) -> EvidentialState:
+def prob_to_evidential_array(p_o: np.ndarray) -> np.ndarray:
     """Linear pignistic-style map from occupancy probability to belief masses.
 
-    Maps the uninformative p_o = 0.5 to full unknown and the extremes to
-    full belief; at most one of b_f, b_o is nonzero.
+    (...) -> (3, ...) of (b_f, b_o, u): the uninformative p_o = 0.5 maps to
+    full unknown and the extremes to full belief; at most one of b_f, b_o is
+    nonzero.
     """
-    b_o = max(0.0, 2.0 * p.p_o - 1.0)
-    b_f = max(0.0, 1.0 - 2.0 * p.p_o)
-    return EvidentialState(b_f=b_f, b_o=b_o, u=1.0 - b_o - b_f)
-
-
-def prob_to_evidential_array(p_o: np.ndarray) -> np.ndarray:
-    """Array version of prob_to_evidential: (..., ) -> (3, ...)."""
     p_o = np.asarray(p_o, dtype=np.float64)
     b_o = np.maximum(0.0, 2.0 * p_o - 1.0)
     b_f = np.maximum(0.0, 1.0 - 2.0 * p_o)
@@ -211,31 +151,6 @@ def dempster_combine(m1: EvidentialState, m2: EvidentialState) -> EvidentialStat
     total = b_f + b_o + u
     b_f, b_o, u = b_f / total, b_o / total, u / total
     return EvidentialState(b_f=min(b_f, 1.0), b_o=min(b_o, 1.0), u=min(u, 1.0))
-
-
-def extract_patch(src: Grid2D, ego: Pose2D, spec: GridSpec) -> Grid2D:
-    """Cut an ego-centered, ego-aligned evidential patch out of a larger map.
-
-    Nearest-neighbor resampling; cells falling outside the source map are
-    full-unknown.
-    """
-    if src.channels != ("b_f", "b_o", "u"):
-        raise DomainError("extract_patch expects an evidential grid")
-    wx, wy = cell_centers(spec, ego)
-    o = src.origin
-    c, s = math.cos(o.heading), math.sin(o.heading)
-    dx, dy = wx - o.x, wy - o.y
-    xr = c * dx - s * dy
-    yr = s * dx + c * dy
-    half = src.spec.side_cells // 2
-    col = np.floor(xr / src.spec.cell_size).astype(np.int64) + half
-    row = np.floor(yr / src.spec.cell_size).astype(np.int64) + half
-    inside = (row >= 0) & (row < src.spec.side_cells) & (col >= 0) & (col < src.spec.side_cells)
-    out = np.zeros((3, spec.side_cells, spec.side_cells), dtype=src.data.dtype)
-    out[2] = 1.0
-    rr, cc = row[inside], col[inside]
-    out[:, inside] = src.data[:, rr, cc]
-    return Grid2D(spec, out, channels=("b_f", "b_o", "u"), origin=ego)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +216,7 @@ def grid_from_bytes(blob: bytes) -> Grid2D:
 
 
 def write_grid(path, grid: Grid2D) -> None:
-    try:
-        with open(path, "wb") as f:
-            f.write(grid_to_bytes(grid))
-    except OSError as exc:
-        raise EvgridError(f"cannot write grid file {path}: {exc}") from exc
+    write_atomic(path, grid_to_bytes(grid), "grid file")
 
 
 def read_grid(path) -> Grid2D:

@@ -35,6 +35,9 @@ class TrainConfig:
             raise ConfigError(f"model must be 'ev' or 'soft', got {self.model!r}")
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.mc_samples < 1:
             raise ConfigError("rates and counts must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.unet_spec()  # checks dropout and base_channels
 
     def unet_spec(self) -> UNetSpec:
         return UNetSpec(
@@ -178,7 +181,7 @@ def write_metrics(path, rows, append: bool = False) -> None:
 
 
 def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
-               rng: np.random.Generator, percentile: float = 10.0) -> np.ndarray:
+               rng: np.random.Generator, percentile: float = TrainConfig.percentile) -> np.ndarray:
     """Monte-Carlo dropout prediction for one input image (2, H, W).
 
     The samples are one batched forward of the image repeated ``n_samples``
@@ -202,4 +205,4 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
         reduced = evidence.mean(axis=0)
     else:
         reduced = percentile_reduce_array(evidence, percentile, axis=0)
-    return evidence_to_belief_array(reduced, axis=0, k=2)
+    return evidence_to_belief_array(reduced, axis=0)

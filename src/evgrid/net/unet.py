@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from evgrid.errors import ConfigError, EvgridError, is_int, is_number
+from evgrid.errors import ConfigError, EvgridError, is_int, is_number, write_atomic
 from evgrid.grid import f32_values, pack_f32, unpack_f32
 from evgrid.net import tensor as T
 from evgrid.net.tensor import Tensor
@@ -111,11 +111,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], spec: UNetSpec,
         "epoch": epoch,
         "params": [{"name": k, "shape": list(params[k].shape)} for k in sorted(params)],
     }
-    try:
-        with open(path, "wb") as f:
-            f.write(pack_f32(header, [params[k] for k in sorted(params)]))
-    except OSError as exc:
-        raise EvgridError(f"cannot write checkpoint {path}: {exc}") from exc
+    write_atomic(path, pack_f32(header, [params[k] for k in sorted(params)]), "checkpoint")
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], UNetSpec, dict]:

@@ -27,15 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from evgrid.errors import DomainError
-from evgrid.grid import (
-    DEFAULT_LOGODDS_CLAMP,
-    Grid2D,
-    GridSpec,
-    Pose2D,
-    cell_centers,
-    prob_to_evidential_array,
-    wrap_angle,
-)
+from evgrid.grid import Grid2D, GridSpec, Pose2D, cell_centers, prob_to_evidential_array, wrap_angle
 
 # widens each bearing window past 4 sigma_phi, so a cell whose wrapped offset
 # rounds onto the footprint edge is still a candidate; the footprint test
@@ -104,7 +96,7 @@ class RayIsmConfig:
     delta: float = 0.5
     noise: RadarNoiseModel = field(default_factory=RadarNoiseModel)
     prob_clamp: float = 0.01
-    logodds_clamp: float = DEFAULT_LOGODDS_CLAMP
+    logodds_clamp: float = 10.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_free < 0.5 < self.p_max < 1.0):

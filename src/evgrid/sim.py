@@ -12,19 +12,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from evgrid.errors import DomainError, EvgridError, is_int, is_number
-from evgrid.grid import Grid2D, GridSpec, Pose2D, wrap_angle, write_grid
+from evgrid.errors import DomainError, EvgridError, is_int, is_number, write_atomic
+from evgrid.grid import Grid2D, GridSpec, Pose2D, world_to_cells, wrap_angle, write_grid
 from evgrid.rayism import Detection, RadarNoiseModel
-
-TARGET_FREE = (1.0, 0.0, 0.0)
-TARGET_OCCUPIED = (0.0, 1.0, 0.0)
-TARGET_CONFLICT = (0.5, 0.5, 0.0)
-TARGET_UNKNOWN = (0.0, 0.0, 1.0)
 
 _FREE, _OCC = 1, 2  # status codes; 0 = unknown
 
@@ -83,14 +78,15 @@ def points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return inside
 
 
-def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """First-hit distance of each ray against a set of segments.
+def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray):
+    """First hit of each ray against a set of segments.
 
-    origins/dirs are (R, 2); edges (E, 2, 2). Returns (R,) distances, inf
-    where a ray hits nothing.
+    origins/dirs are (R, 2); edges (E, 2, 2). Returns the (R,) distances, inf
+    where a ray hits nothing, and the (R,) index of the edge hit first (the
+    lowest index on a tie, 0 where nothing is hit).
     """
     if len(edges) == 0:
-        return np.full(len(origins), np.inf)
+        return np.full(len(origins), np.inf), np.zeros(len(origins), dtype=np.intp)
     a = edges[:, 0]  # (E,2)
     e = edges[:, 1] - edges[:, 0]
     dx, dy = dirs[:, 0:1], dirs[:, 1:2]  # (R,1)
@@ -103,7 +99,8 @@ def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray) -> np.nda
         s = (aox * dy - aoy * dx) / denom
     valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
     t = np.where(valid, t, np.inf)
-    return t.min(axis=1)
+    first = t.argmin(axis=1)
+    return t[np.arange(len(t)), first], first
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +162,16 @@ class SimConfig:
             raise DomainError("rates and counts must be nonnegative")
 
 
+def flat_fields(obj) -> dict:
+    """A config dataclass's field values by name; a nested dataclass, such as
+    the radar noise model, contributes its own fields in its place."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out.update(flat_fields(value) if is_dataclass(value) else {f.name: value})
+    return out
+
+
 def generate_scene(seed: int, params: SceneParams | None = None) -> Scene:
     """Deterministic scene from a seed: road corridor, parked-car rows, or
     T-intersection, optionally with one moving object."""
@@ -216,18 +223,6 @@ def generate_scene(seed: int, params: SceneParams | None = None) -> Scene:
     return Scene(statics, dynamics, ego, seed)
 
 
-def occupied_fraction(scene: Scene, spec: GridSpec) -> float:
-    """Fraction of grid cells whose center lies inside a static shape."""
-    from evgrid.grid import cell_centers
-
-    wx, wy = cell_centers(spec, scene.ego)
-    pts = np.stack([wx, wy], axis=-1)
-    inside = np.zeros(wx.shape, dtype=bool)
-    for poly in scene.static_shapes:
-        inside |= points_in_polygon(pts, poly)
-    return float(inside.mean())
-
-
 # ---------------------------------------------------------------------------
 # LiDAR ground truth
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     origins = np.broadcast_to(np.array([scan.x, scan.y]), dirs.shape)
     max_range = spec.extent  # covers the grid diagonal from the center
-    t_hit = ray_hits(origins, dirs, edges) if len(edges) else np.full(cfg.lidar_rays, np.inf)
+    t_hit, edge_idx = ray_hits(origins, dirs, edges)
     t_end = np.minimum(t_hit, max_range)
 
     # free space: dense samples along each ray up to (just before) the hit
@@ -267,54 +262,19 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     pts_x = origins[:, 0:1] + dirs[:, 0:1] * t_samples[None]
     pts_y = origins[:, 1:2] + dirs[:, 1:2] * t_samples[None]
     valid = t_samples[None] < t_end[:, None] - 1e-9
-    rows, cols = _world_to_cells(spec, ego, pts_x[valid], pts_y[valid])
-    inb = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    status[rows[inb], cols[inb]] = _FREE
+    rows, cols, inside = world_to_cells(spec, ego, pts_x[valid], pts_y[valid])
+    status[rows[inside], cols[inside]] = _FREE
 
-    # occupied: the cell containing each hit point, nudged inside the shape
-    hit = np.isfinite(t_hit) & (t_hit <= max_range)
-    if len(edges):
-        # when dynamic objects occlude but are not targets, their hit cells
-        # stay unmarked (the shadow behind them is still hidden)
-        edge_idx = _first_edge_index(origins[hit], dirs[hit], edges, t_hit[hit])
-        target_hit = hit_is_target[edge_idx]
-    else:
-        target_hit = np.zeros(0, dtype=bool)
+    # occupied: the cell containing each hit point, nudged inside the shape;
+    # when dynamic objects occlude but are not targets, their hit cells stay
+    # unmarked (the shadow behind them is still hidden)
+    hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= max_range))
+    hit = hit[hit_is_target[edge_idx[hit]]]
     hx = origins[hit, 0] + dirs[hit, 0] * (t_hit[hit] + 1e-6)
     hy = origins[hit, 1] + dirs[hit, 1] * (t_hit[hit] + 1e-6)
-    rows, cols = _world_to_cells(spec, ego, hx[target_hit], hy[target_hit])
-    inb = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    status[rows[inb], cols[inb]] = _OCC
+    rows, cols, inside = world_to_cells(spec, ego, hx, hy)
+    status[rows[inside], cols[inside]] = _OCC
     return status
-
-
-def _first_edge_index(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray,
-                      t_hit: np.ndarray) -> np.ndarray:
-    """Index of the edge realizing each ray's first hit."""
-    a = edges[:, 0]
-    e = edges[:, 1] - edges[:, 0]
-    dx, dy = dirs[:, 0:1], dirs[:, 1:2]
-    ex, ey = e[:, 0][None], e[:, 1][None]
-    denom = dx * ey - dy * ex
-    aox = a[:, 0][None] - origins[:, 0:1]
-    aoy = a[:, 1][None] - origins[:, 1:2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (aox * ey - aoy * ex) / denom
-        s = (aox * dy - aoy * dx) / denom
-    valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
-    t = np.where(valid, t, np.inf)
-    return np.abs(t - t_hit[:, None]).argmin(axis=1)
-
-
-def _world_to_cells(spec: GridSpec, ego: Pose2D, px: np.ndarray, py: np.ndarray):
-    c, s = math.cos(ego.heading), math.sin(ego.heading)
-    dx, dy = px - ego.x, py - ego.y
-    xr = c * dx - s * dy
-    yr = s * dx + c * dy
-    half = spec.side_cells // 2
-    col = np.floor(xr / spec.cell_size).astype(np.int64) + half
-    row = np.floor(yr / spec.cell_size).astype(np.int64) + half
-    return row, col
 
 
 def _status_to_target(status: np.ndarray) -> np.ndarray:
@@ -360,15 +320,13 @@ def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig):
             heading=ego.heading,
         )
         statuses.append(_status_scan(frame, spec, cfg, include_dynamic=True, scan_pose=scan))
-    return fuse_target_frames(statuses, spec, ego, visible_status=statuses[0])
+    return fuse_target_frames(statuses, spec, ego)
 
 
-def fuse_target_frames(statuses: list[np.ndarray], spec: GridSpec, ego: Pose2D,
-                       visible_status: np.ndarray | None = None):
+def fuse_target_frames(statuses: list[np.ndarray], spec: GridSpec, ego: Pose2D):
     """Fuse per-frame status grids: mixed free/occupied history -> conflict.
 
-    ``visible_status`` selects the frame whose scan defines visibility; by
-    default every cell with a known fused target counts as visible.
+    Visibility is the first frame's scan.
     """
     stack = np.stack(statuses)
     any_free = (stack == _FREE).any(axis=0)
@@ -381,10 +339,7 @@ def fuse_target_frames(statuses: list[np.ndarray], spec: GridSpec, ego: Pose2D,
     target[1][conflict] = 0.5
     unknown = ~(any_free | any_occ)
     target[2][unknown] = 1.0
-    if visible_status is None:
-        visible = (~unknown).astype(np.float64)
-    else:
-        visible = (visible_status != 0).astype(np.float64)
+    visible = (statuses[0] != 0).astype(np.float64)
     return (
         Grid2D(spec, target, channels=("b_f", "b_o", "u"), origin=ego),
         Grid2D(spec, visible, channels=("visible",), origin=ego),
@@ -463,7 +418,7 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig | None = None,
         r_true = np.hypot(rel[:, 0], rel[:, 1])
         phi_true = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - pose.heading)
         sel = np.flatnonzero((np.abs(phi_true) <= cfg.sensor_fov / 2.0) & (r_true > 0.3) & (r_true <= r_max))
-        t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), rel[sel] / r_true[sel, None], edges)
+        t_near, _ = ray_hits(np.broadcast_to(origin, (len(sel), 2)), rel[sel] / r_true[sel, None], edges)
         sel = sel[t_near >= r_true[sel] - 1e-6]
         sel = sel[rng.uniform(size=len(sel)) < cfg.detection_prob]
         # one (r, phi, v_r) noise row per detection: the same stream as three
@@ -488,9 +443,8 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig | None = None,
         detections += [Detection(r=r, phi=phi, v_r=v_r, sensor_id=sid) for r, phi, v_r in meas.tolist()]
         dyn_flags += dyn.tolist()
         r, phi = meas[:, 0], pose.heading + meas[:, 1]
-        rows, cols = _world_to_cells(spec, scene.ego, pose.x + r * np.cos(phi), pose.y + r * np.sin(phi))
-        inb = (rows >= 0) & (rows < spec.side_cells) & (cols >= 0) & (cols < spec.side_cells)
-        np.add.at(counts, (dyn[inb].astype(np.intp), rows[inb], cols[inb]), 1.0)
+        rows, cols, inside = world_to_cells(spec, scene.ego, pose.x + r * np.cos(phi), pose.y + r * np.sin(phi))
+        np.add.at(counts, (dyn[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
 
     image = Grid2D(spec, counts, channels=("static", "dynamic"), origin=scene.ego)
     return image, detections, dyn_flags
@@ -581,11 +535,8 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
         write_grid(sdir / "radar.grid", image)
         write_grid(sdir / "target.grid", target)
         write_grid(sdir / "mask.grid", mask)
-        try:
-            (sdir / "detections.jsonl").write_text(
-                "".join(detection_json(d) + "\n" for d in dets))
-        except OSError as exc:
-            raise EvgridError(f"cannot write detections for sample {sid}: {exc}") from exc
+        write_atomic(sdir / "detections.jsonl", "".join(detection_json(d) + "\n" for d in dets),
+                     "detections file")
         sample_ids.append(sid)
 
     n_train = int(round(split_fractions[0] * n_scenes))
@@ -594,32 +545,15 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
         "master_seed": master_seed,
         "n_scenes": n_scenes,
         "grid": {"side_cells": spec.side_cells, "cell_size": spec.cell_size},
-        "config": {
-            "lidar_rays": cfg.lidar_rays,
-            "max_detections": cfg.max_detections,
-            "detection_prob": cfg.detection_prob,
-            "clutter_rate": cfg.clutter_rate,
-            "sigma_r": cfg.noise.sigma_r,
-            "sigma_phi": cfg.noise.sigma_phi,
-            "vr_sigma": cfg.vr_sigma,
-            "dynamic_velocity_threshold": cfg.dynamic_velocity_threshold,
-            "sensor_fov": cfg.sensor_fov,
-            "boundary_spacing": cfg.boundary_spacing,
-            "frames": cfg.frames,
-            "ego_step": cfg.ego_step,
-            "occlude_by_dynamic": cfg.occlude_by_dynamic,
-        },
+        "config": flat_fields(cfg),
         "splits": {
             "train": sample_ids[:n_train],
             "val": sample_ids[n_train:n_train + n_val],
             "test": sample_ids[n_train + n_val:],
         },
     }
-    try:
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise EvgridError(f"cannot write manifest in {out}: {exc}") from exc
+    write_atomic(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                 "dataset manifest")
     return manifest
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evgrid.cli import main
-from evgrid.grid import read_grid
+from evgrid.grid import GridSpec, read_grid
 from evgrid.net.unet import UNetSpec, init_params, save_checkpoint
 
 FAST = ["--set", "sim.n_scenes=6", "--set", "sim.side_cells=16",
@@ -70,6 +70,14 @@ class TestPipeline:
         assert csv_lines[0].startswith("model,region,")
         assert len(csv_lines) == 1 + 4  # two models x two regions
 
+    def test_rayism_takes_grid_from_dataset(self, tmp_path):
+        data, out = tmp_path / "ds18", tmp_path / "ray"
+        small = ["--set", "sim.n_scenes=2", "--set", "sim.lidar_rays=90"]
+        assert main(["gen", "--out", str(data), "--set", "sim.side_cells=18"] + small) == 0
+        assert main(["rayism", "--dataset", str(data), "--out", str(out),
+                     "--set", "sim.side_cells=16", "--set", "sim.cell_size=0.25"] + small) == 0
+        assert read_grid(out / "00001.grid").spec == GridSpec(18, 0.5)
+
     def test_render(self, dataset, tmp_path):
         out = tmp_path / "target.ppm"
         assert main(["render", str(dataset / "samples/00000/target.grid"), str(out)]) == 0
@@ -89,6 +97,21 @@ class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x"),
                      "--set", "sim.bogus_knob=1"]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "ray_ism.p_max=0.3", "ray_ism.sigma_r=0", "train.lr=-1", "net.dropout=1.5",
+        "net.base_channels=0", "sim.detection_prob=2", "sim.side_cells=4", "sim.n_scenes=-3",
+        "sim.n_scenes=0",
+    ])
+    def test_bad_value_fails_before_any_output(self, tmp_path, capsys, override):
+        out = tmp_path / "bad"
+        assert main(["gen", "--out", str(out), "--set", override]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path):
+        assert main(["gen", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_set(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x"), "--set", "no-equals"]) == 2

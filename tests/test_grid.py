@@ -1,34 +1,40 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evgrid.errors import DomainError, EvgridError
-from evgrid.evidential import EvidentialState, ProbabilisticState, evidential_to_probability
+from evgrid.errors import DomainError, EvgridError, write_atomic
+from evgrid.evidential import EvidentialState, evidential_to_probability
 from evgrid.grid import (
     Grid2D,
     GridSpec,
     Pose2D,
     cell_centers,
     dempster_combine,
-    extract_patch,
     grid_from_bytes,
     grid_to_bytes,
-    logodds_update,
-    prob_to_evidential,
     prob_to_evidential_array,
     read_grid,
     render_pgm,
     render_ppm,
-    trace_ray,
-    unknown_grid,
     world_to_cell,
+    world_to_cells,
     wrap_angle,
+    write_grid,
 )
 
 SPEC = GridSpec(side_cells=32, cell_size=0.5)
+
+
+def _unknown_grid(spec, origin=Pose2D()):
+    """Evidential grid with every cell fully unknown (0, 0, 1)."""
+    g = Grid2D.zeros(spec, channels=("b_f", "b_o", "u"), origin=origin)
+    g.data[2] = 1.0
+    return g
+
 
 masses = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
     lambda t: EvidentialState(
@@ -62,6 +68,19 @@ class TestCoordinates:
         with pytest.raises(DomainError):
             world_to_cell(SPEC, (float("inf"), 0.0), Pose2D())
 
+    @pytest.mark.parametrize("ego", [Pose2D(), Pose2D(1.5, -2.0, 0.0), Pose2D(0.3, -0.7, 0.4)])
+    def test_scalar_form_matches_array_form(self, ego):
+        rng = np.random.default_rng(4)
+        # every cell boundary of the grid and one past it, exact when the heading is 0
+        bounds = np.arange(-18, 19) * SPEC.cell_size
+        bx, by = np.meshgrid(ego.x + bounds, ego.y + bounds)
+        px = np.concatenate([rng.uniform(-12.0, 12.0, 300), bx.ravel()])
+        py = np.concatenate([rng.uniform(-12.0, 12.0, 300), by.ravel()])
+        rows, cols, inside = world_to_cells(SPEC, ego, px, py)
+        assert inside.any() and not inside.all()
+        for x, y, row, col, ok in zip(px, py, rows, cols, inside):
+            assert world_to_cell(SPEC, (float(x), float(y)), ego) == ((row, col) if ok else None)
+
     def test_cell_centers_round_trip(self):
         ego = Pose2D(1.0, -2.0, 0.7)
         wx, wy = cell_centers(SPEC, ego)
@@ -74,99 +93,6 @@ class TestCoordinates:
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
 
-def _segment_box_cells(a, b):
-    """Brute-force supercover oracle: cells whose box the segment intersects.
-
-    Works on cell-center coordinates; corner touches count as intersections.
-    """
-    (r0, c0), (r1, c1) = a, b
-    cells = set()
-    for r in range(min(r0, r1), max(r0, r1) + 1):
-        for c in range(min(c0, c1), max(c0, c1) + 1):
-            # box [c-0.5, c+0.5] x [r-0.5, r+0.5]; segment (c0,r0)->(c1,r1)
-            if _segment_intersects_box((c0, r0), (c1, r1), c, r):
-                cells.add((r, c))
-    return cells
-
-
-def _segment_intersects_box(p, q, cx, cy):
-    half = 0.5
-    lo = (cx - half, cy - half)
-    hi = (cx + half, cy + half)
-    d = (q[0] - p[0], q[1] - p[1])
-    t0, t1 = 0.0, 1.0
-    for axis in range(2):
-        if abs(d[axis]) < 1e-12:
-            if p[axis] < lo[axis] or p[axis] > hi[axis]:
-                return False
-        else:
-            ta = (lo[axis] - p[axis]) / d[axis]
-            tb = (hi[axis] - p[axis]) / d[axis]
-            ta, tb = min(ta, tb), max(ta, tb)
-            t0, t1 = max(t0, ta), min(t1, tb)
-    return t0 <= t1 + 1e-12
-
-
-class TestTraceRay:
-    def test_degenerate(self):
-        assert trace_ray(SPEC, (4, 4), (4, 4)) == [(4, 4)]
-
-    def test_horizontal(self):
-        assert trace_ray(SPEC, (0, 0), (0, 3)) == [(0, 0), (0, 1), (0, 2), (0, 3)]
-
-    def test_diagonal_supercover(self):
-        cells = trace_ray(SPEC, (0, 0), (2, 2))
-        assert cells[0] == (0, 0) and cells[-1] == (2, 2)
-        assert {(0, 0), (1, 1), (2, 2)} <= set(cells)
-        assert set(cells) == _segment_box_cells((0, 0), (2, 2))
-
-    @given(st.tuples(st.integers(0, 15), st.integers(0, 15)),
-           st.tuples(st.integers(0, 15), st.integers(0, 15)))
-    @settings(max_examples=150)
-    def test_matches_brute_force_oracle(self, a, b):
-        assert set(trace_ray(SPEC, a, b)) == _segment_box_cells(a, b)
-
-    @given(st.tuples(st.integers(0, 31), st.integers(0, 31)),
-           st.tuples(st.integers(0, 31), st.integers(0, 31)))
-    @settings(max_examples=100)
-    def test_reverse_is_setwise_equal(self, a, b):
-        assert set(trace_ray(SPEC, a, b)) == set(trace_ray(SPEC, b, a))
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(DomainError):
-            trace_ray(SPEC, (0, 0), (40, 0))
-
-
-class TestLogOdds:
-    def test_uninformative(self):
-        assert logodds_update(0.0, 0.5) == 0.0
-
-    def test_logit_oracle(self):
-        assert logodds_update(0.0, 0.7310586) == pytest.approx(1.0, abs=1e-6)
-
-    def test_clamp(self):
-        assert logodds_update(10.0, 0.9) == 10.0
-        assert logodds_update(-10.0, 0.1) == -10.0
-
-    def test_degenerate_probability_rejected(self):
-        for p in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                logodds_update(0.0, p)
-
-    @given(st.lists(st.floats(0.3, 0.7), min_size=1, max_size=8),
-           st.randoms(use_true_random=False))
-    def test_order_independent_without_saturation(self, probs, rnd):
-        def accumulate(seq):
-            acc = 0.0
-            for p in seq:
-                acc = logodds_update(acc, p)
-            return acc
-
-        shuffled = list(probs)
-        rnd.shuffle(shuffled)
-        assert accumulate(probs) == pytest.approx(accumulate(shuffled), abs=1e-9)
-
-
 class TestProbToEvidential:
     @pytest.mark.parametrize("p_o,expected", [
         (0.5, (0.0, 0.0, 1.0)),
@@ -174,14 +100,13 @@ class TestProbToEvidential:
         (0.75, (0.0, 0.5, 0.5)),
     ])
     def test_examples(self, p_o, expected):
-        s = prob_to_evidential(ProbabilisticState(1.0 - p_o, p_o))
-        assert (s.b_f, s.b_o, s.u) == pytest.approx(expected)
+        assert prob_to_evidential_array(p_o).tolist() == pytest.approx(expected)
 
     @given(st.floats(0.0, 1.0))
     def test_round_trip_on_one_sided_states(self, p_o):
-        s = prob_to_evidential(ProbabilisticState(1.0 - p_o, p_o))
-        assert min(s.b_f, s.b_o) == 0.0
-        back = evidential_to_probability(s)
+        b_f, b_o, u = prob_to_evidential_array(p_o).tolist()
+        assert min(b_f, b_o) == 0.0
+        back = evidential_to_probability(EvidentialState(b_f, b_o, u))
         assert back.p_o == pytest.approx(p_o, abs=1e-12)
 
     def test_array_version(self):
@@ -220,45 +145,9 @@ class TestDempster:
         assert (a.b_f, a.b_o, a.u) == pytest.approx((b.b_f, b.b_o, b.u), abs=1e-12)
 
 
-class TestExtractPatch:
-    def _map(self):
-        rng = np.random.default_rng(7)
-        raw = rng.uniform(0.0, 1.0, size=(3, 32, 32))
-        raw /= raw.sum(axis=0, keepdims=True)
-        return Grid2D(SPEC, raw, channels=("b_f", "b_o", "u"))
-
-    def test_centered_crop_is_identity(self):
-        src = self._map()
-        patch = extract_patch(src, Pose2D(), SPEC)
-        assert np.allclose(patch.data, src.data)
-
-    def test_border_cells_are_unknown(self):
-        src = self._map()
-        patch = extract_patch(src, Pose2D(x=6.0), SPEC)
-        assert np.all(patch.data[:, :, -1] == np.array([0.0, 0.0, 1.0])[:, None])
-
-    def test_rotated_patch_matches_rotated_crop(self):
-        src = self._map()
-        rotated = extract_patch(src, Pose2D(heading=math.pi / 2), SPEC)
-        straight = extract_patch(src, Pose2D(), SPEC)
-        # heading +90 deg sends the map x-axis onto the patch row axis,
-        # which is a clockwise turn of the array
-        assert np.allclose(rotated.data, np.rot90(straight.data, k=-1, axes=(1, 2)))
-
-    def test_marker_cell_lands_where_geometry_says(self):
-        m = np.zeros((3, 32, 32))
-        m[2] = 1.0
-        m[:, 16, 20] = [1.0, 0.0, 0.0]
-        src = Grid2D(SPEC, m, channels=("b_f", "b_o", "u"))
-        patch = extract_patch(src, Pose2D(heading=math.pi / 2), SPEC)
-        # source cell (16, 20) has center (2.25, 0.25); rotating the frame by
-        # +90 deg puts it at ego-relative (-0.25, 2.25), i.e. row 20, col 15
-        assert np.argwhere(patch.data[0] > 0.5).tolist() == [[20, 15]]
-
-
 class TestSerialization:
     def test_round_trip(self):
-        g = unknown_grid(SPEC, origin=Pose2D(1.5, -0.5, 0.25))
+        g = _unknown_grid(SPEC, origin=Pose2D(1.5, -0.5, 0.25))
         g.data[0, 3, 4] = 0.5
         g.data[2, 3, 4] = 0.5
         back = grid_from_bytes(grid_to_bytes(g))
@@ -268,20 +157,48 @@ class TestSerialization:
         assert np.allclose(back.data, g.data, atol=1e-7)
 
     def test_byte_stable(self):
-        g = unknown_grid(SPEC)
+        g = _unknown_grid(SPEC)
         assert grid_to_bytes(g) == grid_to_bytes(g)
 
     def test_header_is_json_line(self):
         import json
 
-        blob = grid_to_bytes(unknown_grid(SPEC))
+        blob = grid_to_bytes(_unknown_grid(SPEC))
         header = json.loads(blob.split(b"\n", 1)[0])
         assert header["element_type"] == "f32"
         assert header["channels"] == ["b_f", "b_o", "u"]
 
 
+class TestAtomicWrite:
+    def test_replaces_target(self, tmp_path):
+        path = tmp_path / "a.grid"
+        write_grid(path, _unknown_grid(SPEC))
+        write_grid(path, _unknown_grid(SPEC, origin=Pose2D(1.0, 0.0, 0.0)))
+        assert read_grid(path).origin == Pose2D(1.0, 0.0, 0.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.grid"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_trace(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "a.grid"
+        if existing:
+            path.write_bytes(b"old")
+        # fails midway: the temporary file exists, its content cannot be encoded
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "ok\ud800", "test file")
+        # fails at the rename, after the temporary file is complete
+        def no_space(*_args):
+            raise OSError("no space")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(EvgridError, match="a.grid"):
+            write_grid(path, _unknown_grid(SPEC))
+        assert [p.name for p in tmp_path.iterdir()] == (["a.grid"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"old"
+
+
 class TestGridValidation:
-    BLOB = grid_to_bytes(unknown_grid(GridSpec(8, 0.5), origin=Pose2D(1.0, 2.0, 0.5)))
+    BLOB = grid_to_bytes(_unknown_grid(GridSpec(8, 0.5), origin=Pose2D(1.0, 2.0, 0.5)))
 
     @pytest.mark.parametrize("damage", [
         lambda b: b[:-1],
@@ -324,12 +241,12 @@ class TestGridValidation:
 
 class TestRendering:
     def test_ppm_shape_and_magic(self):
-        blob = render_ppm(unknown_grid(SPEC))
+        blob = render_ppm(_unknown_grid(SPEC))
         assert blob.startswith(b"P6\n32 32\n255\n")
         assert len(blob) == len(b"P6\n32 32\n255\n") + 32 * 32 * 3
 
     def test_unknown_renders_blue(self):
-        blob = render_ppm(unknown_grid(SPEC))
+        blob = render_ppm(_unknown_grid(SPEC))
         pixels = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8).reshape(32, 32, 3)
         assert np.all(pixels[:, :, 2] == 255)
         assert np.all(pixels[:, :, :2] == 0)

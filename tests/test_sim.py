@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from evgrid.errors import EvgridError
-from evgrid.grid import GridSpec, Pose2D, read_grid, world_to_cell, wrap_angle
+from evgrid.grid import GridSpec, Pose2D, cell_centers, read_grid, world_to_cell, wrap_angle
 from evgrid.rayism import Detection, RadarNoiseModel
 from evgrid.sim import (
     SceneParams,
@@ -20,7 +21,6 @@ from evgrid.sim import (
     l_shape,
     lidar_ground_truth,
     load_manifest,
-    occupied_fraction,
     points_in_polygon,
     polygon_area,
     polygon_edges,
@@ -30,10 +30,35 @@ from evgrid.sim import (
     write_dataset,
     _boundary_points,
     _scene_seed,
-    _world_to_cells,
 )
 
 SPEC = GridSpec(side_cells=32, cell_size=0.5)
+
+
+def occupied_fraction(scene, spec):
+    """Fraction of grid cells whose center lies inside a static shape."""
+    wx, wy = cell_centers(spec, scene.ego)
+    pts = np.stack([wx, wy], axis=-1)
+    inside = np.zeros(wx.shape, dtype=bool)
+    for poly in scene.static_shapes:
+        inside |= points_in_polygon(pts, poly)
+    return float(inside.mean())
+
+
+def _brute_first_hit(origin, d, edges):
+    """Segment-by-segment oracle of ray_hits: the lowest distance, the first segment on a tie."""
+    best_t, best_i = math.inf, 0
+    for i, ((ax, ay), (bx, by)) in enumerate(edges):
+        ex, ey = bx - ax, by - ay
+        denom = d[0] * ey - d[1] * ex
+        if abs(denom) <= 1e-12:
+            continue
+        aox, aoy = ax - origin[0], ay - origin[1]
+        t = (aox * ey - aoy * ex) / denom
+        s = (aox * d[1] - aoy * d[0]) / denom
+        if 0.0 <= s <= 1.0 and 1e-9 < t < best_t:
+            best_t, best_i = t, i
+    return best_t, best_i
 
 
 class TestGeometry:
@@ -59,14 +84,32 @@ class TestGeometry:
         edges = polygon_edges([rect(3, -1, 4, 1)])
         origins = np.array([[0.0, 0.0], [0.0, 0.0]])
         dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        t = ray_hits(origins, dirs, edges)
-        assert t[0] == pytest.approx(3.0)
+        t, idx = ray_hits(origins, dirs, edges)
+        assert t[0] == pytest.approx(3.0) and idx[0] == 3  # the box's left side
         assert t[1] == math.inf
 
     def test_ray_from_inside_hits_far_side(self):
         edges = polygon_edges([rect(-1, -1, 1, 1)])
-        t = ray_hits(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), edges)
+        t, _ = ray_hits(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), edges)
         assert t[0] == pytest.approx(1.0)
+
+    def test_ray_hit_edge_matches_brute_force(self):
+        rng = np.random.default_rng(12)
+        edges = rng.uniform(-5.0, 5.0, size=(25, 2, 2))
+        origins = rng.uniform(-3.0, 3.0, size=(200, 2))
+        ang = rng.uniform(-math.pi, math.pi, size=200)
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        t, idx = ray_hits(origins, dirs, edges)
+        assert np.isinf(t).any() and np.isfinite(t).any()
+        for k in range(len(origins)):
+            assert (t[k], idx[k]) == _brute_first_hit(origins[k], dirs[k], edges)
+
+    def test_ray_through_shared_corner(self):
+        edges = polygon_edges([rect(1, 1, 3, 3)])  # edges 0 and 3 meet at (1, 1)
+        d = np.array([[math.sqrt(0.5), math.sqrt(0.5)]])
+        t, idx = ray_hits(np.zeros((1, 2)), d, edges)
+        assert t[0] == pytest.approx(math.sqrt(2.0)) and idx[0] in (0, 3)
+        assert (t[0], idx[0]) == _brute_first_hit(np.zeros(2), d[0], edges)
 
 
 class TestSceneGeneration:
@@ -132,7 +175,7 @@ class TestLidarGroundTruth:
         rng = np.random.default_rng(0)
         for ang in rng.uniform(-math.pi, math.pi, size=30):
             d = np.array([[math.cos(ang), math.sin(ang)]])
-            t = ray_hits(np.array([[ego.x, ego.y]]), d, edges)[0]
+            t = ray_hits(np.array([[ego.x, ego.y]]), d, edges)[0][0]
             probe = min(t, SPEC.extent) * 0.5
             cell = world_to_cell(SPEC, (ego.x + d[0, 0] * probe, ego.y + d[0, 1] * probe), ego)
             if cell is not None:
@@ -144,6 +187,17 @@ class TestLidarGroundTruth:
                       Pose2D(), rng_seed=0)
         target, _ = lidar_ground_truth(scene, SPEC)
         assert np.all(target.data[1] == 0.0)
+
+    def test_dynamic_object_occludes_without_being_a_target(self):
+        scene = Scene([rect(6.0, -4.0, 6.6, 4.0)], [(rect(3.0, -0.5, 4.0, 0.5), np.array([1.0, 0.0]))],
+                      Pose2D(), rng_seed=0)
+        face, shadowed, lit = (world_to_cell(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0), (6.1, 3.0)))
+        target, _ = lidar_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=True))
+        occupied, unknown = target.data[1], target.data[2]
+        assert occupied[face] == 0.0  # the hit on the moving box is not occupied truth
+        assert unknown[shadowed] == 1.0 and occupied[lit] == 1.0
+        target, _ = lidar_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=False))
+        assert target.data[1][shadowed] == 1.0
 
     def test_accumulated_frames_produce_conflict(self):
         scene = Scene([], [(rect(3.0, -0.5, 5.0, 0.5), np.array([3.0, 0.0]))],
@@ -195,7 +249,7 @@ class TestRadar:
             pose = poses[det.sensor_id]
             ang = pose.heading + det.phi
             d = np.array([[math.cos(ang), math.sin(ang)]])
-            t = ray_hits(np.array([[pose.x, pose.y]]), d, edges)[0]
+            t = ray_hits(np.array([[pose.x, pose.y]]), d, edges)[0][0]
             # every echo comes from the first surface along its bearing
             assert det.r == pytest.approx(t, abs=1e-3)
 
@@ -261,7 +315,7 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
             if in_fov.any():
                 sel = np.flatnonzero(in_fov)
                 dirs = rel[sel] / r_true[sel, None]
-                t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), dirs, edges)
+                t_near, _ = ray_hits(np.broadcast_to(origin, (len(sel), 2)), dirs, edges)
                 sel = sel[t_near >= r_true[sel] - 1e-6]
                 sel = sel[rng.uniform(size=len(sel)) < cfg.detection_prob]
                 for idx in sel:
@@ -283,9 +337,9 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
             dyn_flags.append(dyn)
             wx = pose.x + r_meas * math.cos(pose.heading + phi_meas)
             wy = pose.y + r_meas * math.sin(pose.heading + phi_meas)
-            rows, cols = _world_to_cells(spec, scene.ego, np.array([wx]), np.array([wy]))
-            if 0 <= rows[0] < spec.side_cells and 0 <= cols[0] < spec.side_cells:
-                counts[1 if dyn else 0, rows[0], cols[0]] += 1.0
+            cell = world_to_cell(spec, (wx, wy), scene.ego)
+            if cell is not None:
+                counts[(1 if dyn else 0,) + cell] += 1.0
     return counts, detections, dyn_flags
 
 
@@ -384,10 +438,13 @@ class TestDataset:
         assert len(m["splits"]["train"]) == 7
 
     def test_manifest_loads_and_grids_read_back(self, tmp_path):
-        write_dataset(n_scenes=2, spec=GridSpec(16, 0.5), out_dir=tmp_path,
-                      cfg=SimConfig(lidar_rays=90))
+        cfg = SimConfig(lidar_rays=90)
+        write_dataset(n_scenes=2, spec=GridSpec(16, 0.5), out_dir=tmp_path, cfg=cfg)
         m = load_manifest(tmp_path)
         assert m["n_scenes"] == 2
+        # the config echo is every SimConfig field, the noise model's inlined
+        fields = {k: v for k, v in asdict(cfg).items() if k != "noise"}
+        assert m["config"] == {**fields, **asdict(cfg.noise)}
         g = read_grid(tmp_path / "samples" / "00000" / "target.grid")
         assert g.data.shape == (3, 16, 16)
         assert np.allclose(g.data.sum(axis=0), 1.0, atol=1e-6)
