@@ -87,9 +87,9 @@ def cmd_gen(args, cfg: dict) -> int:
 
 
 def cmd_rayism(args, cfg: dict) -> int:
+    manifest = load_manifest(args.dataset)
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
-    manifest = load_manifest(args.dataset)
     rcfg = cfgmod.rayism_config(cfg)
     threshold = cfg["sim"]["dynamic_velocity_threshold"]
     for sid in _sample_ids(manifest, "all"):
@@ -107,6 +107,7 @@ def cmd_rayism(args, cfg: dict) -> int:
 
 
 def cmd_train(args, cfg: dict) -> int:
+    load_manifest(args.dataset)  # a missing or bad dataset fails before --out exists
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
     tcfg = cfgmod.train_config(cfg, model=args.model)
@@ -115,10 +116,10 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_infer(args, cfg: dict) -> int:
-    out = Path(args.out)
-    cfgmod.echo_config(cfg, out)
     params, spec, _header = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.dataset)
+    out = Path(args.out)
+    cfgmod.echo_config(cfg, out)
     tcfg = cfgmod.train_config(cfg)
     for sid in _sample_ids(manifest, "all"):
         sdir = Path(args.dataset) / "samples" / sid
@@ -132,10 +133,9 @@ def cmd_infer(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
+    ids = _sample_ids(load_manifest(args.dataset), cfg["eval"]["split"])
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
-    manifest = load_manifest(args.dataset)
-    ids = _sample_ids(manifest, cfg["eval"]["split"])
     tables = []
     for pred_dir in args.pred_dirs:
         pdir = Path(pred_dir)

@@ -9,6 +9,9 @@ square, and the two fused loss heads live in losses.py.
 conv2d sums one matmul per kernel tap on a shifted view of the zero-padded
 input (split into phase planes when strided), so no patch matrix is built or
 kept on the tape; the transposed convolution is one contraction each way.
+Their math lives in the array kernels conv2d_array and conv_transpose2d_array,
+which the taped ops wrap and untaped inference (``unet.forward(record=False)``)
+calls directly. leaky_relu is max(x, slope*x), valid for 0 <= slope <= 1.
 
 Arrays keep whatever float dtype they come in with, so gradient checks can
 run the whole graph in float64 while training uses float32.
@@ -33,6 +36,10 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     def backward(self) -> None:
         """Reverse sweep from a scalar tensor; accumulates into .grad."""
@@ -88,18 +95,29 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return planes, (ho, wo, hq, wq), taps
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """2-D convolution; w has shape (Cout, Cin, kh, kw), b shape (Cout,)."""
+def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 1):
+    """2-D convolution of plain arrays; w has shape (Cout, Cin, kh, kw), b shape (Cout,).
+
+    Returns the output and the (planes, geometry, taps) of ``_phase_planes``,
+    which the taped conv2d keeps for its backward.
+    """
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ConfigError(f"conv2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
-    n, _, h, wdt = x.shape
-    planes, (ho, wo, hq, wq), taps = _phase_planes(x.data, kh, kw, stride, pad)
+    planes, (ho, wo, hq, wq), taps = _phase_planes(x, kh, kw, stride, pad)
     span = ho * wq
-    out = np.zeros((n, cout, span), dtype=np.result_type(x.data, w.data))
+    out = np.zeros((x.shape[0], cout, span), dtype=np.result_type(x, w))
     for i, j, q, off in taps:
-        out += w.data[:, :, i, j] @ planes[q][:, :, off:off + span]
-    t = Tensor(out.reshape(n, cout, ho, wq)[..., :wo] + b.data[None, :, None, None], parents=(x, w, b))
+        out += w[:, :, i, j] @ planes[q][:, :, off:off + span]
+    out = out.reshape(x.shape[0], cout, ho, wq)[..., :wo] + b[None, :, None, None]
+    return out, (planes, (ho, wo, hq, wq), taps)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
+    """conv2d_array on the tape; the backward reuses the forward's phase planes."""
+    out, (planes, (ho, wo, hq, wq), taps) = conv2d_array(x.data, w.data, b.data, stride, pad)
+    t = Tensor(out, parents=(x, w, b))
+    (n, cin, h, wdt), cout, span = x.shape, w.shape[0], ho * wq
 
     def backward(g):
         gq = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wq - wo))).reshape(n, cout, span)
@@ -117,8 +135,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     return t
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
-    """Transposed convolution with kernel size = stride (no overlap).
+def conv_transpose2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 2) -> np.ndarray:
+    """Transposed convolution of plain arrays, kernel size = stride (no overlap).
 
     w has shape (Cin, Cout, k, k); output spatial size is input * stride.
     """
@@ -129,13 +147,18 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor
         raise ConfigError(f"conv_transpose2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
     n, _, h, wdt = x.shape
     s = stride
-    xm = x.data.reshape(n, cin, h * wdt)
-    wm = w.data.reshape(cin, cout * s * s)
-    blocks = (wm.T @ xm).reshape(n, cout, s, s, h, wdt)
-    out = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, wdt * s) + b.data[None, :, None, None]
-    t = Tensor(out, parents=(x, w, b))
+    blocks = (w.reshape(cin, cout * s * s).T @ x.reshape(n, cin, h * wdt)).reshape(n, cout, s, s, h, wdt)
+    return blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, wdt * s) + b[None, :, None, None]
+
+
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
+    """conv_transpose2d_array on the tape."""
+    t = Tensor(conv_transpose2d_array(x.data, w.data, b.data, stride), parents=(x, w, b))
+    n, cin, h, wdt = x.shape
+    cout, s = w.shape[1], stride
 
     def backward(g):
+        xm, wm = x.data.reshape(n, cin, h * wdt), w.data.reshape(cin, cout * s * s)
         gm = g.reshape(n, cout, h, s, wdt, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * wdt)
         _accumulate(x, (wm @ gm).reshape(x.shape))
         _accumulate(w, (xm @ gm.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
@@ -146,9 +169,9 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor
 
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    pos = x.data > 0
-    t = Tensor(np.where(pos, x.data, slope * x.data), parents=(x,))
-    t._backward = lambda g: _accumulate(x, np.where(pos, g, slope * g))
+    """max(x, slope*x), which is leaky ReLU for 0 <= slope <= 1 (UNetSpec enforces that range)."""
+    t = Tensor(np.maximum(x.data, slope * x.data), parents=(x,))
+    t._backward = lambda g: _accumulate(x, np.where(x.data > 0, g, slope * g))
     return t
 
 

@@ -12,7 +12,7 @@ from evgrid.errors import ConfigError, TrainingDiverged
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
-from evgrid.net.tensor import square
+from evgrid.net.tensor import Tensor, square
 from evgrid.net.unet import UNetSpec, forward, init_params, save_checkpoint
 from evgrid.sim import augment_arrays, load_manifest
 
@@ -93,17 +93,15 @@ class Adam:
                           / (np.sqrt(self.v[k] / b2c) + self.eps)).astype(params[k].dtype)
 
 
-def _batch_loss(params, spec: UNetSpec, x, target, model: str, dropout_rng):
-    out, leaves = forward(params, spec, x, dropout_rng=dropout_rng)
+def _loss(out: Tensor, target, model: str) -> Tensor:
     if model == "soft":
-        loss = softmax_cross_entropy(out, target)
-    else:
-        loss = evidential_bayes_risk(square(out), target)
-    return loss, leaves
+        return softmax_cross_entropy(out, target)
+    return evidential_bayes_risk(square(out), target)
 
 
 def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout_rng) -> float:
-    loss, leaves = _batch_loss(params, spec, x, target, model, dropout_rng)
+    out, leaves = forward(params, spec, x, dropout_rng=dropout_rng)
+    loss = _loss(out, target, model)
     loss.backward()
     value = float(loss.data)
     if not np.isfinite(value):
@@ -113,11 +111,11 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
 
 
 def eval_loss(params, spec: UNetSpec, x, target, model: str, batch_size: int = 16) -> float:
+    """Mean loss without dropout, from untaped forwards."""
     total = 0.0
     for i in range(0, len(x), batch_size):
-        loss, _ = _batch_loss(params, spec, x[i:i + batch_size], target[i:i + batch_size],
-                              model, dropout_rng=None)
-        total += float(loss.data) * len(x[i:i + batch_size])
+        out, _ = forward(params, spec, x[i:i + batch_size], record=False)
+        total += float(_loss(Tensor(out), target[i:i + batch_size], model).data) * len(out)
     return total / max(len(x), 1)
 
 
@@ -184,10 +182,11 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
                rng: np.random.Generator, percentile: float = TrainConfig.percentile) -> np.ndarray:
     """Monte-Carlo dropout prediction for one input image (2, H, W).
 
-    The samples are one batched forward of the image repeated ``n_samples``
-    times. mode "ev": mean evidence over samples; "ev-s": nearest-rank
-    percentile of the evidence samples; "soft": mean pre-softmax output
-    through the softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
+    The samples are one untaped batched forward of the image repeated
+    ``n_samples`` times; its output equals the taped forward's bit for bit.
+    mode "ev": mean evidence over samples; "ev-s": nearest-rank percentile of
+    the evidence samples; "soft": mean pre-softmax output through the
+    softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
     """
     if mode not in ("ev", "ev-s", "soft"):
         raise ConfigError(f"unknown prediction mode {mode!r}")
@@ -196,8 +195,8 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
     if n_samples < 1:
         raise ConfigError("need at least one MC sample")
     xb = np.broadcast_to(x.astype(np.float32), (n_samples, *x.shape))
-    out, _ = forward(params, spec, xb, dropout_rng=rng)
-    stack = out.data.astype(np.float64)  # (N, C, H, W)
+    out, _ = forward(params, spec, xb, dropout_rng=rng, record=False)
+    stack = out.astype(np.float64)  # (N, C, H, W)
     if mode == "soft":
         return softmax(stack.mean(axis=0), axis=0)
     evidence = np.square(stack)

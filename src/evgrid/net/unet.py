@@ -5,7 +5,9 @@ convolutions, and two transposed-convolution upsampling stages each followed
 by a skip concatenation and a 3x3 convolution. All activations are leaky
 ReLU except the last layer, which stays linear; dropout follows every
 encoder/decoder block. The head is chosen by the output channel count:
-3 for the softmax head, 2 for the quadratic evidence head.
+3 for the softmax head, 2 for the quadratic evidence head. ``forward`` builds
+the autodiff tape for training, or with ``record=False`` runs the same array
+kernels untaped for inference. The leaky slope must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ class UNetSpec:
             raise ConfigError("in_channels, out_channels and base_channels must be positive integers")
         if self.out_channels not in (2, 3):
             raise ConfigError("out_channels must be 2 (evidence) or 3 (softmax)")
-        if not is_number(self.leaky_slope):
-            raise ConfigError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
+        if not (is_number(self.leaky_slope) and 0.0 <= self.leaky_slope <= 1.0):
+            # leaky ReLU is computed as max(x, slope*x), which needs the slope in [0, 1]
+            raise ConfigError(f"leaky_slope must be a number in [0, 1], got {self.leaky_slope!r}")
         if not (is_number(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout rate must be in [0, 1)")
 
@@ -68,35 +71,45 @@ def init_params(spec: UNetSpec, rng: np.random.Generator, dtype=np.float32) -> d
 
 
 def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
-            dropout_rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, Tensor]]:
-    """Run the network, building the tape.
+            dropout_rng: np.random.Generator | None = None,
+            record: bool = True) -> tuple[Tensor | np.ndarray, dict]:
+    """Run the network; returns the pre-head output and the parameters.
 
     ``dropout_rng`` draws fresh dropout masks for this call; None disables
-    dropout. Returns the pre-head output tensor and the parameter tensors
-    (the leaves whose .grad a subsequent backward() fills).
+    dropout. With ``record`` (training) the ops build the tape: the output is
+    a Tensor, and the parameter Tensors are the leaves whose .grad a later
+    backward() fills. Without it (inference) the same array kernels run with
+    no tape, leaky ReLU and dropout act in place, and the output is an
+    ndarray bit-identical to the taped one for the same masks.
     """
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigError(f"input shape {x.shape} incompatible with {spec.in_channels} channels")
     if x.shape[2] % _DOWN_FACTOR or x.shape[3] % _DOWN_FACTOR:
         raise ConfigError(f"input side must be divisible by {_DOWN_FACTOR}, got {x.shape[2:]}")
-    p = {name: Tensor(arr) for name, arr in params.items()}
     slope = spec.leaky_slope
+    if record:
+        p, h = {name: Tensor(arr) for name, arr in params.items()}, Tensor(x)
+        conv, up, cat, scale = T.conv2d, T.conv_transpose2d, T.concat, T.dropout
+        act = lambda t: T.leaky_relu(t, slope)
+    else:
+        p, h, up = params, x, T.conv_transpose2d_array
+        conv = lambda a, w, b, stride: T.conv2d_array(a, w, b, stride)[0]
+        cat = lambda a, b: np.concatenate([a, b], axis=1)
+        scale = lambda a, mask: a if mask is None else np.multiply(a, mask, out=a)
+        act = lambda a: np.maximum(a, slope * a, out=a)
 
-    def drop(t: Tensor) -> Tensor:
+    def drop(t):
         if dropout_rng is None:
             return t
-        mask = T.make_dropout_mask(t.shape, spec.dropout, dropout_rng, dtype=t.data.dtype)
-        return T.dropout(t, mask)
+        return scale(t, T.make_dropout_mask(t.shape, spec.dropout, dropout_rng, dtype=t.dtype))
 
-    xt = Tensor(x)
-    h0 = drop(T.leaky_relu(T.conv2d(xt, p["stem_w"], p["stem_b"], stride=1, pad=1), slope))
-    h1 = drop(T.leaky_relu(T.conv2d(h0, p["down1_w"], p["down1_b"], stride=2, pad=1), slope))
-    h2 = drop(T.leaky_relu(T.conv2d(h1, p["down2_w"], p["down2_b"], stride=2, pad=1), slope))
-    u1 = T.leaky_relu(T.conv_transpose2d(h2, p["up1_w"], p["up1_b"], stride=2), slope)
-    d1 = drop(T.leaky_relu(T.conv2d(T.concat(u1, h1), p["dec1_w"], p["dec1_b"], stride=1, pad=1), slope))
-    u2 = T.leaky_relu(T.conv_transpose2d(d1, p["up2_w"], p["up2_b"], stride=2), slope)
-    out = T.conv2d(T.concat(u2, h0), p["dec2_w"], p["dec2_b"], stride=1, pad=1)
-    return out, p
+    h0 = drop(act(conv(h, p["stem_w"], p["stem_b"], stride=1)))
+    h1 = drop(act(conv(h0, p["down1_w"], p["down1_b"], stride=2)))
+    h2 = drop(act(conv(h1, p["down2_w"], p["down2_b"], stride=2)))
+    u1 = act(up(h2, p["up1_w"], p["up1_b"], stride=2))
+    d1 = drop(act(conv(cat(u1, h1), p["dec1_w"], p["dec1_b"], stride=1)))
+    u2 = act(up(d1, p["up2_w"], p["up2_b"], stride=2))
+    return conv(cat(u2, h0), p["dec2_w"], p["dec2_b"], stride=1), p
 
 
 # ---------------------------------------------------------------------------

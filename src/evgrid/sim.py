@@ -256,13 +256,16 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     t_hit, edge_idx = ray_hits(origins, dirs, edges)
     t_end = np.minimum(t_hit, max_range)
 
-    # free space: dense samples along each ray up to (just before) the hit
+    # free space: dense samples along each ray up to (just before) the hit,
+    # laid out ray by ray with only each ray's own samples
     step = spec.cell_size / 4.0
     t_samples = (np.arange(int(max_range / step)) + 0.5) * step
-    pts_x = origins[:, 0:1] + dirs[:, 0:1] * t_samples[None]
-    pts_y = origins[:, 1:2] + dirs[:, 1:2] * t_samples[None]
-    valid = t_samples[None] < t_end[:, None] - 1e-9
-    rows, cols, inside = world_to_cells(spec, ego, pts_x[valid], pts_y[valid])
+    counts = np.searchsorted(t_samples, t_end - 1e-9)
+    ray = np.repeat(np.arange(len(dirs)), counts)
+    t = t_samples[np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)]
+    pts_x = origins[ray, 0] + dirs[ray, 0] * t
+    pts_y = origins[ray, 1] + dirs[ray, 1] * t
+    rows, cols, inside = world_to_cells(spec, ego, pts_x, pts_y)
     status[rows[inside], cols[inside]] = _FREE
 
     # occupied: the cell containing each hit point, nudged inside the shape;

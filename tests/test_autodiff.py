@@ -184,6 +184,14 @@ class TestElementwise:
         out = leaky_relu(Tensor(np.array([-2.0, 0.0, 3.0])), slope=0.1)
         assert np.allclose(out.data, [-0.2, 0.0, 3.0])
 
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_leaky_relu_bitwise_equals_where_form(self, slope):
+        # max(x, slope*x) is the select form bit for bit on [0, 1], signed zeros included
+        x = np.concatenate([RNG.normal(size=200), [0.0, -0.0, 1e-45, -1e-45]]).astype(np.float32)
+        got = leaky_relu(Tensor(x), slope=slope).data
+        want = np.where(x > 0, x, slope * x)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_leaky_relu_gradient_away_from_kink(self):
         # keep inputs off zero so the central difference stays valid
         x = RNG.normal(size=(2, 3, 4, 4))

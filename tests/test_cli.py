@@ -122,17 +122,26 @@ class TestExitCodes:
         assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(bad)]) == 2
 
     def test_missing_dataset(self, tmp_path):
-        assert main(["rayism", "--dataset", str(tmp_path / "nope"),
-                     "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["rayism", "--dataset", str(tmp_path / "nope"), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_train_missing_dataset(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", str(tmp_path / "nope"), "--model", "ev",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_missing_checkpoint(self, dataset, tmp_path):
+        out = tmp_path / "o"
         assert main(["infer", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--dataset", str(dataset), "--mode", "ev",
-                     "--out", str(tmp_path / "o")] + FAST) == 3
+                     "--out", str(out)] + FAST) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "no_newline", "wrong_element_type",
-                                        "string_leaky_slope"])
-    def test_bad_checkpoint(self, dataset, tmp_path, damage):
+                                        "string_leaky_slope", "slope_out_of_range"])
+    def test_bad_checkpoint(self, dataset, tmp_path, capsys, damage):
         spec = UNetSpec(base_channels=4)
         good = tmp_path / "good.ckpt"
         save_checkpoint(good, init_params(spec, np.random.default_rng(0)), spec)
@@ -142,16 +151,22 @@ class TestExitCodes:
             "no_newline": blob[:blob.index(b"\n")],
             "wrong_element_type": blob.replace(b'"element_type":"f32"', b'"element_type":"f64"'),
             "string_leaky_slope": blob.replace(b'"leaky_slope":0.1', b'"leaky_slope":"0.1"'),
+            "slope_out_of_range": blob.replace(b'"leaky_slope":0.1', b'"leaky_slope":1.5'),
         }[damage]
         assert bad_blob != blob
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bad_blob)
+        out = tmp_path / "o"
         assert main(["infer", "--checkpoint", str(bad), "--dataset", str(dataset),
-                     "--mode", "ev", "--out", str(tmp_path / "o")] + FAST) == 3
+                     "--mode", "ev", "--out", str(out)] + FAST) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_split(self, dataset, tmp_path):
+        out = tmp_path / "e"
         assert main(["eval", str(tmp_path), "--dataset", str(dataset),
-                     "--out", str(tmp_path / "e"), "--set", "eval.split=bogus"] + FAST) == 2
+                     "--out", str(out), "--set", "eval.split=bogus"] + FAST) == 2
+        assert not out.exists()
 
 
 def _damaged_copy(dataset, tmp_path, rel, edit):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evgrid.errors import ConfigError, TrainingDiverged
-from evgrid.evidential import evidence_to_belief_array
+from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import GridSpec
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
 from evgrid.net.tensor import Tensor, square
@@ -73,6 +73,59 @@ class TestForward:
         with pytest.raises(ConfigError):
             UNetSpec(out_channels=4)
 
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            UNetSpec(leaky_slope=slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0])
+    def test_slope_interval_is_closed(self, slope):
+        assert UNetSpec(leaky_slope=slope).leaky_slope == slope
+
+
+class TestUntapedForward:
+    """forward(record=False) runs the taped graph's kernels on plain arrays, in place."""
+
+    @pytest.mark.parametrize("out_ch", [2, 3])
+    @pytest.mark.parametrize("batch", [1, 30])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_taped_output(self, out_ch, batch, dropout, dtype):
+        spec = UNetSpec(out_channels=out_ch, base_channels=4, dropout=0.3)
+        params = init_params(spec, np.random.default_rng(0), dtype=dtype)
+        x = np.random.default_rng(1).normal(size=(batch, 2, 8, 8)).astype(np.float32)
+        taped, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None)
+        plain, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None,
+                           record=False)
+        assert isinstance(plain, np.ndarray)
+        assert plain.dtype == taped.data.dtype == dtype
+        assert np.array_equal(plain, taped.data)
+
+    def test_leaves_input_and_params_unmodified(self):
+        spec = UNetSpec(base_channels=4)
+        params = init_params(spec, np.random.default_rng(0))
+        before = {k: v.copy() for k, v in params.items()}
+        for arr in params.values():
+            arr.flags.writeable = False
+        image = np.random.default_rng(1).normal(size=(2, 8, 8)).astype(np.float32)
+        xb = np.broadcast_to(image, (6, *image.shape))
+        forward(params, spec, xb, dropout_rng=np.random.default_rng(2), record=False)
+        assert np.array_equal(xb, np.broadcast_to(image, xb.shape))
+        for k in params:
+            assert np.array_equal(params[k], before[k])
+
+
+def _taped_mc_predict(params, spec, x, n_samples, mode, rng, percentile=10.0):
+    """mc_predict computed on the taped forward."""
+    out, _ = forward(params, spec, np.broadcast_to(x, (n_samples, *x.shape)), dropout_rng=rng)
+    stack = out.data.astype(np.float64)
+    if mode == "soft":
+        return softmax(stack.mean(axis=0), axis=0)
+    evidence = np.square(stack)
+    if mode == "ev":
+        return evidence_to_belief_array(evidence.mean(axis=0), axis=0)
+    return evidence_to_belief_array(percentile_reduce_array(evidence, percentile, axis=0), axis=0)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -116,6 +169,21 @@ class TestOptimization:
         assert last < first
         assert last < 0.9 * first
         assert min(losses) == pytest.approx(losses[-1], rel=0.2)
+
+    @pytest.mark.parametrize("model", ["soft", "ev"])
+    def test_eval_loss_equals_taped_loss(self, model):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 2, 8, 8)).astype(np.float32)
+        target = rng.dirichlet(np.ones(3), size=(5, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
+        spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=4)
+        params = init_params(spec, rng)
+        total = 0.0
+        for i in range(0, 5, 2):
+            out, _ = forward(params, spec, x[i:i + 2])
+            loss = (softmax_cross_entropy(out, target[i:i + 2]) if model == "soft"
+                    else evidential_bayes_risk(square(out), target[i:i + 2]))
+            total += float(loss.data) * len(out.data)
+        assert eval_loss(params, spec, x, target, model, batch_size=2) == total / 5
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(7)
@@ -217,6 +285,12 @@ class TestMcPredict:
         ev = mc_predict(params, spec, x, 20, "ev", np.random.default_rng(3))
         evs = mc_predict(params, spec, x, 20, "ev-s", np.random.default_rng(3), percentile=10.0)
         assert np.mean(evs[2]) >= np.mean(ev[2]) - 1e-9
+
+    @pytest.mark.parametrize("mode, out_ch", [("ev", 2), ("ev-s", 2), ("soft", 3)])
+    def test_equals_taped_oracle(self, mode, out_ch):
+        params, spec, x = self._setup(out_ch, 0.2)
+        pred = mc_predict(params, spec, x, 30, mode, np.random.default_rng(6))
+        assert np.array_equal(pred, _taped_mc_predict(params, spec, x, 30, mode, np.random.default_rng(6)))
 
     def test_mode_head_mismatch_rejected(self):
         params, spec, x = self._setup(2, 0.2)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from evgrid.errors import EvgridError
-from evgrid.grid import GridSpec, Pose2D, cell_centers, read_grid, world_to_cell, wrap_angle
+from evgrid.grid import (GridSpec, Pose2D, cell_centers, read_grid, world_to_cell, world_to_cells,
+                         wrap_angle)
 from evgrid.rayism import Detection, RadarNoiseModel
 from evgrid.sim import (
     SceneParams,
@@ -181,6 +182,32 @@ class TestLidarGroundTruth:
             if cell is not None:
                 # the midpoint of the ray up to its first hit is never occupied
                 assert target.data[(1,) + cell] == 0.0
+
+    @pytest.mark.parametrize("occlude", [False, True])
+    def test_free_cells_match_dense_sampling(self, occlude):
+        # reference: sample every ray at cell_size/4 over the full range, then
+        # keep the samples short of the hit
+        cfg = SimConfig(occlude_by_dynamic=occlude)
+        for seed in range(12):
+            scene = generate_scene(seed)
+            target, visible = lidar_ground_truth(scene, SPEC, cfg)
+            shapes = list(scene.static_shapes) + ([p for p, _ in scene.dynamic_objects] if occlude else [])
+            ego = scene.ego
+            angles = ego.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            origins = np.broadcast_to(np.array([ego.x, ego.y]), dirs.shape)
+            t_end = np.minimum(ray_hits(origins, dirs, polygon_edges(shapes))[0], SPEC.extent)
+            step = SPEC.cell_size / 4.0
+            t = (np.arange(int(SPEC.extent / step)) + 0.5) * step
+            keep = t[None] < t_end[:, None] - 1e-9
+            px = (origins[:, 0:1] + dirs[:, 0:1] * t[None])[keep]
+            py = (origins[:, 1:2] + dirs[:, 1:2] * t[None])[keep]
+            rows, cols, inside = world_to_cells(SPEC, ego, px, py)
+            sampled = np.zeros((SPEC.side_cells,) * 2, dtype=bool)
+            sampled[rows[inside], cols[inside]] = True
+            occupied = target.data[1] == 1.0
+            assert np.array_equal(target.data[0] == 1.0, sampled & ~occupied)
+            assert np.array_equal(visible.data[0] == 1.0, sampled | occupied)
 
     def test_dynamic_objects_absent_from_single_frame_truth(self):
         scene = Scene([], [(rect(3.0, -0.5, 5.0, 0.5), np.array([2.0, 0.0]))],
