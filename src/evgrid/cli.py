@@ -133,7 +133,8 @@ def cmd_infer(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    ids = _sample_ids(load_manifest(args.dataset), cfg["eval"]["split"])
+    split = cfg["eval"]["split"]
+    ids = _sample_ids(load_manifest(args.dataset), split)
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
     tables = []
@@ -141,12 +142,21 @@ def cmd_eval(args, cfg: dict) -> int:
         pdir = Path(pred_dir)
         acc = ScoreAccumulator(conflict_guard=cfg["eval"]["conflict_guard"])
         for sid in ids:
-            pred = read_grid(pdir / f"{sid}.grid").data
+            pred_path = pdir / f"{sid}.grid"
+            pred = read_grid(pred_path).data
             sdir = Path(args.dataset) / "samples" / sid
             target = read_grid(sdir / "target.grid").data
             mask = read_grid(sdir / "mask.grid").data[0]
-            acc.add(pred, target, mask)
-        tables.append((pdir.name, acc.table()))
+            try:
+                acc.add(pred, target, mask)
+            except DomainError as exc:  # e.g. a prediction on another grid size
+                raise EvgridError(f"{pred_path}: {exc}") from exc
+        table = acc.table()
+        for (region, target_class), n in table.counts.items():
+            if n == 0:
+                print(f"eval: {pdir.name}: no {target_class} target cells in the {region} region "
+                      f"of split {split!r}; those scores are empty", file=sys.stderr)
+        tables.append((pdir.name, table))
     text, csv_out = render_table(tables)
     write_atomic(out / "scores.txt", text, "score table")
     write_atomic(out / "scores.csv", csv_out, "score table")

@@ -17,6 +17,7 @@ from evgrid.errors import ConfigError, DomainError, write_atomic
 from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
 from evgrid.rayism import RayIsmConfig
+from evgrid.scores import CONFLICT_GUARD
 from evgrid.sim import SceneParams, SimConfig, flat_fields
 
 _TRAIN = TrainConfig()
@@ -35,10 +36,7 @@ DEFAULTS = {
     "net": {key: getattr(_TRAIN, key) for key in _NET_KEYS},
     "train": {f.name: getattr(_TRAIN, f.name) for f in fields(TrainConfig)
               if f.name not in (*_NET_KEYS, "seed")},
-    "eval": {
-        "conflict_guard": True,
-        "split": "test",
-    },
+    "eval": {"conflict_guard": CONFLICT_GUARD, "split": "test"},
 }
 
 

@@ -4,11 +4,9 @@ Connects the three views of a cell's occupancy state over the two classes
 (free, occupied): a nonnegative evidence vector, the belief/unknown masses
 it induces, and the expectation of the Dirichlet distribution it
 parameterizes. ``evidence_to_belief_array`` is the one implementation of
-b = e/S, u = K/S, and ``evidence_to_evidential`` a thin per-state wrapper
-over it; the per-state functions serve the tests as oracles.
-
-Also provides the sample reductions used for epistemic (dropout-sampled)
-evidence: component-wise mean and nearest-rank percentile.
+b = e/S, u = 2/S, and ``evidence_to_evidential`` a thin per-state wrapper
+over it; the per-state functions serve the tests as oracles. Dropout-sampled
+evidence is reduced by a nearest-rank percentile.
 """
 
 from __future__ import annotations
@@ -21,30 +19,6 @@ import numpy as np
 from evgrid.errors import DomainError
 
 _SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SubjectiveLogicConfig:
-    """Class count and base rate of the opinion frame.
-
-    The base rate distributes unknown mass over the classes; uniform by
-    default so full ignorance maps to equal probabilities.
-    """
-
-    K: int = 2
-    a: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.K < 2:
-            raise DomainError(f"class count must be >= 2, got {self.K}")
-        if not self.a:
-            object.__setattr__(self, "a", tuple([1.0 / self.K] * self.K))
-        if len(self.a) != self.K:
-            raise DomainError("base rate length must equal class count")
-        if any(not (0.0 <= ak <= 1.0) for ak in self.a):
-            raise DomainError("base rate components must lie in [0,1]")
-        if abs(sum(self.a) - 1.0) > _SUM_TOL:
-            raise DomainError("base rate must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -80,12 +54,14 @@ class EvidentialState:
 
 @dataclass(frozen=True)
 class Evidence:
-    """Nonnegative evidence vector, one component per class."""
+    """Nonnegative evidence (e_f, e_o), one component per class."""
 
     e: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e", tuple(float(v) for v in self.e))
+        if len(self.e) != 2:
+            raise DomainError(f"evidence has {len(self.e)} components, expected 2")
         for v in self.e:
             if not math.isfinite(v) or v < 0.0:
                 raise DomainError(f"evidence must be finite and >= 0, got {v}")
@@ -105,74 +81,26 @@ class DirichletParams:
         object.__setattr__(self, "S", float(sum(self.alpha)))
 
 
-@dataclass(frozen=True)
-class EpistemicSamples:
-    """Evidence vectors from N stochastic forward passes of one model."""
-
-    samples: tuple[Evidence, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.samples) < 1:
-            raise DomainError("need at least one epistemic sample")
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-
-def evidence_to_evidential(e: Evidence, cfg: SubjectiveLogicConfig | None = None) -> EvidentialState:
-    """Map evidence to belief masses: b = e/S, u = K/S with S = K + sum(e)."""
-    cfg = cfg or SubjectiveLogicConfig(K=len(e.e))
-    _check_k(e, cfg)
-    if cfg.K != 2:
-        raise DomainError("EvidentialState is binary; use evidence_to_belief_array for K > 2")
+def evidence_to_evidential(e: Evidence) -> EvidentialState:
+    """Map evidence to belief masses: b = e/S, u = 2/S with S = 2 + sum(e)."""
     b_f, b_o, u = evidence_to_belief_array(np.array(e.e)).tolist()
     return EvidentialState(b_f=b_f, b_o=b_o, u=u)
 
 
-def evidence_to_dirichlet(e: Evidence, cfg: SubjectiveLogicConfig | None = None) -> DirichletParams:
-    """Map evidence to Dirichlet shape parameters: alpha_k = e_k + K*a_k."""
-    cfg = cfg or SubjectiveLogicConfig(K=len(e.e))
-    _check_k(e, cfg)
-    return DirichletParams(alpha=tuple(v + cfg.K * ak for v, ak in zip(e.e, cfg.a)))
+def evidence_to_dirichlet(e: Evidence) -> DirichletParams:
+    """Map evidence to Dirichlet shape parameters: alpha = e + 1."""
+    return DirichletParams(alpha=tuple(v + 1.0 for v in e.e))
 
 
 def dirichlet_expectation(d: DirichletParams) -> ProbabilisticState:
     """Expectation of Dir(alpha): p_k = alpha_k / S."""
-    p = [a / d.S for a in d.alpha]
-    if len(p) != 2:
-        raise DomainError("probabilistic state is binary; use raw arrays for K > 2")
-    return ProbabilisticState(p_f=p[0], p_o=p[1])
+    p_f, p_o = (a / d.S for a in d.alpha)
+    return ProbabilisticState(p_f=p_f, p_o=p_o)
 
 
-def evidential_to_probability(s: EvidentialState, cfg: SubjectiveLogicConfig | None = None) -> ProbabilisticState:
-    """Distribute the unknown mass via the base rate: p = b + u*a."""
-    cfg = cfg or SubjectiveLogicConfig(K=2)
-    if cfg.K != 2:
-        raise DomainError("probabilistic state is binary; use raw arrays for K > 2")
-    return ProbabilisticState(
-        p_f=s.b_f + s.u * cfg.a[0],
-        p_o=s.b_o + s.u * cfg.a[1],
-    )
-
-
-def percentile_reduce(s: EpistemicSamples, n: float) -> Evidence:
-    """Component-wise nearest-rank percentile over the sample set.
-
-    For N samples the result component is the ceil(n/100 * N)-th smallest
-    value of that component; n = 50 with odd N is the component-wise median.
-    """
-    if not (0.0 < n <= 100.0):
-        raise DomainError(f"percentile must be in (0, 100], got {n}")
-    arr = np.asarray([sm.e for sm in s.samples], dtype=np.float64)
-    reduced = percentile_reduce_array(arr, n, axis=0)
-    return Evidence(e=tuple(reduced.tolist()))
-
-
-def mean_reduce(s: EpistemicSamples) -> Evidence:
-    """Component-wise arithmetic mean over the sample set."""
-    arr = np.asarray([sm.e for sm in s.samples], dtype=np.float64)
-    return Evidence(e=tuple(arr.mean(axis=0).tolist()))
+def evidential_to_probability(s: EvidentialState) -> ProbabilisticState:
+    """Distribute the unknown mass by the uniform base rate: p = b + u/2."""
+    return ProbabilisticState(p_f=s.b_f + s.u * 0.5, p_o=s.b_o + s.u * 0.5)
 
 
 def percentile_reduce_array(samples: np.ndarray, n: float, axis: int = 0) -> np.ndarray:
@@ -199,9 +127,3 @@ def evidence_to_belief_array(e: np.ndarray, axis: int = 0) -> np.ndarray:
         raise DomainError("evidence must be finite and >= 0")
     s = k + e.sum(axis=axis, keepdims=True)
     return np.concatenate([e / s, k / s], axis=axis)
-
-
-def _check_k(e: Evidence, cfg: SubjectiveLogicConfig) -> None:
-    if len(e.e) != cfg.K:
-        raise DomainError(f"evidence has {len(e.e)} components, config expects {cfg.K}")
-

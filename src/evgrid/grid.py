@@ -81,9 +81,9 @@ class Grid2D:
 
     @classmethod
     def zeros(cls, spec: GridSpec, channels: tuple[str, ...] = ("value",),
-              origin: Pose2D = Pose2D(), dtype=np.float64) -> "Grid2D":
+              origin: Pose2D = Pose2D()) -> "Grid2D":
         n = spec.side_cells
-        return cls(spec, np.zeros((len(channels), n, n), dtype=dtype), channels, origin)
+        return cls(spec, np.zeros((len(channels), n, n)), channels, origin)
 
 
 def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
@@ -103,15 +103,6 @@ def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
     row = np.floor(yr / spec.cell_size).astype(np.int64) + half
     inside = (row >= 0) & (row < spec.side_cells) & (col >= 0) & (col < spec.side_cells)
     return row, col, inside
-
-
-def world_to_cell(spec: GridSpec, point: tuple[float, float], ego: Pose2D) -> tuple[int, int] | None:
-    """Map one world point into (row, col), or None when outside the grid."""
-    px, py = point
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise DomainError("point must be finite")
-    row, col, inside = world_to_cells(spec, ego, px, py)
-    return (int(row), int(col)) if inside else None
 
 
 def cell_centers(spec: GridSpec, ego: Pose2D) -> tuple[np.ndarray, np.ndarray]:

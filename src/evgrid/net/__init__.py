@@ -1,22 +1,3 @@
-"""From-scratch differentiable network stack: tape-based reverse-mode
-autodiff on numpy arrays, a small U-Net, evidential and softmax losses,
-MC-dropout prediction and the training loop."""
-
-from evgrid.net.tensor import Tensor
-from evgrid.net.unet import UNetSpec, forward, init_params, load_checkpoint, save_checkpoint
-from evgrid.net.losses import evidential_bayes_risk, softmax_cross_entropy
-from evgrid.net.train import TrainConfig, mc_predict, train
-
-__all__ = [
-    "Tensor",
-    "UNetSpec",
-    "forward",
-    "init_params",
-    "save_checkpoint",
-    "load_checkpoint",
-    "softmax_cross_entropy",
-    "evidential_bayes_risk",
-    "TrainConfig",
-    "train",
-    "mc_predict",
-]
+"""From-scratch differentiable network stack: reverse-mode autodiff on numpy
+arrays (``tensor``), a small U-Net (``unet``), evidential and softmax losses
+(``losses``), and the training loop and MC-dropout prediction (``train``)."""

@@ -168,25 +168,21 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor
     return t
 
 
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
+def leaky_relu(x: Tensor, slope: float) -> Tensor:
     """max(x, slope*x), which is leaky ReLU for 0 <= slope <= 1 (UNetSpec enforces that range)."""
     t = Tensor(np.maximum(x.data, slope * x.data), parents=(x,))
     t._backward = lambda g: _accumulate(x, np.where(x.data > 0, g, slope * g))
     return t
 
 
-def dropout(x: Tensor, mask: np.ndarray | None) -> Tensor:
-    """Multiply by a precomputed (already inverse-scaled) mask; None = off."""
-    if mask is None:
-        return x
+def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Multiply by a precomputed (already inverse-scaled) mask."""
     t = Tensor(x.data * mask, parents=(x,))
     t._backward = lambda g: _accumulate(x, g * mask)
     return t
 
 
-def make_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype=np.float32) -> np.ndarray | None:
-    if rate <= 0.0:
-        return None
+def make_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
     keep = (rng.random(shape) >= rate).astype(dtype)
     return keep / np.asarray(1.0 - rate, dtype=dtype)
 

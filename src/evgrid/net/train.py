@@ -23,8 +23,8 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 8
     epochs: int = 10
-    dropout: float = 0.2
-    base_channels: int = 8
+    dropout: float = UNetSpec.dropout
+    base_channels: int = UNetSpec.base_channels
     seed: int = 0
     mc_samples: int = 30
     percentile: float = 10.0
@@ -51,46 +51,44 @@ class TrainConfig:
 def load_split(dataset_dir, split: str):
     """Load one dataset split into memory.
 
-    Returns (images (N,2,H,W) f32, targets (N,3,H,W) f32,
-    masks (N,H,W) f32, sample ids).
+    Returns (images (N,2,H,W) f32, targets (N,3,H,W) f32, sample ids).
     """
     manifest = load_manifest(dataset_dir)
     ids = manifest["splits"][split]
     root = Path(dataset_dir)
-    images, targets, masks = [], [], []
+    images, targets = [], []
     for sid in ids:
         sdir = root / "samples" / sid
         images.append(read_grid(sdir / "radar.grid").data.astype(np.float32))
         targets.append(read_grid(sdir / "target.grid").data.astype(np.float32))
-        masks.append(read_grid(sdir / "mask.grid").data[0].astype(np.float32))
     if not ids:
         side = manifest["grid"]["side_cells"]
-        return (np.zeros((0, 2, side, side), np.float32),
-                np.zeros((0, 3, side, side), np.float32),
-                np.zeros((0, side, side), np.float32), [])
-    return np.stack(images), np.stack(targets), np.stack(masks), ids
+        return np.zeros((0, 2, side, side), np.float32), np.zeros((0, 3, side, side), np.float32), []
+    return np.stack(images), np.stack(targets), ids
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Standard adaptive-moment optimizer over a named parameter dict."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for k in sorted(params):
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * np.square(g)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * np.square(g)
             params[k] -= (self.lr * (self.m[k] / b1c)
-                          / (np.sqrt(self.v[k] / b2c) + self.eps)).astype(params[k].dtype)
+                          / (np.sqrt(self.v[k] / b2c) + ADAM_EPS)).astype(params[k].dtype)
 
 
 def _loss(out: Tensor, target, model: str) -> Tensor:
@@ -131,8 +129,8 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng)
     opt = Adam(params, lr=cfg.lr)
-    x_train, t_train, _m, _ids = load_split(dataset_dir, "train")
-    x_val, t_val, _mv, _idsv = load_split(dataset_dir, "val")
+    x_train, t_train, _ids = load_split(dataset_dir, "train")
+    x_val, t_val, _ids = load_split(dataset_dir, "val")
     if len(x_train) == 0:
         raise ConfigError("train split is empty")
 

@@ -75,12 +75,13 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
             record: bool = True) -> tuple[Tensor | np.ndarray, dict]:
     """Run the network; returns the pre-head output and the parameters.
 
-    ``dropout_rng`` draws fresh dropout masks for this call; None disables
-    dropout. With ``record`` (training) the ops build the tape: the output is
-    a Tensor, and the parameter Tensors are the leaves whose .grad a later
-    backward() fills. Without it (inference) the same array kernels run with
-    no tape, leaky ReLU and dropout act in place, and the output is an
-    ndarray bit-identical to the taped one for the same masks.
+    ``dropout_rng`` draws fresh dropout masks for this call; None, or a
+    dropout rate of 0, disables dropout and draws nothing. With ``record``
+    (training) the ops build the tape: the output is a Tensor, and the
+    parameter Tensors are the leaves whose .grad a later backward() fills.
+    Without it (inference) the same array kernels run with no tape, leaky
+    ReLU and dropout act in place, and the output is an ndarray
+    bit-identical to the taped one for the same masks.
     """
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigError(f"input shape {x.shape} incompatible with {spec.in_channels} channels")
@@ -95,11 +96,11 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
         p, h, up = params, x, T.conv_transpose2d_array
         conv = lambda a, w, b, stride: T.conv2d_array(a, w, b, stride)[0]
         cat = lambda a, b: np.concatenate([a, b], axis=1)
-        scale = lambda a, mask: a if mask is None else np.multiply(a, mask, out=a)
+        scale = lambda a, mask: np.multiply(a, mask, out=a)
         act = lambda a: np.maximum(a, slope * a, out=a)
 
     def drop(t):
-        if dropout_rng is None:
+        if dropout_rng is None or spec.dropout == 0.0:
             return t
         return scale(t, T.make_dropout_mask(t.shape, spec.dropout, dropout_rng, dtype=t.dtype))
 

@@ -34,6 +34,8 @@ from evgrid.grid import Grid2D, GridSpec, Pose2D, cell_centers, prob_to_evidenti
 # itself is exact
 _BEARING_SLACK = 1e-9
 
+DYNAMIC_VELOCITY_THRESHOLD = 0.5  # |v_r| above which a detection is dynamic; SimConfig's default too
+
 # Cephes ndtr.c coefficients: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
 # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond;
 # U, Q and S have an implicit leading 1
@@ -277,9 +279,9 @@ def ray_ism_scene(
     detections: list[Detection],
     sensor_poses: dict[int, Pose2D],
     spec: GridSpec,
-    cfg: RayIsmConfig | None = None,
+    cfg: RayIsmConfig = RayIsmConfig(),
     ego: Pose2D = Pose2D(),
-    dynamic_velocity_threshold: float = 0.5,
+    dynamic_velocity_threshold: float = DYNAMIC_VELOCITY_THRESHOLD,
 ) -> Grid2D:
     """Accumulate all static detections of one scene into an evidential grid.
 
@@ -287,7 +289,6 @@ def ray_ism_scene(
     dynamic and skipped; the remaining IDMs are summed in log-odds and the
     per-cell probability is mapped linearly onto (b_f, b_o, u).
     """
-    cfg = cfg or RayIsmConfig()
     logodds = Grid2D.zeros(spec, channels=("logodds",), origin=ego)
     static = [det for det in detections if abs(det.v_r) <= dynamic_velocity_threshold]
     accumulate_idms(static, sensor_poses, logodds, cfg)

@@ -17,6 +17,7 @@ import numpy as np
 from evgrid.errors import DomainError
 
 CONFLICT_BAND = 0.2
+CONFLICT_GUARD = True  # the default of eval.conflict_guard
 REGIONS = ("visible", "hidden")
 TARGETS = ("free", "occupied")
 _PRED_KEYS = ("p_f", "p_o", "p_u", "p_c")
@@ -40,7 +41,7 @@ class ScoreTable:
 class ScoreAccumulator:
     """Streaming accumulation of score counts over many samples."""
 
-    def __init__(self, conflict_guard: bool = True):
+    def __init__(self, conflict_guard: bool = CONFLICT_GUARD):
         self.conflict_guard = conflict_guard
         # counts[(region, target)] = [n_pred_f, n_pred_o, n_pred_u, n_conflict, n_total]
         self.counts = {(r, t): np.zeros(5, dtype=np.int64) for r in REGIONS for t in TARGETS}
@@ -88,14 +89,6 @@ class ScoreAccumulator:
                 "p_c": 100.0 * c[3] / c[4],
             }
         return table
-
-
-def compute_scores(pred: np.ndarray, target: np.ndarray, visible: np.ndarray,
-                   conflict_guard: bool = True) -> ScoreTable:
-    """Score a single prediction against its target and visibility mask."""
-    acc = ScoreAccumulator(conflict_guard=conflict_guard)
-    acc.add(pred, target, visible)
-    return acc.table()
 
 
 _COLUMNS = [(t, k) for t in TARGETS for k in _PRED_KEYS]

@@ -19,7 +19,7 @@ import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, write_atomic
 from evgrid.grid import Grid2D, GridSpec, Pose2D, world_to_cells, wrap_angle, write_grid
-from evgrid.rayism import Detection, RadarNoiseModel
+from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detection, RadarNoiseModel
 
 _FREE, _OCC = 1, 2  # status codes; 0 = unknown
 
@@ -61,21 +61,6 @@ def polygon_edges(polys: list[np.ndarray]) -> np.ndarray:
     if not segs:
         return np.zeros((0, 2, 2))
     return np.concatenate(segs, axis=0)
-
-
-def points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over points."""
-    x, y = pts[..., 0], pts[..., 1]
-    inside = np.zeros(x.shape, dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        crosses = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (x < np.where(crosses, xi, np.inf))
-    return inside
 
 
 def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray):
@@ -133,11 +118,7 @@ class Scene:
 @dataclass(frozen=True)
 class SceneParams:
     extent: float = 16.0
-    wall_thickness: float = 0.6
-    corridor_width: tuple[float, float] = (5.0, 9.0)
-    max_parked_per_side: int = 3
     p_dynamic: float = 0.5
-    n_shapes: int | None = None  # None = recipe default; 0 = empty scene
 
 
 @dataclass(frozen=True)
@@ -148,7 +129,7 @@ class SimConfig:
     clutter_rate: float = 2.0
     noise: RadarNoiseModel = field(default_factory=RadarNoiseModel)
     vr_sigma: float = 0.05
-    dynamic_velocity_threshold: float = 0.5
+    dynamic_velocity_threshold: float = DYNAMIC_VELOCITY_THRESHOLD
     sensor_fov: float = 2.0 * math.pi / 3.0
     boundary_spacing: float = 0.3
     frames: int = 1
@@ -172,22 +153,19 @@ def flat_fields(obj) -> dict:
     return out
 
 
-def generate_scene(seed: int, params: SceneParams | None = None) -> Scene:
+def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
     """Deterministic scene from a seed: road corridor, parked-car rows, or
     T-intersection, optionally with one moving object."""
-    params = params or SceneParams()
     rng = np.random.default_rng(seed)
     ego = Pose2D(
         x=float(rng.uniform(-0.5, 0.5)),
         y=float(rng.uniform(-0.5, 0.5)),
         heading=float(rng.uniform(-0.3, 0.3)),
     )
-    if params.n_shapes == 0:
-        return Scene([], [], ego, seed)
 
     half_len = params.extent * 0.75
-    w = float(rng.uniform(*params.corridor_width))
-    th = params.wall_thickness
+    w = float(rng.uniform(5.0, 9.0))  # corridor width
+    th = 0.6  # wall thickness
     kind = rng.integers(0, 3)
     statics: list[np.ndarray] = []
     if kind == 0:  # straight corridor
@@ -197,7 +175,7 @@ def generate_scene(seed: int, params: SceneParams | None = None) -> Scene:
         statics.append(rect(-half_len, -w / 2 - th, half_len, -w / 2))
         statics.append(rect(-half_len, w / 2, half_len, w / 2 + th))
         for side in (-1.0, 1.0):
-            n_cars = int(rng.integers(1, params.max_parked_per_side + 1))
+            n_cars = int(rng.integers(1, 4))
             xs = rng.uniform(-half_len * 0.8, half_len * 0.8 - 2.5, size=n_cars)
             for x0 in np.sort(xs):
                 y_in = side * (w / 2) - (1.1 if side > 0 else 0.0)
@@ -280,15 +258,7 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     return status
 
 
-def _status_to_target(status: np.ndarray) -> np.ndarray:
-    target = np.zeros((3,) + status.shape, dtype=np.float64)
-    target[0][status == _FREE] = 1.0
-    target[1][status == _OCC] = 1.0
-    target[2][status == 0] = 1.0
-    return target
-
-
-def lidar_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig | None = None):
+def lidar_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimConfig()):
     """Single-frame LiDAR truth: (target Grid2D with 3 channels, visibility Grid2D).
 
     Rays over 360 degrees with exact ray-polygon intersection; cells before
@@ -296,11 +266,7 @@ def lidar_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig | None = Non
     crossed unknown and hidden. Dynamic objects never appear as occupied
     truth (optionally they still occlude, see SimConfig.occlude_by_dynamic).
     """
-    cfg = cfg or SimConfig()
-    status = _status_scan(scene, spec, cfg, include_dynamic=False)
-    target = Grid2D(spec, _status_to_target(status), channels=("b_f", "b_o", "u"), origin=scene.ego)
-    visible = Grid2D(spec, (status != 0).astype(np.float64), channels=("visible",), origin=scene.ego)
-    return target, visible
+    return fuse_target_frames([_status_scan(scene, spec, cfg, include_dynamic=False)], spec, scene.ego)
 
 
 def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig):
@@ -383,14 +349,13 @@ def _boundary_points(polys: list[np.ndarray], spacing: float):
     return np.concatenate(pts, axis=0)
 
 
-def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig | None = None,
+def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig = SimConfig(),
                    rng: np.random.Generator | None = None):
     """Simulate the four corner radars for one frame.
 
     Returns (radar image Grid2D with static/dynamic hit-count channels,
     list[Detection], list[bool] dynamic flags aligned with the detections).
     """
-    cfg = cfg or SimConfig()
     rng = rng if rng is not None else np.random.default_rng(scene.rng_seed)
     sensors = corner_sensor_poses(scene.ego)
     all_polys = list(scene.static_shapes) + [p for p, _ in scene.dynamic_objects]
@@ -504,22 +469,22 @@ def _scene_seed(master_seed: int, index: int) -> int:
 
 
 def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
-                  cfg: SimConfig | None = None,
-                  scene_params: SceneParams | None = None,
-                  split_fractions: tuple[float, float] = (0.7, 0.15)) -> dict:
+                  cfg: SimConfig = SimConfig(),
+                  scene_params: SceneParams = SceneParams()) -> dict:
     """Generate and write a dataset; returns the manifest.
 
     Layout: manifest.json at the root plus one directory per sample with
     radar.grid, target.grid, mask.grid and detections.jsonl. Deterministic
-    and byte-identical given (n_scenes, config, master_seed).
+    and byte-identical given (n_scenes, config, master_seed). A manifest
+    exists only over a complete dataset: an old one is removed first, and
+    the new one written last.
     """
-    cfg = cfg or SimConfig()
-    scene_params = scene_params or SceneParams()
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)
     except OSError as exc:
-        raise EvgridError(f"cannot create dataset directory {out}: {exc}") from exc
+        raise EvgridError(f"cannot prepare dataset directory {out}: {exc}") from exc
 
     sample_ids = []
     for i in range(n_scenes):
@@ -542,8 +507,8 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
                      "detections file")
         sample_ids.append(sid)
 
-    n_train = int(round(split_fractions[0] * n_scenes))
-    n_val = int(round(split_fractions[1] * n_scenes))
+    n_train = int(round(0.7 * n_scenes))
+    n_val = int(round(0.15 * n_scenes))
     manifest = {
         "master_seed": master_seed,
         "n_scenes": n_scenes,

@@ -212,17 +212,10 @@ class TestElementwise:
         wsum = RNG.normal(size=x.shape)
         _check(lambda t: _weighted_sum(dropout(t["x"], mask), wsum), {"x": x})
 
-    def test_dropout_none_is_identity(self):
-        x = Tensor(np.ones((1, 1, 2, 2)))
-        assert dropout(x, None) is x
-
     def test_mask_is_inverse_scaled(self):
         mask = make_dropout_mask((10000,), 0.25, np.random.default_rng(3), dtype=np.float64)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
         assert mask.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_zero_rate_mask_is_none(self):
-        assert make_dropout_mask((4,), 0.0, np.random.default_rng(0)) is None
 
 
 class TestConcatAndGraph:

@@ -4,8 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
+from evgrid import sim
 from evgrid.cli import main
-from evgrid.grid import GridSpec, read_grid
+from evgrid.errors import EvgridError
+from evgrid.grid import Grid2D, GridSpec, read_grid, write_grid
 from evgrid.net.unet import UNetSpec, init_params, save_checkpoint
 
 FAST = ["--set", "sim.n_scenes=6", "--set", "sim.side_cells=16",
@@ -40,6 +42,24 @@ class TestGen:
         cfg = json.loads((dataset / "config.json").read_text())
         assert cfg["sim"]["n_scenes"] == 6
 
+    def test_failed_rerun_leaves_no_manifest(self, dataset, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        simulate_radar, calls = sim.simulate_radar, []
+
+        def failing_radar(*args):  # fails in the third scene
+            calls.append(1)
+            if len(calls) == 3:
+                raise EvgridError("simulated failure")
+            return simulate_radar(*args)
+
+        monkeypatch.setattr(sim, "simulate_radar", failing_radar)
+        assert main(["gen", "--out", str(data), "--seed", "5"] + FAST) == 3
+        assert (data / "samples/00001/radar.grid").exists() and not (data / "manifest.json").exists()
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "m")] + FAST) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_rayism_train_infer_eval(self, dataset, tmp_path):
@@ -69,6 +89,16 @@ class TestPipeline:
         csv_lines = (eval_dir / "scores.csv").read_text().splitlines()
         assert csv_lines[0].startswith("model,region,")
         assert len(csv_lines) == 1 + 4  # two models x two regions
+
+    def test_eval_reports_cells_without_support(self, dataset, tmp_path, capsys):
+        # one LiDAR frame leaves no known target behind an occlusion: the hidden rows are empty
+        ray_dir = tmp_path / "ray"
+        assert main(["rayism", "--dataset", str(dataset), "--out", str(ray_dir)] + FAST) == 0
+        capsys.readouterr()
+        assert main(["eval", str(ray_dir), "--dataset", str(dataset), "--out", str(tmp_path / "e")] + FAST) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all("ray:" in line and "hidden" in line for line in lines)
+        assert any("no free" in line for line in lines) and any("no occupied" in line for line in lines)
 
     def test_rayism_takes_grid_from_dataset(self, tmp_path):
         data, out = tmp_path / "ds18", tmp_path / "ray"
@@ -161,6 +191,15 @@ class TestExitCodes:
                      "--mode", "ev", "--out", str(out)] + FAST) == 3
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_names_prediction_of_wrong_size(self, dataset, tmp_path, capsys):
+        pred = tmp_path / "pred8"
+        pred.mkdir()
+        for sid in json.loads((dataset / "manifest.json").read_text())["splits"]["test"]:
+            write_grid(pred / f"{sid}.grid", Grid2D(GridSpec(8, 0.5), np.zeros((3, 8, 8)), ("b_f", "b_o", "u")))
+        assert main(["eval", str(pred), "--dataset", str(dataset), "--out", str(tmp_path / "e")] + FAST) == 3
+        err = capsys.readouterr().err
+        assert str(pred) in err and ".grid: shape mismatch" in err
 
     def test_unknown_split(self, dataset, tmp_path):
         out = tmp_path / "e"

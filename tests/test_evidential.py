@@ -6,18 +6,14 @@ from hypothesis import strategies as st
 from evgrid.errors import DomainError
 from evgrid.evidential import (
     DirichletParams,
-    EpistemicSamples,
     Evidence,
     EvidentialState,
     ProbabilisticState,
-    SubjectiveLogicConfig,
     dirichlet_expectation,
     evidence_to_belief_array,
     evidence_to_dirichlet,
     evidence_to_evidential,
     evidential_to_probability,
-    mean_reduce,
-    percentile_reduce,
     percentile_reduce_array,
 )
 
@@ -43,9 +39,10 @@ class TestTypes:
         with pytest.raises(DomainError):
             Evidence((float("nan"), 0.0))
 
-    def test_base_rate_must_sum_to_one(self):
-        with pytest.raises(DomainError):
-            SubjectiveLogicConfig(K=2, a=(0.7, 0.7))
+    @pytest.mark.parametrize("e", [(), (1.0,), (1.0, 2.0, 3.0)], ids=["none", "one", "three"])
+    def test_evidence_must_have_two_components(self, e):
+        with pytest.raises(DomainError, match="expected 2"):
+            Evidence(e)
 
     def test_dirichlet_strength(self):
         d = DirichletParams(alpha=(4.0, 2.0))
@@ -121,46 +118,36 @@ class TestEvidentialToProbability:
 class TestReductions:
     def test_percentile_matches_sorted_rank(self):
         # 100 samples with component values 1..100: 10th percentile = 10th smallest
-        samples = EpistemicSamples(tuple(Evidence((float(i), 0.0)) for i in range(1, 101)))
-        assert percentile_reduce(samples, 10).e[0] == 10.0
+        samples = np.stack([np.arange(1.0, 101.0), np.zeros(100)], axis=1)
+        assert percentile_reduce_array(samples, 10)[0] == 10.0
 
     def test_single_sample_any_percentile(self):
-        samples = EpistemicSamples((Evidence((3.0, 7.0)),))
+        samples = np.array([[3.0, 7.0]])
         for n in (1, 50, 100):
-            assert percentile_reduce(samples, n).e == (3.0, 7.0)
+            assert percentile_reduce_array(samples, n).tolist() == [3.0, 7.0]
 
     def test_median_of_three(self):
-        samples = EpistemicSamples(tuple(Evidence((v, v)) for v in (5.0, 1.0, 3.0)))
-        assert percentile_reduce(samples, 50).e == (3.0, 3.0)
+        samples = np.array([[5.0, 5.0], [1.0, 1.0], [3.0, 3.0]])
+        assert percentile_reduce_array(samples, 50).tolist() == [3.0, 3.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            EpistemicSamples(())
         with pytest.raises(DomainError):
             percentile_reduce_array(np.zeros((0, 2)), 50)
 
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), min_size=1, max_size=20),
            st.randoms(use_true_random=False))
     def test_permutation_invariant(self, values, rnd):
-        samples = [Evidence(v) for v in values]
-        shuffled = list(samples)
+        shuffled = list(values)
         rnd.shuffle(shuffled)
-        a = percentile_reduce(EpistemicSamples(tuple(samples)), 30)
-        b = percentile_reduce(EpistemicSamples(tuple(shuffled)), 30)
-        assert a.e == b.e
+        a = percentile_reduce_array(np.array(values), 30)
+        b = percentile_reduce_array(np.array(shuffled), 30)
+        assert a.tolist() == b.tolist()
 
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=25))
     def test_monotone_in_percentile(self, values):
-        samples = EpistemicSamples(tuple(Evidence((v, 0.0)) for v in values))
-        results = [percentile_reduce(samples, n).e[0] for n in (10, 30, 50, 80, 100)]
+        samples = np.array(values)
+        results = [float(percentile_reduce_array(samples, n)) for n in (10, 30, 50, 80, 100)]
         assert results == sorted(results)
-
-    def test_mean_reduce(self):
-        assert mean_reduce(EpistemicSamples((Evidence((0.0, 0.0)),))).e == (0.0, 0.0)
-        two = EpistemicSamples((Evidence((2.0, 0.0)), Evidence((0.0, 2.0))))
-        assert mean_reduce(two).e == (1.0, 1.0)
-        three = EpistemicSamples((Evidence((1.0, 1.0)), Evidence((3.0, 5.0)), Evidence((2.0, 3.0))))
-        assert mean_reduce(three).e == (2.0, 3.0)
 
 
 class TestArrayPath:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cell_of, cut_and_flip
 from evgrid.errors import DomainError, EvgridError, write_atomic
 from evgrid.evidential import EvidentialState, evidential_to_probability
 from evgrid.grid import (
@@ -20,7 +21,6 @@ from evgrid.grid import (
     read_grid,
     render_pgm,
     render_ppm,
-    world_to_cell,
     world_to_cells,
     wrap_angle,
     write_grid,
@@ -45,12 +45,12 @@ masses = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
 
 class TestCoordinates:
     def test_origin_maps_to_center_cell(self):
-        assert world_to_cell(SPEC, (0.0, 0.0), Pose2D()) == (16, 16)
+        assert cell_of(SPEC, (0.0, 0.0), Pose2D()) == (16, 16)
 
     def test_boundary_uses_floor_convention(self):
         # x = 0.5 is the boundary between column 16 ([0, 0.5)) and column 17
-        assert world_to_cell(SPEC, (0.5, 0.0), Pose2D()) == (16, 17)
-        assert world_to_cell(SPEC, (0.4999, 0.0), Pose2D()) == (16, 16)
+        assert cell_of(SPEC, (0.5, 0.0), Pose2D()) == (16, 17)
+        assert cell_of(SPEC, (0.4999, 0.0), Pose2D()) == (16, 16)
 
     def test_rotated_ego_matches_rotation_matrix_oracle(self):
         ego = Pose2D(heading=math.pi / 2)
@@ -58,15 +58,11 @@ class TestCoordinates:
         # oracle: rotation matrix applied to the ego-relative point
         ox = math.cos(ego.heading) * point[0] - math.sin(ego.heading) * point[1]
         oy = math.sin(ego.heading) * point[0] + math.cos(ego.heading) * point[1]
-        assert world_to_cell(SPEC, point, ego) == world_to_cell(SPEC, (ox, oy), Pose2D())
-        assert world_to_cell(SPEC, point, ego) == world_to_cell(SPEC, (0.0, 1.0), Pose2D(heading=0.0))
+        assert cell_of(SPEC, point, ego) == cell_of(SPEC, (ox, oy), Pose2D())
+        assert cell_of(SPEC, point, ego) == cell_of(SPEC, (0.0, 1.0), Pose2D(heading=0.0))
 
     def test_out_of_bounds_signaled(self):
-        assert world_to_cell(SPEC, (100.0, 0.0), Pose2D()) is None
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            world_to_cell(SPEC, (float("inf"), 0.0), Pose2D())
+        assert cell_of(SPEC, (100.0, 0.0), Pose2D()) is None
 
     @pytest.mark.parametrize("ego", [Pose2D(), Pose2D(1.5, -2.0, 0.0), Pose2D(0.3, -0.7, 0.4)])
     def test_scalar_form_matches_array_form(self, ego):
@@ -78,14 +74,20 @@ class TestCoordinates:
         py = np.concatenate([rng.uniform(-12.0, 12.0, 300), by.ravel()])
         rows, cols, inside = world_to_cells(SPEC, ego, px, py)
         assert inside.any() and not inside.all()
-        for x, y, row, col, ok in zip(px, py, rows, cols, inside):
-            assert world_to_cell(SPEC, (float(x), float(y)), ego) == ((row, col) if ok else None)
+        c, s = math.cos(ego.heading), math.sin(ego.heading)
+        for x, y, row, col, ok in zip(px.tolist(), py.tolist(), rows, cols, inside):
+            # scalar oracle: rotate into the ego frame, floor by the cell size, shift to the center
+            dx, dy = x - ego.x, y - ego.y
+            want_col = math.floor((c * dx - s * dy) / SPEC.cell_size) + 16
+            want_row = math.floor((s * dx + c * dy) / SPEC.cell_size) + 16
+            assert (row, col) == (want_row, want_col)
+            assert ok == (0 <= want_row < 32 and 0 <= want_col < 32)
 
     def test_cell_centers_round_trip(self):
         ego = Pose2D(1.0, -2.0, 0.7)
         wx, wy = cell_centers(SPEC, ego)
         for row, col in [(0, 0), (5, 20), (31, 31)]:
-            assert world_to_cell(SPEC, (wx[row, col], wy[row, col]), ego) == (row, col)
+            assert cell_of(SPEC, (wx[row, col], wy[row, col]), ego) == (row, col)
 
     def test_wrap_angle(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -229,12 +231,8 @@ class TestGridValidation:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_cut_or_flipped_blob_parses_or_raises_evgrid_error(self, data):
-        blob = bytearray(self.BLOB[:data.draw(st.integers(0, len(self.BLOB)))])
-        if blob:
-            i = data.draw(st.integers(0, len(blob) - 1))
-            blob[i] ^= data.draw(st.integers(0, 255))
         try:
-            grid_from_bytes(bytes(blob))
+            grid_from_bytes(cut_and_flip(data, self.BLOB))
         except EvgridError:
             pass
 

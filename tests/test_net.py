@@ -1,8 +1,12 @@
 import importlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cut_and_flip, reads_or_names_file
 from evgrid.errors import ConfigError, TrainingDiverged
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import GridSpec
@@ -60,6 +64,17 @@ class TestForward:
         for i in range(len(x)):
             single, _ = forward(params, spec, x[i:i + 1])
             assert np.array_equal(batched.data[i], single.data[0])
+
+    @pytest.mark.parametrize("record", [True, False], ids=["taped", "untaped"])
+    def test_zero_dropout_draws_no_mask(self, record):
+        spec = UNetSpec(base_channels=4, dropout=0.0)
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(1, 2, 8, 8)).astype(np.float32)
+        rng = np.random.default_rng(2)
+        out, _ = forward(params, spec, x, dropout_rng=rng, record=record)
+        assert rng.random() == np.random.default_rng(2).random()
+        plain, _ = forward(params, spec, x, record=record)
+        assert np.array_equal(getattr(out, "data", out), getattr(plain, "data", plain))
 
     def test_dropout_perturbs_output(self):
         spec = UNetSpec(base_channels=4, dropout=0.5)
@@ -127,6 +142,15 @@ def _taped_mc_predict(params, spec, x, n_samples, mode, rng, percentile=10.0):
     return evidence_to_belief_array(percentile_reduce_array(evidence, percentile, axis=0), axis=0)
 
 
+@pytest.fixture(scope="module")
+def ckpt_file(tmp_path_factory):
+    """A path holding a small valid checkpoint, and that checkpoint's bytes."""
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    spec = UNetSpec(base_channels=1)
+    save_checkpoint(path, init_params(spec, np.random.default_rng(0)), spec)
+    return path, path.read_bytes()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         spec = UNetSpec(out_channels=3, base_channels=4, dropout=0.3)
@@ -146,6 +170,13 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.ckpt", params, spec)
         save_checkpoint(tmp_path / "b.ckpt", params, spec)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cut_or_flipped_file_loads_or_raises_naming_it(self, ckpt_file, data):
+        path, blob = ckpt_file
+        path.write_bytes(cut_and_flip(data, blob))
+        reads_or_names_file(load_checkpoint, path)
 
 
 def _toy_batch(model, rng):
@@ -232,15 +263,18 @@ class TestTrainLoop:
         assert [line.split(",")[:2] for line in lines[1:]] == [["0", "train"], ["0", "val"]]
 
     def test_load_split(self, dataset):
-        x, t, m, ids = load_split(dataset, "train")
+        x, t, ids = load_split(dataset, "train")
         assert x.shape[1:] == (2, 16, 16) and t.shape[1:] == (3, 16, 16)
-        assert m.shape[1:] == (16, 16) and len(ids) == len(x)
+        assert len(ids) == len(x) == len(t)
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-6)
 
     def test_empty_train_split_rejected(self, tmp_path):
-        write_dataset(n_scenes=1, spec=GridSpec(16, 0.5), out_dir=tmp_path,
-                      cfg=SimConfig(lidar_rays=90), split_fractions=(0.0, 0.0))
-        with pytest.raises(ConfigError):
+        manifest = write_dataset(n_scenes=1, spec=GridSpec(16, 0.5), out_dir=tmp_path,
+                                 cfg=SimConfig(lidar_rays=90))
+        splits = manifest["splits"]
+        splits["train"], splits["test"] = [], splits["train"] + splits["test"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="train split is empty"):
             train(tmp_path, TrainConfig(epochs=1, base_channels=4))
 
 

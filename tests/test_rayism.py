@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import evgrid
-
+from conftest import cell_of
 from evgrid.errors import DomainError
 from evgrid.grid import (
     Grid2D,
@@ -21,7 +21,6 @@ from evgrid.grid import (
     Pose2D,
     cell_centers,
     prob_to_evidential_array,
-    world_to_cell,
     wrap_angle,
 )
 from evgrid.rayism import (
@@ -238,16 +237,16 @@ class TestRasterize:
         rasterize_one(det, Pose2D(), g, CFG)
         # cell centers sit 0.25 off the beam axis; pick a free cell far
         # enough out that its angular offset stays inside the footprint
-        hit = world_to_cell(SPEC, (5.0, 0.0), Pose2D())
-        free = world_to_cell(SPEC, (4.0, 0.0), Pose2D())
+        hit = cell_of(SPEC, (5.0, 0.0), Pose2D())
+        free = cell_of(SPEC, (4.0, 0.0), Pose2D())
         assert g.data[0][hit] > 0.0
         assert g.data[0][free] < 0.0
 
     def test_outside_footprint_untouched(self):
         g = self._logodds()
         rasterize_one(Detection(r=5.0, phi=0.0), Pose2D(), g, CFG)
-        off_axis = world_to_cell(SPEC, (0.0, 5.0), Pose2D())
-        behind = world_to_cell(SPEC, (7.5, 0.0), Pose2D())
+        off_axis = cell_of(SPEC, (0.0, 5.0), Pose2D())
+        behind = cell_of(SPEC, (7.5, 0.0), Pose2D())
         assert g.data[0][off_axis] == 0.0
         assert g.data[0][behind] == 0.0
 
@@ -263,7 +262,7 @@ class TestRasterize:
         g = self._logodds()
         det = Detection(r=5.0, phi=0.0)
         rasterize_one(det, Pose2D(), g, CFG)
-        hit = world_to_cell(SPEC, (5.0, 0.0), Pose2D())
+        hit = cell_of(SPEC, (5.0, 0.0), Pose2D())
         # recompute the IDM at this cell's center by hand
         cx = (hit[1] - 16 + 0.5) * SPEC.cell_size
         cy = (hit[0] - 16 + 0.5) * SPEC.cell_size

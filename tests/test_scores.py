@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from evgrid.errors import DomainError
-from evgrid.scores import ScoreAccumulator, compute_scores, render_table
+from evgrid.scores import ScoreAccumulator, render_table
+
+
+def compute_scores(pred, target, visible, conflict_guard=True):
+    """Score table of a single prediction."""
+    acc = ScoreAccumulator(conflict_guard=conflict_guard)
+    acc.add(pred, target, visible)
+    return acc.table()
 
 
 def _stack(cells):

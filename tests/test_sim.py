@@ -4,9 +4,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cell_of, cut_and_flip, reads_or_names_file
 from evgrid.errors import EvgridError
-from evgrid.grid import (GridSpec, Pose2D, cell_centers, read_grid, world_to_cell, world_to_cells,
+from evgrid.grid import (GridSpec, Pose2D, cell_centers, read_grid, world_to_cells,
                          wrap_angle)
 from evgrid.rayism import Detection, RadarNoiseModel
 from evgrid.sim import (
@@ -22,10 +25,10 @@ from evgrid.sim import (
     l_shape,
     lidar_ground_truth,
     load_manifest,
-    points_in_polygon,
     polygon_area,
     polygon_edges,
     ray_hits,
+    read_detections,
     rect,
     simulate_radar,
     write_dataset,
@@ -34,6 +37,21 @@ from evgrid.sim import (
 )
 
 SPEC = GridSpec(side_cells=32, cell_size=0.5)
+
+
+def points_in_polygon(pts, poly):
+    """Even-odd crossing test, vectorized over points."""
+    x, y = pts[..., 0], pts[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        crosses = (y0 > y) != (y1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        inside ^= crosses & (x < np.where(crosses, xi, np.inf))
+    return inside
 
 
 def occupied_fraction(scene, spec):
@@ -130,8 +148,10 @@ class TestSceneGeneration:
         assert not same or a.ego != b.ego
 
     def test_empty_scene(self):
-        scene = generate_scene(0, SceneParams(n_shapes=0))
-        assert scene.static_shapes == [] and scene.dynamic_objects == []
+        # nothing to hit: every cell is seen free
+        scene = Scene([], [], Pose2D(0.3, -0.2, 0.4), rng_seed=0)
+        target, visible = lidar_ground_truth(scene, SPEC)
+        assert np.all(target.data[0] == 1.0) and np.all(visible.data == 1.0)
 
     def test_occupied_fraction_band(self):
         fracs = [occupied_fraction(generate_scene(s), SPEC) for s in range(40)]
@@ -152,9 +172,9 @@ class TestLidarGroundTruth:
 
     def test_free_occupied_unknown_layout(self):
         target, visible = lidar_ground_truth(self._wall_scene(), SPEC)
-        free_cell = world_to_cell(SPEC, (3.0, 0.0), Pose2D())
-        wall_cell = world_to_cell(SPEC, (5.1, 0.0), Pose2D())
-        behind_cell = world_to_cell(SPEC, (7.0, 0.0), Pose2D())
+        free_cell = cell_of(SPEC, (3.0, 0.0), Pose2D())
+        wall_cell = cell_of(SPEC, (5.1, 0.0), Pose2D())
+        behind_cell = cell_of(SPEC, (7.0, 0.0), Pose2D())
         assert target.data[(0,) + free_cell] == 1.0
         assert target.data[(1,) + wall_cell] == 1.0
         assert target.data[(2,) + behind_cell] == 1.0
@@ -178,7 +198,7 @@ class TestLidarGroundTruth:
             d = np.array([[math.cos(ang), math.sin(ang)]])
             t = ray_hits(np.array([[ego.x, ego.y]]), d, edges)[0][0]
             probe = min(t, SPEC.extent) * 0.5
-            cell = world_to_cell(SPEC, (ego.x + d[0, 0] * probe, ego.y + d[0, 1] * probe), ego)
+            cell = cell_of(SPEC, (ego.x + d[0, 0] * probe, ego.y + d[0, 1] * probe), ego)
             if cell is not None:
                 # the midpoint of the ray up to its first hit is never occupied
                 assert target.data[(1,) + cell] == 0.0
@@ -218,7 +238,7 @@ class TestLidarGroundTruth:
     def test_dynamic_object_occludes_without_being_a_target(self):
         scene = Scene([rect(6.0, -4.0, 6.6, 4.0)], [(rect(3.0, -0.5, 4.0, 0.5), np.array([1.0, 0.0]))],
                       Pose2D(), rng_seed=0)
-        face, shadowed, lit = (world_to_cell(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0), (6.1, 3.0)))
+        face, shadowed, lit = (cell_of(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0), (6.1, 3.0)))
         target, _ = lidar_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=True))
         occupied, unknown = target.data[1], target.data[2]
         assert occupied[face] == 0.0  # the hit on the moving box is not occupied truth
@@ -364,7 +384,7 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
             dyn_flags.append(dyn)
             wx = pose.x + r_meas * math.cos(pose.heading + phi_meas)
             wy = pose.y + r_meas * math.sin(pose.heading + phi_meas)
-            cell = world_to_cell(spec, (wx, wy), scene.ego)
+            cell = cell_of(spec, (wx, wy), scene.ego)
             if cell is not None:
                 counts[(1 if dyn else 0,) + cell] += 1.0
     return counts, detections, dyn_flags
@@ -402,7 +422,7 @@ class TestRadarBlockParity:
         self._assert_parity(generate_scene(9), SimConfig(clutter_rate=clutter, max_detections=500), seed=5)
 
     def test_empty_scene(self):
-        scene = generate_scene(10, SceneParams(n_shapes=0))
+        scene = Scene([], [], generate_scene(10).ego, rng_seed=10)
         _, dets, _ = self._assert_parity(scene, SimConfig(clutter_rate=5.0), seed=6)
         assert dets  # clutter only
         self._assert_parity(scene, SimConfig(clutter_rate=0.0), seed=6)
@@ -444,6 +464,34 @@ class TestDetectionsJsonl:
         line = detection_json(Detection(r=1.0, phi=0.0))
         assert json.loads(line) == {"t": 0.0, "sensor_id": 0, "r": 1.0, "phi": 0.0, "v_r": 0.0}
         assert " " not in line
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory for damaged files, and the valid manifest and detections they start from."""
+    data = tmp_path_factory.mktemp("fuzz-source")
+    write_dataset(n_scenes=3, spec=GridSpec(8, 0.5), out_dir=data, cfg=SimConfig(lidar_rays=16))
+    blobs = {name: (data / rel).read_bytes() for name, rel in
+             (("manifest", "manifest.json"), ("detections", "samples/00000/detections.jsonl"))}
+    return tmp_path_factory.mktemp("fuzz"), blobs
+
+
+class TestReaderFuzz:
+    """A cut or flipped manifest or detections file parses, or fails naming the file."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_manifest(self, fuzz_dir, data):
+        out, blobs = fuzz_dir
+        (out / "manifest.json").write_bytes(cut_and_flip(data, blobs["manifest"]))
+        reads_or_names_file(lambda path: load_manifest(path.parent), out / "manifest.json")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_detections(self, fuzz_dir, data):
+        out, blobs = fuzz_dir
+        (out / "detections.jsonl").write_bytes(cut_and_flip(data, blobs["detections"]))
+        reads_or_names_file(read_detections, out / "detections.jsonl")
 
 
 class TestDataset:
