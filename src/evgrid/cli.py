@@ -18,6 +18,7 @@ from evgrid.errors import ConfigError, DomainError, EvgridError, write_atomic
 from evgrid.grid import Grid2D, read_grid, render_pgm, render_ppm, write_grid
 from evgrid.net.train import mc_predict, train
 from evgrid.net.unet import load_checkpoint
+from evgrid.parallel import map_scenes
 from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
 from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, write_dataset
@@ -92,7 +93,8 @@ def cmd_rayism(args, cfg: dict) -> int:
     cfgmod.echo_config(cfg, out)
     rcfg = cfgmod.rayism_config(cfg)
     threshold = cfg["sim"]["dynamic_velocity_threshold"]
-    for sid in _sample_ids(manifest, "all"):
+
+    def write_scene(sid: str) -> None:
         sdir = Path(args.dataset) / "samples" / sid
         radar = read_grid(sdir / "radar.grid")
         det_path = sdir / "detections.jsonl"
@@ -103,6 +105,8 @@ def cmd_rayism(args, cfg: dict) -> int:
         except DomainError as exc:  # a detection the scene cannot place, e.g. an unknown sensor_id
             raise EvgridError(f"{det_path}: {exc}") from exc
         write_grid(out / f"{sid}.grid", pred)
+
+    map_scenes(write_scene, _sample_ids(manifest, "all"))
     return EXIT_OK
 
 
@@ -121,7 +125,8 @@ def cmd_infer(args, cfg: dict) -> int:
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
     tcfg = cfgmod.train_config(cfg)
-    for sid in _sample_ids(manifest, "all"):
+
+    def write_scene(sid: str) -> None:
         sdir = Path(args.dataset) / "samples" / sid
         radar = read_grid(sdir / "radar.grid")
         rng = np.random.default_rng([cfg["master_seed"], int(sid)])
@@ -129,6 +134,8 @@ def cmd_infer(args, cfg: dict) -> int:
                           args.mode, rng, percentile=tcfg.percentile)
         write_grid(out / f"{sid}.grid",
                    Grid2D(radar.spec, pred, channels=("b_f", "b_o", "u"), origin=radar.origin))
+
+    map_scenes(write_scene, _sample_ids(manifest, "all"))
     return EXIT_OK
 
 

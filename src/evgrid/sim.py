@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import shutil
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, write_atomic
 from evgrid.grid import Grid2D, GridSpec, Pose2D, world_to_cells, wrap_angle, write_grid
+from evgrid.parallel import map_scenes
 from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detection, RadarNoiseModel
 
 _FREE, _OCC = 1, 2  # status codes; 0 = unknown
@@ -476,18 +478,20 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
     Layout: manifest.json at the root plus one directory per sample with
     radar.grid, target.grid, mask.grid and detections.jsonl. Deterministic
     and byte-identical given (n_scenes, config, master_seed). A manifest
-    exists only over a complete dataset: an old one is removed first, and
-    the new one written last.
+    exists only over a complete dataset: an old one and its samples are
+    removed first, the scenes are written (on every usable CPU, see
+    ``map_scenes``), and the new manifest is written last.
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").unlink(missing_ok=True)
+        if (out / "samples").exists():
+            shutil.rmtree(out / "samples")
     except OSError as exc:
         raise EvgridError(f"cannot prepare dataset directory {out}: {exc}") from exc
 
-    sample_ids = []
-    for i in range(n_scenes):
+    def write_sample(i: int) -> str:
         seed = _scene_seed(master_seed, i)
         scene = generate_scene(seed, scene_params)
         if cfg.frames >= 2:
@@ -505,7 +509,9 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
         write_grid(sdir / "mask.grid", mask)
         write_atomic(sdir / "detections.jsonl", "".join(detection_json(d) + "\n" for d in dets),
                      "detections file")
-        sample_ids.append(sid)
+        return sid
+
+    sample_ids = map_scenes(write_sample, range(n_scenes))
 
     n_train = int(round(0.7 * n_scenes))
     n_val = int(round(0.15 * n_scenes))

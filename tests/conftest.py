@@ -1,7 +1,9 @@
 """Shared pytest plumbing: collects acceptance gate lines and prints them
 after the run, outside of output capture. Also the helpers several suites
-share: a scalar cell lookup, and the cut-and-flip damage of the reader fuzz
-tests."""
+share: a scalar cell lookup, the cut-and-flip damage of the reader fuzz
+tests, and a CPU count for the scene pool."""
+
+import os
 
 from hypothesis import strategies as st
 
@@ -42,3 +44,8 @@ def reads_or_names_file(read, path) -> None:
         read(path)
     except EvgridError as exc:
         assert str(path) in str(exc)
+
+
+def fake_cpus(monkeypatch, n: int) -> None:
+    """Make the process's CPU affinity, which sizes ``map_scenes``'s pool, hold ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

@@ -1,14 +1,18 @@
 import json
 import shutil
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evgrid import sim
+from evgrid import cli, sim
 from evgrid.cli import main
 from evgrid.errors import EvgridError
 from evgrid.grid import Grid2D, GridSpec, read_grid, write_grid
 from evgrid.net.unet import UNetSpec, init_params, save_checkpoint
+
+from conftest import fake_cpus
 
 FAST = ["--set", "sim.n_scenes=6", "--set", "sim.side_cells=16",
         "--set", "sim.lidar_rays=90", "--set", "net.base_channels=4",
@@ -45,13 +49,12 @@ class TestGen:
     def test_failed_rerun_leaves_no_manifest(self, dataset, tmp_path, monkeypatch, capsys):
         data = tmp_path / "ds"
         shutil.copytree(dataset, data)
-        simulate_radar, calls = sim.simulate_radar, []
+        simulate_radar, third_scene = sim.simulate_radar, sim._scene_seed(5, 2)
 
-        def failing_radar(*args):  # fails in the third scene
-            calls.append(1)
-            if len(calls) == 3:
+        def failing_radar(scene, *args):  # fails in the third scene, in any worker
+            if scene.rng_seed == third_scene:
                 raise EvgridError("simulated failure")
-            return simulate_radar(*args)
+            return simulate_radar(scene, *args)
 
         monkeypatch.setattr(sim, "simulate_radar", failing_radar)
         assert main(["gen", "--out", str(data), "--seed", "5"] + FAST) == 3
@@ -59,6 +62,13 @@ class TestGen:
         capsys.readouterr()
         assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "m")] + FAST) == 3
         assert "manifest.json" in capsys.readouterr().err
+
+    def test_rerun_with_fewer_scenes_leaves_only_its_samples(self, tmp_path):
+        out = tmp_path / "ds"
+        small = ["--set", "sim.side_cells=16", "--set", "sim.lidar_rays=90"]
+        assert main(["gen", "--out", str(out), "--set", "sim.n_scenes=6"] + small) == 0
+        assert main(["gen", "--out", str(out), "--set", "sim.n_scenes=3"] + small) == 0
+        assert sorted(p.name for p in (out / "samples").iterdir()) == ["00000", "00001", "00002"]
 
 
 class TestPipeline:
@@ -117,6 +127,47 @@ class TestPipeline:
         out = tmp_path / "mask.pgm"
         assert main(["render", str(dataset / "samples/00000/mask.grid"), str(out)]) == 0
         assert out.read_bytes().startswith(b"P5\n16 16\n255\n")
+
+
+class TestScenePool:
+    """gen, rayism and infer run their scenes in a pool when the affinity holds two or more CPUs."""
+
+    @staticmethod
+    def _tree(root: Path) -> dict:
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_pooled_stages_match_serial(self, tmp_path, monkeypatch):
+        trees = []
+        for n in (1, 2):
+            fake_cpus(monkeypatch, n)
+            data, ray, model, pred = (tmp_path / f"cpus{n}" / d for d in ("data", "ray", "model", "pred"))
+            assert main(["gen", "--out", str(data)] + FAST) == 0
+            assert main(["rayism", "--dataset", str(data), "--out", str(ray)] + FAST) == 0
+            assert main(["train", "--dataset", str(data), "--model", "ev", "--out", str(model)] + FAST) == 0
+            assert main(["infer", "--checkpoint", str(model / "checkpoint.ckpt"), "--dataset", str(data),
+                         "--mode", "ev-s", "--out", str(pred)] + FAST) == 0
+            trees.append([self._tree(d) for d in (data, ray, pred)])
+        assert trees[0] == trees[1]
+        assert [len(tree) for tree in trees[0]] == [2 + 6 * 4, 1 + 6, 1 + 6]
+
+    def test_rayism_names_earlier_of_two_bad_detection_files(self, dataset, tmp_path, monkeypatch, capsys):
+        fake_cpus(monkeypatch, 2)
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        early, late = (data / f"samples/{sid}/detections.jsonl" for sid in ("00001", "00004"))
+        for path in (early, late):
+            path.write_bytes(b"{not json\n" + path.read_bytes())
+        read_detections = cli.read_detections
+
+        def slow_early_read(path):  # the later file fails first in time
+            if Path(path) == early:
+                time.sleep(0.3)
+            return read_detections(path)
+
+        monkeypatch.setattr(cli, "read_detections", slow_early_read)
+        assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
+        err = capsys.readouterr().err
+        assert str(early) in err and str(late) not in err
 
 
 class TestExitCodes:
