@@ -59,9 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("render", parents=[common], help="render a grid file to PPM/PGM")
+    p = sub.add_parser("render", help="render a grid file to PPM/PGM")
     p.add_argument("grid_file")
     p.add_argument("out_image")
+    p.set_defaults(config=None, overrides=[], seed=None)  # render reads no config
     return parser
 
 
@@ -82,7 +83,6 @@ def cmd_gen(args, cfg: dict) -> int:
         out_dir=out,
         master_seed=cfg["master_seed"],
         cfg=cfgmod.sim_config(cfg),
-        scene_params=cfgmod.scene_params(cfg),
     )
     return EXIT_OK
 
@@ -144,20 +144,21 @@ def cmd_eval(args, cfg: dict) -> int:
     ids = _sample_ids(load_manifest(args.dataset), split)
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
-    tables = []
-    for pred_dir in args.pred_dirs:
-        pdir = Path(pred_dir)
-        acc = ScoreAccumulator(conflict_guard=cfg["eval"]["conflict_guard"])
-        for sid in ids:
+    pdirs = [Path(pred_dir) for pred_dir in args.pred_dirs]
+    accs = [ScoreAccumulator(conflict_guard=cfg["eval"]["conflict_guard"]) for _ in pdirs]
+    for sid in ids:
+        sdir = Path(args.dataset) / "samples" / sid
+        target = read_grid(sdir / "target.grid").data
+        mask = read_grid(sdir / "mask.grid").data[0]
+        for pdir, acc in zip(pdirs, accs):
             pred_path = pdir / f"{sid}.grid"
             pred = read_grid(pred_path).data
-            sdir = Path(args.dataset) / "samples" / sid
-            target = read_grid(sdir / "target.grid").data
-            mask = read_grid(sdir / "mask.grid").data[0]
             try:
                 acc.add(pred, target, mask)
             except DomainError as exc:  # e.g. a prediction on another grid size
                 raise EvgridError(f"{pred_path}: {exc}") from exc
+    tables = []
+    for pdir, acc in zip(pdirs, accs):
         table = acc.table()
         for (region, target_class), n in table.counts.items():
             if n == 0:

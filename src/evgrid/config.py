@@ -18,11 +18,10 @@ from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
 from evgrid.rayism import RayIsmConfig
 from evgrid.scores import CONFLICT_GUARD
-from evgrid.sim import SceneParams, SimConfig, flat_fields
+from evgrid.sim import SimConfig, flat_fields
 
 _TRAIN = TrainConfig()
 _NET_KEYS = ("base_channels", "dropout")  # TrainConfig fields set in the "net" section
-_SCENE_KEYS = {"scene_extent": "extent", "p_dynamic": "p_dynamic"}  # "sim" key -> SceneParams field
 
 DEFAULTS = {
     "master_seed": _TRAIN.seed,
@@ -30,7 +29,6 @@ DEFAULTS = {
         "n_scenes": 100,
         **flat_fields(GridSpec()),
         **flat_fields(SimConfig()),
-        **{key: getattr(SceneParams(), name) for key, name in _SCENE_KEYS.items()},
     },
     "ray_ism": flat_fields(RayIsmConfig()),
     "net": {key: getattr(_TRAIN, key) for key in _NET_KEYS},
@@ -107,7 +105,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
     cfg = _merge(DEFAULTS, doc)
     if cfg["sim"]["n_scenes"] < 1:
         raise ConfigError(f"sim.n_scenes must be >= 1, got {cfg['sim']['n_scenes']}")
-    for build in (grid_spec, sim_config, scene_params, rayism_config, train_config):
+    for build in (grid_spec, sim_config, rayism_config, train_config):
         try:
             build(cfg)
         except DomainError as exc:
@@ -131,10 +129,6 @@ def grid_spec(cfg: dict) -> GridSpec:
 
 def sim_config(cfg: dict) -> SimConfig:
     return _build(SimConfig, cfg["sim"])
-
-
-def scene_params(cfg: dict) -> SceneParams:
-    return SceneParams(**{name: cfg["sim"][key] for key, name in _SCENE_KEYS.items()})
 
 
 def rayism_config(cfg: dict) -> RayIsmConfig:

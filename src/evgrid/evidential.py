@@ -103,27 +103,26 @@ def evidential_to_probability(s: EvidentialState) -> ProbabilisticState:
     return ProbabilisticState(p_f=s.b_f + s.u * 0.5, p_o=s.b_o + s.u * 0.5)
 
 
-def percentile_reduce_array(samples: np.ndarray, n: float, axis: int = 0) -> np.ndarray:
-    """Nearest-rank percentile along ``axis`` of a raw sample array."""
-    if samples.shape[axis] < 1:
+def percentile_reduce_array(samples: np.ndarray, n: float) -> np.ndarray:
+    """Nearest-rank percentile over the first axis (the samples) of a raw array."""
+    count = len(samples)
+    if count < 1:
         raise DomainError("need at least one epistemic sample")
     if not (0.0 < n <= 100.0):
         raise DomainError(f"percentile must be in (0, 100], got {n}")
-    count = samples.shape[axis]
     rank = math.ceil(n / 100.0 * count)  # 1-based
-    ordered = np.sort(samples, axis=axis)
-    return np.take(ordered, rank - 1, axis=axis)
+    return np.sort(samples, axis=0)[rank - 1]
 
 
-def evidence_to_belief_array(e: np.ndarray, axis: int = 0) -> np.ndarray:
+def evidence_to_belief_array(e: np.ndarray) -> np.ndarray:
     """Map evidence to belief masses over a raw array: b = e/S, u = K/S.
 
-    ``e`` holds K evidence components along ``axis``; the result holds K + 1
-    components along the same axis, the last being the unknown mass.
+    ``e`` holds K evidence components along its first axis; the result holds
+    K + 1 components along it, the last being the unknown mass.
     """
     e = np.asarray(e, dtype=np.float64)
-    k = e.shape[axis]
+    k = len(e)
     if np.any(~np.isfinite(e)) or np.any(e < 0):
         raise DomainError("evidence must be finite and >= 0")
-    s = k + e.sum(axis=axis, keepdims=True)
-    return np.concatenate([e / s, k / s], axis=axis)
+    s = k + e.sum(axis=0, keepdims=True)
+    return np.concatenate([e / s, k / s])

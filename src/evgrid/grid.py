@@ -79,12 +79,6 @@ class Grid2D:
         if self.data.shape != expected:
             raise DomainError(f"grid data shape {self.data.shape} != expected {expected}")
 
-    @classmethod
-    def zeros(cls, spec: GridSpec, channels: tuple[str, ...] = ("value",),
-              origin: Pose2D = Pose2D()) -> "Grid2D":
-        n = spec.side_cells
-        return cls(spec, np.zeros((len(channels), n, n)), channels, origin)
-
 
 def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
     """Map world points into grid cells: (row, col, inside) arrays.

@@ -37,10 +37,11 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     return t
 
 
-def softmax(y: np.ndarray, axis: int = 1) -> np.ndarray:
-    ymax = y.max(axis=axis, keepdims=True)
+def softmax(y: np.ndarray) -> np.ndarray:
+    """Softmax over the first axis, the channels of one (C, H, W) map."""
+    ymax = y.max(axis=0, keepdims=True)
     e = np.exp(y - ymax)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def evidential_bayes_risk(evidence: Tensor, target: np.ndarray) -> Tensor:

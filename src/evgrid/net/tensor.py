@@ -6,9 +6,11 @@ order. Only the primitives the U-Net needs are provided: conv2d, transposed
 conv2d, leaky ReLU, dropout with a fixed mask, channel concat, elementwise
 square, and the two fused loss heads live in losses.py.
 
-conv2d sums one matmul per kernel tap on a shifted view of the zero-padded
-input (split into phase planes when strided), so no patch matrix is built or
-kept on the tape; the transposed convolution is one contraction each way.
+conv2d sums one matmul per kernel tap on a shifted view of the input,
+zero-padded by (k - 1) // 2 for a k x k kernel (split into phase planes when
+strided), so no patch matrix is built or kept on the tape. The transposed
+convolution upsamples by its kernel size, with no overlap, in one
+contraction each way.
 Their math lives in the array kernels conv2d_array and conv_transpose2d_array,
 which the taped ops wrap and untaped inference (``unet.forward(record=False)``)
 calls directly. leaky_relu is max(x, slope*x), valid for 0 <= slope <= 1.
@@ -27,11 +29,11 @@ from evgrid.errors import ConfigError
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, parents=()):
         self.data = np.asarray(data)
         self.grad = None
         self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -75,15 +77,16 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # convolution: one matmul per kernel tap on a shifted view of the input
 # ---------------------------------------------------------------------------
 
-def _phase_planes(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Zero-padded x as planes (stride*stride, N, C, hq*wq) of rows a::stride, columns b::stride.
+def _phase_planes(x: np.ndarray, kh: int, kw: int, stride: int):
+    """x zero-padded by (kh - 1) // 2 as planes (stride*stride, N, C, hq*wq) of
+    rows a::stride, columns b::stride.
 
     Tap (i, j) of all outputs is the slice of length ho*wq at a fixed offset in
     plane (i % stride, j % stride); of each output row's wq columns, the last
-    wq - wo are discarded. Returns planes, (ho, wo, hq, wq), taps (i, j, plane, offset).
+    wq - wo are discarded. Returns planes, (ho, wo, hq, wq, pad), taps (i, j, plane, offset).
     """
     n, c, h, w = x.shape
-    s = stride
+    s, pad = stride, (kh - 1) // 2
     ho, wo = (h + 2 * pad - kh) // s + 1, (w + 2 * pad - kw) // s + 1
     # a spare row keeps the last slice in bounds, and s*hq > h + pad always;
     # wq widens where stride > pad + 1 would leave input columns off the planes
@@ -92,10 +95,10 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     xp[:, :, pad:pad + h, pad:pad + w] = x
     planes = xp.reshape(n, c, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, n, c, hq * wq)
     taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
-    return planes, (ho, wo, hq, wq), taps
+    return planes, (ho, wo, hq, wq, pad), taps
 
 
-def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 1):
+def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
     """2-D convolution of plain arrays; w has shape (Cout, Cin, kh, kw), b shape (Cout,).
 
     Returns the output and the (planes, geometry, taps) of ``_phase_planes``,
@@ -104,18 +107,18 @@ def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, p
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ConfigError(f"conv2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
-    planes, (ho, wo, hq, wq), taps = _phase_planes(x, kh, kw, stride, pad)
+    planes, (ho, wo, hq, wq, pad), taps = _phase_planes(x, kh, kw, stride)
     span = ho * wq
     out = np.zeros((x.shape[0], cout, span), dtype=np.result_type(x, w))
     for i, j, q, off in taps:
         out += w[:, :, i, j] @ planes[q][:, :, off:off + span]
     out = out.reshape(x.shape[0], cout, ho, wq)[..., :wo] + b[None, :, None, None]
-    return out, (planes, (ho, wo, hq, wq), taps)
+    return out, (planes, (ho, wo, hq, wq, pad), taps)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """conv2d_array on the tape; the backward reuses the forward's phase planes."""
-    out, (planes, (ho, wo, hq, wq), taps) = conv2d_array(x.data, w.data, b.data, stride, pad)
+    out, (planes, (ho, wo, hq, wq, pad), taps) = conv2d_array(x.data, w.data, b.data, stride)
     t = Tensor(out, parents=(x, w, b))
     (n, cin, h, wdt), cout, span = x.shape, w.shape[0], ho * wq
 
@@ -135,27 +138,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     return t
 
 
-def conv_transpose2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 2) -> np.ndarray:
-    """Transposed convolution of plain arrays, kernel size = stride (no overlap).
+def conv_transpose2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Transposed convolution of plain arrays with stride = kernel size (no overlap).
 
-    w has shape (Cin, Cout, k, k); output spatial size is input * stride.
+    w has shape (Cin, Cout, k, k); output spatial size is input * k.
     """
-    cin, cout, kh, kw = w.shape
-    if kh != stride or kw != stride:
-        raise ConfigError("conv_transpose2d supports kernel size == stride only")
+    cin, cout, s, kw = w.shape
+    if kw != s:
+        raise ConfigError(f"conv_transpose2d needs a square kernel, got {s}x{kw}")
     if x.shape[1] != cin:
         raise ConfigError(f"conv_transpose2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
     n, _, h, wdt = x.shape
-    s = stride
     blocks = (w.reshape(cin, cout * s * s).T @ x.reshape(n, cin, h * wdt)).reshape(n, cout, s, s, h, wdt)
     return blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, wdt * s) + b[None, :, None, None]
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """conv_transpose2d_array on the tape."""
-    t = Tensor(conv_transpose2d_array(x.data, w.data, b.data, stride), parents=(x, w, b))
+    t = Tensor(conv_transpose2d_array(x.data, w.data, b.data), parents=(x, w, b))
     n, cin, h, wdt = x.shape
-    cout, s = w.shape[1], stride
+    cout, s = w.shape[1:3]
 
     def backward(g):
         xm, wm = x.data.reshape(n, cin, h * wdt), w.data.reshape(cin, cout * s * s)

@@ -108,12 +108,15 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
     return value
 
 
-def eval_loss(params, spec: UNetSpec, x, target, model: str, batch_size: int = 16) -> float:
-    """Mean loss without dropout, from untaped forwards."""
+EVAL_BATCH = 16  # samples per untaped forward in eval_loss
+
+
+def eval_loss(params, spec: UNetSpec, x, target, model: str) -> float:
+    """Mean loss without dropout, from untaped forwards of EVAL_BATCH samples."""
     total = 0.0
-    for i in range(0, len(x), batch_size):
-        out, _ = forward(params, spec, x[i:i + batch_size], record=False)
-        total += float(_loss(Tensor(out), target[i:i + batch_size], model).data) * len(out)
+    for i in range(0, len(x), EVAL_BATCH):
+        out, _ = forward(params, spec, x[i:i + EVAL_BATCH], record=False)
+        total += float(_loss(Tensor(out), target[i:i + EVAL_BATCH], model).data) * len(out)
     return total / max(len(x), 1)
 
 
@@ -196,10 +199,10 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
     out, _ = forward(params, spec, xb, dropout_rng=rng, record=False)
     stack = out.astype(np.float64)  # (N, C, H, W)
     if mode == "soft":
-        return softmax(stack.mean(axis=0), axis=0)
+        return softmax(stack.mean(axis=0))
     evidence = np.square(stack)
     if mode == "ev":
         reduced = evidence.mean(axis=0)
     else:
-        reduced = percentile_reduce_array(evidence, percentile, axis=0)
-    return evidence_to_belief_array(reduced, axis=0)
+        reduced = percentile_reduce_array(evidence, percentile)
+    return evidence_to_belief_array(reduced)

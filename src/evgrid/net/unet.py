@@ -58,15 +58,15 @@ def _layer_shapes(spec: UNetSpec) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_params(spec: UNetSpec, rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """He-style initialization; biases start at zero."""
+def init_params(spec: UNetSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """He-style float32 initialization; biases start at zero."""
     params = {}
     for name, shape in _layer_shapes(spec).items():
         if name.endswith("_b"):
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
             fan_in = int(np.prod(shape[1:]))
-            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
     return params
 
 
@@ -107,9 +107,9 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
     h0 = drop(act(conv(h, p["stem_w"], p["stem_b"], stride=1)))
     h1 = drop(act(conv(h0, p["down1_w"], p["down1_b"], stride=2)))
     h2 = drop(act(conv(h1, p["down2_w"], p["down2_b"], stride=2)))
-    u1 = act(up(h2, p["up1_w"], p["up1_b"], stride=2))
+    u1 = act(up(h2, p["up1_w"], p["up1_b"]))
     d1 = drop(act(conv(cat(u1, h1), p["dec1_w"], p["dec1_b"], stride=1)))
-    u2 = act(up(d1, p["up2_w"], p["up2_b"], stride=2))
+    u2 = act(up(d1, p["up2_w"], p["up2_b"]))
     return conv(cat(u2, h0), p["dec2_w"], p["dec2_b"], stride=1), p
 
 

@@ -290,7 +290,7 @@ def ray_ism_scene(
     dynamic and skipped; the remaining IDMs are summed in log-odds and the
     per-cell probability is mapped linearly onto (b_f, b_o, u).
     """
-    logodds = Grid2D.zeros(spec, channels=("logodds",), origin=ego)
+    logodds = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
     static = [det for det in detections if abs(det.v_r) <= dynamic_velocity_threshold]
     accumulate_idms(static, sensor_poses, logodds, cfg)
     p_o = 1.0 / (1.0 + np.exp(-logodds.data[0]))

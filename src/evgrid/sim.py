@@ -101,7 +101,6 @@ class Scene:
     static_shapes: list[np.ndarray]
     dynamic_objects: list[tuple[np.ndarray, np.ndarray]]
     ego: Pose2D
-    rng_seed: int
 
     def __post_init__(self) -> None:
         for poly in self.static_shapes:
@@ -114,13 +113,7 @@ class Scene:
     def at_time(self, dt: float) -> "Scene":
         """Scene with dynamic objects advanced by their velocity for dt seconds."""
         moved = [(poly + dt * np.asarray(vel)[None, :], vel) for poly, vel in self.dynamic_objects]
-        return Scene(self.static_shapes, moved, self.ego, self.rng_seed)
-
-
-@dataclass(frozen=True)
-class SceneParams:
-    extent: float = 16.0
-    p_dynamic: float = 0.5
+        return Scene(self.static_shapes, moved, self.ego)
 
 
 @dataclass(frozen=True)
@@ -137,12 +130,20 @@ class SimConfig:
     frames: int = 1
     ego_step: float = 2.0  # ego advance per accumulated frame, meters
     occlude_by_dynamic: bool = False
+    scene_extent: float = 16.0  # meters; walls run 1.5 * scene_extent long
+    p_dynamic: float = 0.5  # chance that a scene holds one moving object
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.detection_prob <= 1.0):
             raise DomainError("detection_prob must be in [0,1]")
         if self.clutter_rate < 0 or self.max_detections < 0 or self.lidar_rays < 1:
             raise DomainError("rates and counts must be nonnegative")
+        if not (0.0 <= self.p_dynamic <= 1.0):
+            raise DomainError(f"p_dynamic must be in [0,1], got {self.p_dynamic}")
+        # a parked car starts in the middle 1.2 * scene_extent meters and needs 2.5 of them
+        if not (1.2 * self.scene_extent >= 2.5):
+            raise DomainError(f"scene_extent must leave room for a parked car (>= 2.5/1.2), "
+                              f"got {self.scene_extent}")
 
 
 def flat_fields(obj) -> dict:
@@ -155,9 +156,9 @@ def flat_fields(obj) -> dict:
     return out
 
 
-def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
+def generate_scene(seed: int, cfg: SimConfig = SimConfig()) -> Scene:
     """Deterministic scene from a seed: road corridor, parked-car rows, or
-    T-intersection, optionally with one moving object."""
+    T-intersection, with one moving object at probability cfg.p_dynamic."""
     rng = np.random.default_rng(seed)
     ego = Pose2D(
         x=float(rng.uniform(-0.5, 0.5)),
@@ -165,7 +166,7 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
         heading=float(rng.uniform(-0.3, 0.3)),
     )
 
-    half_len = params.extent * 0.75
+    half_len = cfg.scene_extent * 0.75
     w = float(rng.uniform(5.0, 9.0))  # corridor width
     th = 0.6  # wall thickness
     kind = rng.integers(0, 3)
@@ -193,14 +194,14 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
         statics.append(rect(gap, w / 2, gap + th, half_len))
 
     dynamics: list[tuple[np.ndarray, np.ndarray]] = []
-    if rng.uniform() < params.p_dynamic:
+    if rng.uniform() < cfg.p_dynamic:
         cx = float(rng.uniform(-half_len * 0.4, half_len * 0.4))
         cy = float(rng.uniform(-w / 2 + 1.0, w / 2 - 1.0))
         speed = float(rng.uniform(1.0, 4.0))
         direction = 1.0 if rng.uniform() < 0.5 else -1.0
         dynamics.append((rect(cx - 1.0, cy - 0.5, cx + 1.0, cy + 0.5),
                          np.array([direction * speed, 0.0])))
-    return Scene(statics, dynamics, ego, seed)
+    return Scene(statics, dynamics, ego)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +209,16 @@ def generate_scene(seed: int, params: SceneParams = SceneParams()) -> Scene:
 # ---------------------------------------------------------------------------
 
 def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
-                 include_dynamic: bool, scan_pose: Pose2D | None = None) -> np.ndarray:
+                 include_dynamic: bool, scan: Pose2D) -> np.ndarray:
     """Per-cell status grid (0 unknown, 1 free, 2 occupied) from one scan.
 
-    Rays originate at ``scan_pose`` (the ego by default); cells are always
-    expressed in the scene's reference ego frame, so scans taken from later
-    positions of a recording land on the same grid.
+    Rays originate at ``scan``; cells are always expressed in the scene's
+    reference ego frame, so scans taken from later positions of a recording
+    land on the same grid.
     """
     n = spec.side_cells
     status = np.zeros((n, n), dtype=np.int8)
     ego = scene.ego
-    scan = scan_pose if scan_pose is not None else ego
     static_edges = polygon_edges(list(scene.static_shapes))
     dynamic_edges = polygon_edges([poly for poly, _ in scene.dynamic_objects])
     if include_dynamic or cfg.occlude_by_dynamic:
@@ -268,7 +268,8 @@ def lidar_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimConfig(
     crossed unknown and hidden. Dynamic objects never appear as occupied
     truth (optionally they still occlude, see SimConfig.occlude_by_dynamic).
     """
-    return fuse_target_frames([_status_scan(scene, spec, cfg, include_dynamic=False)], spec, scene.ego)
+    status = _status_scan(scene, spec, cfg, include_dynamic=False, scan=scene.ego)
+    return fuse_target_frames([status], spec, scene.ego)
 
 
 def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig):
@@ -290,7 +291,7 @@ def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig):
             y=ego.y + k * cfg.ego_step * math.sin(ego.heading),
             heading=ego.heading,
         )
-        statuses.append(_status_scan(frame, spec, cfg, include_dynamic=True, scan_pose=scan))
+        statuses.append(_status_scan(frame, spec, cfg, include_dynamic=True, scan=scan))
     return fuse_target_frames(statuses, spec, ego)
 
 
@@ -351,14 +352,12 @@ def _boundary_points(polys: list[np.ndarray], spacing: float):
     return np.concatenate(pts, axis=0)
 
 
-def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig = SimConfig(),
-                   rng: np.random.Generator | None = None):
+def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.Generator):
     """Simulate the four corner radars for one frame.
 
     Returns (radar image Grid2D with static/dynamic hit-count channels,
     list[Detection], list[bool] dynamic flags aligned with the detections).
     """
-    rng = rng if rng is not None else np.random.default_rng(scene.rng_seed)
     sensors = corner_sensor_poses(scene.ego)
     all_polys = list(scene.static_shapes) + [p for p, _ in scene.dynamic_objects]
     edges = polygon_edges(all_polys)
@@ -471,8 +470,7 @@ def _scene_seed(master_seed: int, index: int) -> int:
 
 
 def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
-                  cfg: SimConfig = SimConfig(),
-                  scene_params: SceneParams = SceneParams()) -> dict:
+                  cfg: SimConfig = SimConfig()) -> dict:
     """Generate and write a dataset; returns the manifest.
 
     Layout: manifest.json at the root plus one directory per sample with
@@ -493,7 +491,7 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
 
     def write_sample(i: int) -> str:
         seed = _scene_seed(master_seed, i)
-        scene = generate_scene(seed, scene_params)
+        scene = generate_scene(seed, cfg)
         if cfg.frames >= 2:
             target, mask = accumulated_ground_truth(scene, spec, cfg)
         else:

@@ -91,13 +91,13 @@ class TestConv2d:
         x = RNG.normal(size=(1, 1, 5, 5))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), stride=1, pad=1)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), stride=1)
         assert np.allclose(out.data, x)
 
     def test_stride_two_shape(self):
         x = RNG.normal(size=(2, 3, 8, 8))
         w = RNG.normal(size=(4, 3, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)), stride=2, pad=1)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)), stride=2)
         assert out.shape == (2, 4, 4, 4)
 
     def test_channel_mismatch_rejected(self):
@@ -115,8 +115,9 @@ class TestConv2d:
         side = 6 // stride
         wsum = RNG.normal(size=(2, 3, side, side))
         _check(lambda t: _weighted_sum(
-            conv2d(t["x"], t["w"], t["b"], stride=stride, pad=1), wsum), arrays)
+            conv2d(t["x"], t["w"], t["b"], stride=stride), wsum), arrays)
 
+    # pad is the (k - 1) // 2 that conv2d derives from the kernel, spelled out for the reference
     @pytest.mark.parametrize("xshape, wshape, stride, pad", [
         ((3, 2, 6, 6), (5, 2, 3, 3), 1, 1),
         ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1),
@@ -126,7 +127,7 @@ class TestConv2d:
     def test_matches_direct_reference(self, xshape, wshape, stride, pad):
         rng = np.random.default_rng(21)
         x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[0])
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
         np.testing.assert_allclose(out.data, _conv2d_direct(x, w, b, stride, pad), rtol=1e-12, atol=1e-12)
 
     def test_gradients_unused_input_column(self):
@@ -134,25 +135,26 @@ class TestConv2d:
         arrays = {"x": rng.normal(size=(2, 2, 5, 5)), "w": rng.normal(size=(3, 2, 2, 2)),
                   "b": rng.normal(size=(3,))}
         wsum = rng.normal(size=(2, 3, 2, 2))
-        _check(lambda t: _weighted_sum(conv2d(t["x"], t["w"], t["b"], stride=2, pad=0), wsum), arrays)
+        _check(lambda t: _weighted_sum(conv2d(t["x"], t["w"], t["b"], stride=2), wsum), arrays)
 
 
 class TestConvTranspose2d:
     def test_upsamples_by_stride(self):
         x = RNG.normal(size=(1, 4, 3, 3))
         w = RNG.normal(size=(4, 2, 2, 2))
-        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(np.zeros(2)), stride=2)
+        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(np.zeros(2)))
         assert out.shape == (1, 2, 6, 6)
 
     def test_kernel_must_match_stride(self):
+        # the stride is the kernel height, so a kernel of another width cannot match it
         with pytest.raises(ConfigError):
-            conv_transpose2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 2, 3, 3))),
-                             Tensor(np.zeros(2)), stride=2)
+            conv_transpose2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 2, 2, 3))),
+                             Tensor(np.zeros(2)))
 
     def test_single_input_broadcasts_kernel(self):
         x = np.ones((1, 1, 2, 2))
         w = RNG.normal(size=(1, 1, 2, 2))
-        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), stride=2)
+        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         # every input pixel stamps one copy of the kernel
         assert np.allclose(out.data[0, 0, :2, :2], w[0, 0])
         assert np.allclose(out.data[0, 0, 2:, 2:], w[0, 0])
@@ -165,7 +167,7 @@ class TestConvTranspose2d:
         }
         wsum = RNG.normal(size=(2, 2, 8, 8))
         _check(lambda t: _weighted_sum(
-            conv_transpose2d(t["x"], t["w"], t["b"], stride=2), wsum), arrays)
+            conv_transpose2d(t["x"], t["w"], t["b"]), wsum), arrays)
 
     @pytest.mark.parametrize("xshape, wshape, stride", [
         ((3, 4, 3, 5), (4, 2, 2, 2), 2),
@@ -174,7 +176,7 @@ class TestConvTranspose2d:
     def test_matches_direct_reference(self, xshape, wshape, stride):
         rng = np.random.default_rng(23)
         x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[1])
-        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
+        out = conv_transpose2d(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, _conv_transpose2d_direct(x, w, b, stride),
                                    rtol=1e-12, atol=1e-12)
 
@@ -226,12 +228,13 @@ class TestConcatAndGraph:
 
     def test_shared_node_gradients_accumulate(self):
         x = Tensor(np.array([1.0, 2.0]))
-        loss = _weighted_sum(concat(
-            Tensor(x.data[None, :, None, None], parents=(x,),
-                   backward=lambda g: x.__setattr__("grad", x.grad + g[0, :, 0, 0])),
-            Tensor(x.data[None, :, None, None], parents=(x,),
-                   backward=lambda g: x.__setattr__("grad", x.grad + g[0, :, 0, 0])),
-        ), np.ones((1, 4, 1, 1)))
+
+        def lift():
+            t = Tensor(x.data[None, :, None, None], parents=(x,))
+            t._backward = lambda g: x.__setattr__("grad", x.grad + g[0, :, 0, 0])
+            return t
+
+        loss = _weighted_sum(concat(lift(), lift()), np.ones((1, 4, 1, 1)))
         loss.backward()
         assert np.allclose(x.grad, [2.0, 2.0])
 

@@ -46,17 +46,22 @@ class TestGen:
         cfg = json.loads((dataset / "config.json").read_text())
         assert cfg["sim"]["n_scenes"] == 6
 
+    def test_manifest_records_every_generator_input(self, dataset):
+        sim_keys = json.loads((dataset / "config.json").read_text())["sim"].keys()
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        assert manifest["config"].keys() | {"n_scenes", "side_cells", "cell_size"} == sim_keys
+
     def test_failed_rerun_leaves_no_manifest(self, dataset, tmp_path, monkeypatch, capsys):
         data = tmp_path / "ds"
         shutil.copytree(dataset, data)
-        simulate_radar, third_scene = sim.simulate_radar, sim._scene_seed(5, 2)
+        generate_scene, third_scene = sim.generate_scene, sim._scene_seed(5, 2)
 
-        def failing_radar(scene, *args):  # fails in the third scene, in any worker
-            if scene.rng_seed == third_scene:
+        def failing_scene(seed, *args):  # fails in the third scene, in any worker
+            if seed == third_scene:
                 raise EvgridError("simulated failure")
-            return simulate_radar(scene, *args)
+            return generate_scene(seed, *args)
 
-        monkeypatch.setattr(sim, "simulate_radar", failing_radar)
+        monkeypatch.setattr(sim, "generate_scene", failing_scene)
         assert main(["gen", "--out", str(data), "--seed", "5"] + FAST) == 3
         assert (data / "samples/00001/radar.grid").exists() and not (data / "manifest.json").exists()
         capsys.readouterr()
@@ -128,6 +133,11 @@ class TestPipeline:
         assert main(["render", str(dataset / "samples/00000/mask.grid"), str(out)]) == 0
         assert out.read_bytes().startswith(b"P5\n16 16\n255\n")
 
+    def test_render_takes_no_config_options(self, dataset, tmp_path):
+        out = tmp_path / "target.ppm"
+        assert main(["render", str(dataset / "samples/00000/target.grid"), str(out), "--seed", "1"]) == 1
+        assert not out.exists()
+
 
 class TestScenePool:
     """gen, rayism and infer run their scenes in a pool when the affinity holds two or more CPUs."""
@@ -182,7 +192,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "ray_ism.p_max=0.3", "ray_ism.sigma_r=0", "train.lr=-1", "net.dropout=1.5",
         "net.base_channels=0", "sim.detection_prob=2", "sim.side_cells=4", "sim.n_scenes=-3",
-        "sim.n_scenes=0",
+        "sim.n_scenes=0", "sim.scene_extent=2.0", "sim.scene_extent=0", "sim.p_dynamic=1.5",
     ])
     def test_bad_value_fails_before_any_output(self, tmp_path, capsys, override):
         out = tmp_path / "bad"

@@ -7,10 +7,9 @@ from evgrid.config import DEFAULTS, load_config
 from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
 from evgrid.rayism import RayIsmConfig
-from evgrid.sim import SceneParams, SimConfig
+from evgrid.sim import SimConfig
 
-BUILDERS = (cfgmod.grid_spec, cfgmod.sim_config, cfgmod.scene_params, cfgmod.rayism_config,
-            cfgmod.train_config)
+BUILDERS = (cfgmod.grid_spec, cfgmod.sim_config, cfgmod.rayism_config, cfgmod.train_config)
 
 
 def _built(cfg):
@@ -18,8 +17,7 @@ def _built(cfg):
 
 
 def test_defaults_are_the_dataclass_defaults():
-    assert _built(load_config()) == (GridSpec(), SimConfig(), SceneParams(), RayIsmConfig(),
-                                     TrainConfig())
+    assert _built(load_config()) == (GridSpec(), SimConfig(), RayIsmConfig(), TrainConfig())
 
 
 def _changed(value):

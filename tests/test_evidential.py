@@ -154,7 +154,7 @@ class TestArrayPath:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(0)
         e = rng.uniform(0, 10, size=(2, 4, 4))
-        beliefs = evidence_to_belief_array(e, axis=0)
+        beliefs = evidence_to_belief_array(e)
         for i in range(4):
             for j in range(4):
                 s = evidence_to_evidential(Evidence((e[0, i, j], e[1, i, j])))

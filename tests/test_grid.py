@@ -31,9 +31,9 @@ SPEC = GridSpec(side_cells=32, cell_size=0.5)
 
 def _unknown_grid(spec, origin=Pose2D()):
     """Evidential grid with every cell fully unknown (0, 0, 1)."""
-    g = Grid2D.zeros(spec, channels=("b_f", "b_o", "u"), origin=origin)
-    g.data[2] = 1.0
-    return g
+    n = spec.side_cells
+    return Grid2D(spec, np.stack([np.zeros((n, n)), np.zeros((n, n)), np.ones((n, n))]),
+                  channels=("b_f", "b_o", "u"), origin=origin)
 
 
 masses = st.tuples(st.floats(0, 1), st.floats(0, 1)).map(

@@ -13,6 +13,7 @@ from evgrid.grid import GridSpec
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
 from evgrid.net.tensor import Tensor, square
 from evgrid.net.train import (
+    EVAL_BATCH,
     Adam,
     TrainConfig,
     eval_loss,
@@ -107,7 +108,7 @@ class TestUntapedForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_taped_output(self, out_ch, batch, dropout, dtype):
         spec = UNetSpec(out_channels=out_ch, base_channels=4, dropout=0.3)
-        params = init_params(spec, np.random.default_rng(0), dtype=dtype)
+        params = {k: v.astype(dtype) for k, v in init_params(spec, np.random.default_rng(0)).items()}
         x = np.random.default_rng(1).normal(size=(batch, 2, 8, 8)).astype(np.float32)
         taped, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None)
         plain, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None,
@@ -135,11 +136,11 @@ def _taped_mc_predict(params, spec, x, n_samples, mode, rng, percentile=10.0):
     out, _ = forward(params, spec, np.broadcast_to(x, (n_samples, *x.shape)), dropout_rng=rng)
     stack = out.data.astype(np.float64)
     if mode == "soft":
-        return softmax(stack.mean(axis=0), axis=0)
+        return softmax(stack.mean(axis=0))
     evidence = np.square(stack)
     if mode == "ev":
-        return evidence_to_belief_array(evidence.mean(axis=0), axis=0)
-    return evidence_to_belief_array(percentile_reduce_array(evidence, percentile, axis=0), axis=0)
+        return evidence_to_belief_array(evidence.mean(axis=0))
+    return evidence_to_belief_array(percentile_reduce_array(evidence, percentile))
 
 
 @pytest.fixture(scope="module")
@@ -203,18 +204,19 @@ class TestOptimization:
 
     @pytest.mark.parametrize("model", ["soft", "ev"])
     def test_eval_loss_equals_taped_loss(self, model):
+        n, batch = EVAL_BATCH + 4, EVAL_BATCH  # a full batch and a short last one
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(5, 2, 8, 8)).astype(np.float32)
-        target = rng.dirichlet(np.ones(3), size=(5, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
+        x = rng.normal(size=(n, 2, 8, 8)).astype(np.float32)
+        target = rng.dirichlet(np.ones(3), size=(n, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
         spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=4)
         params = init_params(spec, rng)
         total = 0.0
-        for i in range(0, 5, 2):
-            out, _ = forward(params, spec, x[i:i + 2])
-            loss = (softmax_cross_entropy(out, target[i:i + 2]) if model == "soft"
-                    else evidential_bayes_risk(square(out), target[i:i + 2]))
+        for i in range(0, n, batch):
+            out, _ = forward(params, spec, x[i:i + batch])
+            loss = (softmax_cross_entropy(out, target[i:i + batch]) if model == "soft"
+                    else evidential_bayes_risk(square(out), target[i:i + batch]))
             total += float(loss.data) * len(out.data)
-        assert eval_loss(params, spec, x, target, model, batch_size=2) == total / 5
+        assert eval_loss(params, spec, x, target, model) == total / n
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(7)
@@ -297,14 +299,14 @@ class TestMcPredict:
         params, spec, x = self._setup(2, 0.0)
         pred = mc_predict(params, spec, x, 1, "ev", np.random.default_rng(0))
         out, _ = forward(params, spec, x[None])
-        expected = evidence_to_belief_array(np.square(out.data[0].astype(np.float64)), axis=0)
+        expected = evidence_to_belief_array(np.square(out.data[0].astype(np.float64)))
         assert np.allclose(pred, expected)
 
     def test_soft_single_sample_matches_softmax(self):
         params, spec, x = self._setup(3, 0.0)
         pred = mc_predict(params, spec, x, 1, "soft", np.random.default_rng(0))
         out, _ = forward(params, spec, x[None])
-        assert np.allclose(pred, softmax(out.data[0].astype(np.float64), axis=0))
+        assert np.allclose(pred, softmax(out.data[0].astype(np.float64)))
 
     @pytest.mark.parametrize("mode, out_ch", [("ev", 2), ("ev-s", 2), ("soft", 3)])
     def test_sample_count_irrelevant_without_dropout(self, mode, out_ch):

@@ -229,7 +229,7 @@ class TestRasterize:
     """The scene kernel called with a single detection."""
 
     def _logodds(self):
-        return Grid2D.zeros(SPEC, channels=("logodds",), origin=Pose2D())
+        return Grid2D(SPEC, np.zeros((SPEC.side_cells, SPEC.side_cells)), channels=("logodds",))
 
     def test_target_cell_positive_free_cell_negative(self):
         g = self._logodds()
@@ -349,7 +349,7 @@ class TestSceneKernelParity:
         spec = spec or self.SPEC
         want = _reference_logodds(dets, poses, spec, cfg, ego, self.THRESHOLD)
         static = [det for det in dets if abs(det.v_r) <= self.THRESHOLD]
-        got = Grid2D.zeros(spec, channels=("logodds",), origin=ego)
+        got = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
         accumulate_idms(static, poses, got, cfg)
         assert np.array_equal(got.data[0], want)
         out = ray_ism_scene(dets, poses, spec, cfg, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)

@@ -13,7 +13,6 @@ from evgrid.grid import (GridSpec, Pose2D, cell_centers, read_grid, world_to_cel
                          wrap_angle)
 from evgrid.rayism import Detection, RadarNoiseModel
 from evgrid.sim import (
-    SceneParams,
     Scene,
     SimConfig,
     accumulated_ground_truth,
@@ -149,7 +148,7 @@ class TestSceneGeneration:
 
     def test_empty_scene(self):
         # nothing to hit: every cell is seen free
-        scene = Scene([], [], Pose2D(0.3, -0.2, 0.4), rng_seed=0)
+        scene = Scene([], [], Pose2D(0.3, -0.2, 0.4))
         target, visible = lidar_ground_truth(scene, SPEC)
         assert np.all(target.data[0] == 1.0) and np.all(visible.data == 1.0)
 
@@ -159,7 +158,7 @@ class TestSceneGeneration:
 
     def test_at_time_moves_dynamics_only(self):
         scene = Scene([rect(5, -1, 6, 1)], [(rect(0, 0, 1, 1), np.array([2.0, 0.0]))],
-                      Pose2D(), rng_seed=0)
+                      Pose2D())
         later = scene.at_time(1.5)
         assert np.array_equal(later.static_shapes[0], scene.static_shapes[0])
         assert np.allclose(later.dynamic_objects[0][0], scene.dynamic_objects[0][0] + [3.0, 0.0])
@@ -168,7 +167,7 @@ class TestSceneGeneration:
 class TestLidarGroundTruth:
     def _wall_scene(self):
         # one wall 5m ahead of an axis-aligned ego at the origin
-        return Scene([rect(5.0, -4.0, 5.6, 4.0)], [], Pose2D(), rng_seed=0)
+        return Scene([rect(5.0, -4.0, 5.6, 4.0)], [], Pose2D())
 
     def test_free_occupied_unknown_layout(self):
         target, visible = lidar_ground_truth(self._wall_scene(), SPEC)
@@ -231,13 +230,13 @@ class TestLidarGroundTruth:
 
     def test_dynamic_objects_absent_from_single_frame_truth(self):
         scene = Scene([], [(rect(3.0, -0.5, 5.0, 0.5), np.array([2.0, 0.0]))],
-                      Pose2D(), rng_seed=0)
+                      Pose2D())
         target, _ = lidar_ground_truth(scene, SPEC)
         assert np.all(target.data[1] == 0.0)
 
     def test_dynamic_object_occludes_without_being_a_target(self):
         scene = Scene([rect(6.0, -4.0, 6.6, 4.0)], [(rect(3.0, -0.5, 4.0, 0.5), np.array([1.0, 0.0]))],
-                      Pose2D(), rng_seed=0)
+                      Pose2D())
         face, shadowed, lit = (cell_of(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0), (6.1, 3.0)))
         target, _ = lidar_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=True))
         occupied, unknown = target.data[1], target.data[2]
@@ -248,14 +247,14 @@ class TestLidarGroundTruth:
 
     def test_accumulated_frames_produce_conflict(self):
         scene = Scene([], [(rect(3.0, -0.5, 5.0, 0.5), np.array([3.0, 0.0]))],
-                      Pose2D(), rng_seed=0)
+                      Pose2D())
         target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(frames=3))
         conflict = (target.data[0] == 0.5) & (target.data[1] == 0.5)
         assert conflict.any()
 
     def test_accumulated_mask_is_frame_zero_scan(self):
         scene = Scene([rect(3.0, -1.0, 3.6, 1.0), rect(7.0, -4.0, 7.6, 4.0)], [],
-                      Pose2D(), rng_seed=0)
+                      Pose2D())
         cfg = SimConfig(frames=3, ego_step=2.0)
         target, visible = accumulated_ground_truth(scene, SPEC, cfg)
         single_target, single_visible = lidar_ground_truth(scene, SPEC, cfg)
@@ -280,15 +279,15 @@ class TestRadar:
     def test_no_detections_when_disabled(self):
         scene = generate_scene(3)
         cfg = SimConfig(detection_prob=0.0, clutter_rate=0.0)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg)
+        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(3))
         assert dets == [] and flags == []
 
     def test_detection_ranges_match_visibility_oracle(self):
-        scene = generate_scene(9, SceneParams(p_dynamic=0.0))
+        scene = generate_scene(9, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0,
                         noise=RadarNoiseModel(sigma_r=1e-6, sigma_phi=1e-9),
                         vr_sigma=1e-9, max_detections=10_000)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg)
+        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
         assert len(dets) > 0
         edges = polygon_edges(list(scene.static_shapes))
         poses = corner_sensor_poses(scene.ego)
@@ -301,23 +300,23 @@ class TestRadar:
             assert det.r == pytest.approx(t, abs=1e-3)
 
     def test_static_scene_velocities_near_zero(self):
-        scene = generate_scene(9, SceneParams(p_dynamic=0.0))
+        scene = generate_scene(9, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, vr_sigma=1e-6)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg)
+        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
         assert all(abs(d.v_r) < 1e-3 for d in dets)
         assert not any(flags)
 
     def test_moving_object_flagged_dynamic(self):
         scene = Scene([], [(rect(4.0, -0.5, 6.0, 0.5), np.array([3.0, 0.0]))],
-                      Pose2D(), rng_seed=0)
+                      Pose2D())
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, vr_sigma=1e-6)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg)
+        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(0))
         assert len(dets) > 0 and all(flags)
 
     def test_detection_cap(self):
-        scene = generate_scene(4, SceneParams(p_dynamic=0.0))
+        scene = generate_scene(4, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, max_detections=5)
-        _, dets, _ = simulate_radar(scene, SPEC, cfg)
+        _, dets, _ = simulate_radar(scene, SPEC, cfg, np.random.default_rng(4))
         per_sensor = {}
         for det in dets:
             per_sensor[det.sensor_id] = per_sensor.get(det.sensor_id, 0) + 1
@@ -325,8 +324,8 @@ class TestRadar:
 
     def test_reproducible_with_rng(self):
         scene = generate_scene(6)
-        a = simulate_radar(scene, SPEC, rng=np.random.default_rng(1))
-        b = simulate_radar(scene, SPEC, rng=np.random.default_rng(1))
+        a = simulate_radar(scene, SPEC, SimConfig(), np.random.default_rng(1))
+        b = simulate_radar(scene, SPEC, SimConfig(), np.random.default_rng(1))
         assert np.array_equal(a[0].data, b[0].data)
         assert a[1] == b[1]
 
@@ -422,7 +421,7 @@ class TestRadarBlockParity:
         self._assert_parity(generate_scene(9), SimConfig(clutter_rate=clutter, max_detections=500), seed=5)
 
     def test_empty_scene(self):
-        scene = Scene([], [], generate_scene(10).ego, rng_seed=10)
+        scene = Scene([], [], generate_scene(10).ego)
         _, dets, _ = self._assert_parity(scene, SimConfig(clutter_rate=5.0), seed=6)
         assert dets  # clutter only
         self._assert_parity(scene, SimConfig(clutter_rate=0.0), seed=6)
@@ -430,7 +429,7 @@ class TestRadarBlockParity:
     @pytest.mark.parametrize("vel", [(3.0, 0.0), (1.3, -0.7), (0.2, 0.1)])
     def test_moving_object(self, vel):
         scene = Scene([rect(-8.0, 3.0, 8.0, 3.6)], [(rect(3.0, -1.5, 5.0, -0.5), np.array(vel))],
-                      Pose2D(0.2, -0.1, 0.25), rng_seed=0)
+                      Pose2D(0.2, -0.1, 0.25))
         cfg = SimConfig(detection_prob=0.8, max_detections=500)
         _, _, flags = self._assert_parity(scene, cfg, seed=7)
         assert any(flags) == (math.hypot(*vel) > cfg.dynamic_velocity_threshold)
