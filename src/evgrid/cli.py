@@ -17,7 +17,7 @@ from evgrid import config as cfgmod
 from evgrid.errors import ConfigError, DomainError, EvgridError, write_atomic
 from evgrid.grid import Grid2D, read_grid, render_pgm, render_ppm, write_grid
 from evgrid.net.train import mc_predict, train
-from evgrid.net.unet import load_checkpoint
+from evgrid.net.unet import _check_sides, load_checkpoint
 from evgrid.parallel import map_scenes
 from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
@@ -110,18 +110,25 @@ def cmd_rayism(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _unet_manifest(dataset) -> dict:
+    """The manifest of a dataset for the U-Net; a missing or bad one, or a grid
+    side the U-Net cannot take, fails here, before --out exists."""
+    manifest = load_manifest(dataset)
+    _check_sides((manifest["grid"]["side_cells"],) * 2)
+    return manifest
+
+
 def cmd_train(args, cfg: dict) -> int:
-    load_manifest(args.dataset)  # a missing or bad dataset fails before --out exists
+    _unet_manifest(args.dataset)
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
-    tcfg = cfgmod.train_config(cfg, model=args.model)
-    train(args.dataset, tcfg, out_dir=out)
+    train(args.dataset, cfgmod.train_config(cfg), out_dir=out)
     return EXIT_OK
 
 
 def cmd_infer(args, cfg: dict) -> int:
     params, spec, _header = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.dataset)
+    manifest = _unet_manifest(args.dataset)
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
     tcfg = cfgmod.train_config(cfg)
@@ -201,13 +208,15 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         return EXIT_USAGE
     try:
-        seed = [] if args.seed is None else [f"master_seed={args.seed}"]
-        cfg = cfgmod.load_config(args.config, args.overrides + seed)
+        # --seed and train's --model act as the last --set overrides
+        flags = [] if args.seed is None else [f"master_seed={args.seed}"]
+        flags += [f"train.model={args.model}"] if getattr(args, "model", None) else []
+        cfg = cfgmod.load_config(args.config, args.overrides + flags)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EvgridError, DomainError, OSError) as exc:
+    except (EvgridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -135,11 +135,8 @@ def rayism_config(cfg: dict) -> RayIsmConfig:
     return _build(RayIsmConfig, cfg["ray_ism"])
 
 
-def train_config(cfg: dict, model: str | None = None) -> TrainConfig:
-    values = {**cfg["net"], **cfg["train"], "seed": cfg["master_seed"]}
-    if model:
-        values["model"] = model
-    return _build(TrainConfig, values)
+def train_config(cfg: dict) -> TrainConfig:
+    return _build(TrainConfig, {**cfg["net"], **cfg["train"], "seed": cfg["master_seed"]})
 
 
 def echo_config(cfg: dict, out_dir) -> None:

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, the JSON value checks the
-file readers use before raising them, and the atomic writer of output files."""
+file readers use, and the one reader of input files and writer of outputs."""
 
 import contextlib
 import math
@@ -52,3 +52,17 @@ def write_atomic(path, data: bytes | str, what: str) -> None:
         if isinstance(exc, OSError):
             raise EvgridError(f"cannot write {what} {path}: {exc}") from exc
         raise
+
+
+def read_input(path, what: str, parse):
+    """``parse`` applied to the bytes of the input file ``path``. An OSError becomes
+    "cannot read <what> <path>: ..." and an EvgridError from ``parse`` becomes
+    "<what> <path>: ...", so every failure names the file."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise EvgridError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(blob)
+    except EvgridError as exc:
+        raise EvgridError(f"{what} {path}: {exc}") from exc

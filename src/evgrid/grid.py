@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evgrid.errors import DomainError, EvgridError, is_int, is_number, write_atomic
+from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
 from evgrid.evidential import EvidentialState
 
 
@@ -205,15 +205,7 @@ def write_grid(path, grid: Grid2D) -> None:
 
 
 def read_grid(path) -> Grid2D:
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise EvgridError(f"cannot read grid file {path}: {exc}") from exc
-    try:
-        return grid_from_bytes(blob)
-    except EvgridError as exc:
-        raise EvgridError(f"grid file {path}: {exc}") from exc
+    return read_input(path, "grid file", grid_from_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ def evidential_bayes_risk(evidence: Tensor, target: np.ndarray) -> Tensor:
     def backward(g):
         # dp_k/de_j = (delta_kj - p_k) / S ; dS/de_j = 1 ; du/de_j = -K/S^2
         diff = t_b - p
-        sq_term = np.square(t_b - p).sum(axis=1, keepdims=True)
         var_sum = (p * (1.0 - p)).sum(axis=1, keepdims=True)
         # d/de_j of sum_k (t_k - p_k)^2
         d_sq = (-2.0 * diff * (1.0 / s)) + 2.0 * (diff * p).sum(axis=1, keepdims=True) / s

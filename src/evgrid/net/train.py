@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from evgrid.errors import ConfigError, TrainingDiverged
+from evgrid.errors import ConfigError, TrainingDiverged, write_atomic
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
@@ -37,6 +38,8 @@ class TrainConfig:
             raise ConfigError("rates and counts must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 < self.percentile <= 100.0):
+            raise ConfigError(f"percentile must be in (0, 100], got {self.percentile}")
         self.unet_spec()  # checks dropout and base_channels
 
     def unet_spec(self) -> UNetSpec:
@@ -124,7 +127,7 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
     """Train one model on the dataset's train split.
 
     Seeded and reproducible; logs per-epoch train/val loss. When ``out_dir``
-    is given, updates checkpoint.ckpt and metrics.csv there after every epoch.
+    is given, rewrites checkpoint.ckpt and metrics.csv there after every epoch.
 
     Returns (params, unet spec, metrics rows [(epoch, split, loss), ...]).
     """
@@ -163,20 +166,19 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
             rows.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model)))
         metrics.extend(rows)
         if out_dir is not None:
-            write_metrics(Path(out_dir) / "metrics.csv", rows, append=True)
+            write_metrics(Path(out_dir) / "metrics.csv", metrics)
             save_checkpoint(Path(out_dir) / "checkpoint.ckpt", params, spec,
                             seed=cfg.seed, epoch=epoch)
     return params, spec, metrics
 
 
-def write_metrics(path, rows, append: bool = False) -> None:
-    """Write (epoch, split, loss) rows to a metrics CSV, after a header unless appending."""
-    with open(path, "a" if append else "w", newline="") as f:
-        writer = csv.writer(f)
-        if not append:
-            writer.writerow(["epoch", "split", "loss"])
-        for epoch, split, loss in rows:
-            writer.writerow([epoch, split, f"{loss:.8f}"])
+def write_metrics(path, rows) -> None:
+    """Write (epoch, split, loss) rows under a header to a metrics CSV."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["epoch", "split", "loss"])
+    writer.writerows([epoch, split, f"{loss:.8f}"] for epoch, split, loss in rows)
+    write_atomic(path, text.getvalue(), "metrics file")
 
 
 def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from evgrid.errors import ConfigError, EvgridError, is_int, is_number, write_atomic
+from evgrid.errors import ConfigError, EvgridError, is_int, is_number, read_input, write_atomic
 from evgrid.grid import f32_values, pack_f32, unpack_f32
 from evgrid.net import tensor as T
 from evgrid.net.tensor import Tensor
@@ -70,6 +70,12 @@ def init_params(spec: UNetSpec, rng: np.random.Generator) -> dict[str, np.ndarra
     return params
 
 
+def _check_sides(sides: tuple[int, ...]) -> None:
+    """The two stride-2 stages need every input side divisible by their product."""
+    if any(side % _DOWN_FACTOR for side in sides):
+        raise ConfigError(f"input side must be divisible by {_DOWN_FACTOR}, got {sides}")
+
+
 def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
             dropout_rng: np.random.Generator | None = None,
             record: bool = True) -> tuple[Tensor | np.ndarray, dict]:
@@ -85,8 +91,7 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
     """
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigError(f"input shape {x.shape} incompatible with {spec.in_channels} channels")
-    if x.shape[2] % _DOWN_FACTOR or x.shape[3] % _DOWN_FACTOR:
-        raise ConfigError(f"input side must be divisible by {_DOWN_FACTOR}, got {x.shape[2:]}")
+    _check_sides(x.shape[2:])
     slope = spec.leaky_slope
     if record:
         p, h = {name: Tensor(arr) for name, arr in params.items()}, Tensor(x)
@@ -130,24 +135,20 @@ def save_checkpoint(path, params: dict[str, np.ndarray], spec: UNetSpec,
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], UNetSpec, dict]:
     """Read a checkpoint; a malformed or truncated file raises EvgridError naming it."""
+    return read_input(path, "checkpoint", _checkpoint_from_bytes)
+
+
+def _checkpoint_from_bytes(blob: bytes) -> tuple[dict[str, np.ndarray], UNetSpec, dict]:
+    header, payload = unpack_f32(blob)
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise EvgridError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        header, payload = unpack_f32(blob)
-        try:
-            spec = UNetSpec(**header["arch"])
-            shapes = {entry["name"]: tuple(map(int, entry["shape"])) for entry in header["params"]}
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
-            raise EvgridError(f"malformed header: {exc!r}") from exc
-        if shapes != _layer_shapes(spec):
-            raise EvgridError("parameter shapes do not match its architecture")
-        sizes = [int(np.prod(shape)) for shape in shapes.values()]
-        values = f32_values(payload, sum(sizes)).astype(np.float32)
-    except EvgridError as exc:
-        raise EvgridError(f"checkpoint {path}: {exc}") from exc
+        spec = UNetSpec(**header["arch"])
+        shapes = {entry["name"]: tuple(map(int, entry["shape"])) for entry in header["params"]}
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
+        raise EvgridError(f"malformed header: {exc!r}") from exc
+    if shapes != _layer_shapes(spec):
+        raise EvgridError("parameter shapes do not match its architecture")
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    values = f32_values(payload, sum(sizes)).astype(np.float32)
     parts = np.split(values, np.cumsum(sizes)[:-1])
     params = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
     return params, spec, header

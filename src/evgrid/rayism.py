@@ -107,6 +107,8 @@ class RayIsmConfig:
             raise DomainError("occupied band thickness must be > 0")
         if not (0.0 < self.prob_clamp < 0.5):
             raise DomainError("prob_clamp must be in (0, 0.5)")
+        if not (self.logodds_clamp > 0.0):
+            raise DomainError(f"logodds_clamp must be > 0, got {self.logodds_clamp}")
 
 
 def _polevl(x: np.ndarray, coef: tuple[float, ...], monic: bool = False) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evgrid.errors import DomainError, EvgridError, is_int, is_number, write_atomic
+from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
 from evgrid.grid import Grid2D, GridSpec, Pose2D, world_to_cells, wrap_angle, write_grid
 from evgrid.parallel import map_scenes
 from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detection, RadarNoiseModel
@@ -138,6 +138,9 @@ class SimConfig:
             raise DomainError("detection_prob must be in [0,1]")
         if self.clutter_rate < 0 or self.max_detections < 0 or self.lidar_rays < 1:
             raise DomainError("rates and counts must be nonnegative")
+        if not (self.boundary_spacing > 0.0 and self.vr_sigma >= 0.0
+                and 0.0 < self.sensor_fov <= 2.0 * math.pi):
+            raise DomainError("need boundary_spacing > 0, vr_sigma >= 0 and 0 < sensor_fov <= 2*pi")
         if not (0.0 <= self.p_dynamic <= 1.0):
             raise DomainError(f"p_dynamic must be in [0,1], got {self.p_dynamic}")
         # a parked car starts in the middle 1.2 * scene_extent meters and needs 2.5 of them
@@ -430,8 +433,9 @@ def detection_json(det: Detection) -> str:
     )
 
 
-def detections_from_jsonl(text: str, source: str = "detections") -> list[Detection]:
-    """Parse one detection per line; a malformed line raises EvgridError naming source and line."""
+def detections_from_jsonl(text: str | bytes) -> list[Detection]:
+    """Parse one detection per line of text or UTF-8 bytes; a malformed line
+    raises EvgridError naming the line."""
     dets = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -452,17 +456,13 @@ def detections_from_jsonl(text: str, source: str = "detections") -> list[Detecti
                 raise EvgridError(f"'sensor_id' must be an integer, got {obj['sensor_id']!r}")
             dets.append(Detection(r=obj["r"], phi=obj["phi"], v_r=obj["v_r"],
                                   sensor_id=obj["sensor_id"], t=obj["t"]))
-        except (EvgridError, ValueError) as exc:  # ValueError covers JSON errors
-            raise EvgridError(f"{source} line {lineno}: {exc}") from exc
+        except (EvgridError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+            raise EvgridError(f"line {lineno}: {exc}") from exc
     return dets
 
 
 def read_detections(path) -> list[Detection]:
-    try:
-        text = Path(path).read_bytes().decode()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EvgridError(f"cannot read detections file {path}: {exc}") from exc
-    return detections_from_jsonl(text, source=str(path))
+    return read_input(path, "detections file", detections_from_jsonl)
 
 
 def _scene_seed(master_seed: int, index: int) -> int:
@@ -531,24 +531,23 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
 
 def load_manifest(dataset_dir) -> dict:
     """Read a dataset manifest; checks the splits and grid fields that readers use."""
-    path = Path(dataset_dir) / "manifest.json"
+    return read_input(Path(dataset_dir) / "manifest.json", "dataset manifest", _manifest_from_bytes)
+
+
+def _manifest_from_bytes(blob: bytes) -> dict:
     try:
-        manifest = json.loads(path.read_bytes().decode())
-    except OSError as exc:
-        raise EvgridError(f"cannot read dataset manifest {path}: {exc}") from exc
+        manifest = json.loads(blob.decode())
     except ValueError as exc:  # covers JSON and UTF-8 errors
-        raise EvgridError(f"dataset manifest {path} is not JSON: {exc}") from exc
+        raise EvgridError(f"not JSON: {exc}") from exc
     splits = manifest.get("splits") if isinstance(manifest, dict) else None
     grid = manifest.get("grid") if isinstance(manifest, dict) else None
     if not (isinstance(splits, dict) and {"train", "val", "test"} <= splits.keys()
             and all(isinstance(ids, list) and all(isinstance(sid, str) and re.fullmatch("[0-9]+", sid)
                                                   for sid in ids)
                     for ids in splits.values())):
-        raise EvgridError(f"dataset manifest {path}: 'splits' must map train, val and test "
-                          "to lists of numeric sample ids")
+        raise EvgridError("'splits' must map train, val and test to lists of numeric sample ids")
     if not (isinstance(grid, dict) and is_int(grid.get("side_cells")) and is_number(grid.get("cell_size"))):
-        raise EvgridError(f"dataset manifest {path}: 'grid' must hold integer side_cells "
-                          "and numeric cell_size")
+        raise EvgridError("'grid' must hold integer side_cells and numeric cell_size")
     return manifest
 
 

@@ -10,7 +10,7 @@ from evgrid import cli, sim
 from evgrid.cli import main
 from evgrid.errors import EvgridError
 from evgrid.grid import Grid2D, GridSpec, read_grid, write_grid
-from evgrid.net.unet import UNetSpec, init_params, save_checkpoint
+from evgrid.net.unet import UNetSpec, init_params, load_checkpoint, save_checkpoint
 
 from conftest import fake_cpus
 
@@ -123,6 +123,12 @@ class TestPipeline:
                      "--set", "sim.side_cells=16", "--set", "sim.cell_size=0.25"] + small) == 0
         assert read_grid(out / "00001.grid").spec == GridSpec(18, 0.5)
 
+    def test_train_echoes_model_flag(self, dataset, tmp_path):
+        out = tmp_path / "soft"
+        assert main(["train", "--dataset", str(dataset), "--model", "soft", "--out", str(out)] + FAST) == 0
+        assert json.loads((out / "config.json").read_text())["train"]["model"] == "soft"
+        assert load_checkpoint(out / "checkpoint.ckpt")[1].out_channels == 3
+
     def test_render(self, dataset, tmp_path):
         out = tmp_path / "target.ppm"
         assert main(["render", str(dataset / "samples/00000/target.grid"), str(out)]) == 0
@@ -193,6 +199,8 @@ class TestExitCodes:
         "ray_ism.p_max=0.3", "ray_ism.sigma_r=0", "train.lr=-1", "net.dropout=1.5",
         "net.base_channels=0", "sim.detection_prob=2", "sim.side_cells=4", "sim.n_scenes=-3",
         "sim.n_scenes=0", "sim.scene_extent=2.0", "sim.scene_extent=0", "sim.p_dynamic=1.5",
+        "sim.boundary_spacing=0", "sim.vr_sigma=-1", "sim.sensor_fov=-1", "train.percentile=0",
+        "train.percentile=150", "ray_ism.logodds_clamp=-1",
     ])
     def test_bad_value_fails_before_any_output(self, tmp_path, capsys, override):
         out = tmp_path / "bad"
@@ -222,6 +230,16 @@ class TestExitCodes:
         assert main(["train", "--dataset", str(tmp_path / "nope"), "--model", "ev",
                      "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_grid_side_the_unet_cannot_take(self, tmp_path, capsys):
+        data, ckpt, out = tmp_path / "ds10", tmp_path / "m.ckpt", tmp_path / "o"
+        assert main(["gen", "--out", str(data)] + FAST + ["--set", "sim.side_cells=10"]) == 0
+        spec = UNetSpec(base_channels=4)
+        save_checkpoint(ckpt, init_params(spec, np.random.default_rng(0)), spec)
+        for argv in (["train", "--model", "ev"], ["infer", "--checkpoint", str(ckpt), "--mode", "ev"]):
+            assert main(argv + ["--dataset", str(data), "--out", str(out)] + FAST) == 2
+            assert "divisible by 4" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_checkpoint(self, dataset, tmp_path):
         out = tmp_path / "o"
@@ -308,7 +326,7 @@ class TestBadDatasetFiles:
     def test_bad_detections(self, dataset, tmp_path, capsys, edit):
         data = _damaged_copy(dataset, tmp_path, self.DETS, edit)
         assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
-        assert "detections.jsonl line 1" in capsys.readouterr().err
+        assert f"{data / self.DETS}: line 1:" in capsys.readouterr().err
 
     def test_detection_from_sensor_without_pose(self, dataset, tmp_path, capsys):
         # a static detection (v_r 0) is placed by its sensor's pose; there is no sensor 9

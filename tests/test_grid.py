@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from evgrid.grid import (
     wrap_angle,
     write_grid,
 )
+from evgrid.net.unet import load_checkpoint
+from evgrid.sim import load_manifest, read_detections
 
 SPEC = GridSpec(side_cells=32, cell_size=0.5)
 
@@ -197,6 +200,22 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == (["a.grid"] if existing else [])
         if existing:
             assert path.read_bytes() == b"old"
+
+
+class TestReadInput:
+    @pytest.mark.parametrize("read, name, what", [
+        (read_grid, "a.grid", "grid file"),
+        (load_checkpoint, "a.ckpt", "checkpoint"),
+        (read_detections, "detections.jsonl", "detections file"),
+        (lambda path: load_manifest(path.parent), "manifest.json", "dataset manifest"),
+    ], ids=["grid", "checkpoint", "detections", "manifest"])
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    def test_unreadable_file_is_named(self, tmp_path, read, name, what, directory):
+        path = tmp_path / name
+        if directory:
+            path.mkdir()
+        with pytest.raises(EvgridError, match=re.escape(f"cannot read {what} {path}: ")):
+            read(path)
 
 
 class TestGridValidation:

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cut_and_flip, reads_or_names_file
-from evgrid.errors import ConfigError, TrainingDiverged
+from evgrid.errors import ConfigError, EvgridError, TrainingDiverged
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import GridSpec
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
@@ -261,6 +264,24 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(dataset, cfg, out_dir=tmp_path)
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "epoch,split,loss"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "train"], ["0", "val"]]
+
+    def test_failed_metrics_write_keeps_earlier_epochs(self, dataset, tmp_path, monkeypatch):
+        metrics, replace, writes = tmp_path / "metrics.csv", os.replace, []
+
+        def fail_epoch_one(src, dst):  # the header, epoch 0, then epoch 1
+            if Path(dst) == metrics:
+                writes.append(dst)
+                if len(writes) == 3:
+                    raise OSError("no space")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_epoch_one)
+        cfg = TrainConfig(model="ev", epochs=2, base_channels=4, batch_size=4)
+        with pytest.raises(EvgridError, match=re.escape(f"metrics file {metrics}")):
+            train(dataset, cfg, out_dir=tmp_path)
+        lines = metrics.read_text().splitlines()
         assert lines[0] == "epoch,split,loss"
         assert [line.split(",")[:2] for line in lines[1:]] == [["0", "train"], ["0", "val"]]
 

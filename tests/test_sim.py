@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -449,13 +450,15 @@ class TestDetectionsJsonl:
         text = "".join(detection_json(d) + "\n" for d in dets)
         assert detections_from_jsonl(text) == dets
 
-    def test_bad_line_names_source_and_line(self):
+    def test_bad_line_names_source_and_line(self, tmp_path):
         good = detection_json(Detection(r=1.0, phi=0.0))
+        path = tmp_path / "dets.jsonl"
         for bad in ['{"r": 1.0', '{"r": 1.0, "phi": 0.0, "v_r": 0.0}', '[1, 2]',
                     good.replace('"sensor_id":0', '"sensor_id":"0"'),
                     good.replace('"r":1.0', '"r":-1.0'), good.replace('"phi":0.0', '"phi":NaN')]:
-            with pytest.raises(EvgridError, match="dets.jsonl line 3"):
-                detections_from_jsonl(f"{good}\n\n{bad}\n", source="dets.jsonl")
+            path.write_text(f"{good}\n\n{bad}\n")
+            with pytest.raises(EvgridError, match=re.escape(f"{path}: line 3:")):
+                read_detections(path)
 
     def test_line_is_compact_sorted_json(self):
         from evgrid.rayism import Detection
