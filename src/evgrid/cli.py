@@ -26,6 +26,29 @@ from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, writ
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
+def _keep_freed_heap() -> bool:
+    """Keep freed heap memory in this process; True when the policy is set.
+
+    By default glibc serves numpy's 0.1-4 MB temporaries with mmap and trims
+    the heap top on free, so every new array page-faults its memory back in.
+    With the mmap threshold at its 64-bit maximum (32 MiB) and the trim
+    threshold above any evgrid heap (256 MiB), freed arrays reuse memory that
+    is already mapped. Setting either threshold alone turns off glibc's
+    dynamic tuning and is slower than the default, so a refused first call
+    stops here. Where the C library has no mallopt this does nothing. Workers
+    that map_scenes forks later inherit the policy.
+    """
+    import ctypes  # here, so that importing evgrid.cli sets nothing
+
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's parameter numbers
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # a C library without mallopt, or no handle on it
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(m_mmap_threshold, 32 << 20) == 1 and mallopt(m_trim_threshold, 256 << 20) == 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config document")
@@ -200,6 +223,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

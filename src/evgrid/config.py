@@ -85,8 +85,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
             doc = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # covers JSON and UTF-8 errors
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config file {path} is JSON nested too deeply") from exc
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -95,6 +97,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"--set {key} holds JSON nested too deeply") from exc
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:

@@ -57,7 +57,8 @@ def write_atomic(path, data: bytes | str, what: str) -> None:
 def read_input(path, what: str, parse):
     """``parse`` applied to the bytes of the input file ``path``. An OSError becomes
     "cannot read <what> <path>: ..." and an EvgridError from ``parse`` becomes
-    "<what> <path>: ...", so every failure names the file."""
+    "<what> <path>: ...", so every failure names the file; so does JSON nested
+    too deeply for ``json.loads``, which raises RecursionError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -66,3 +67,5 @@ def read_input(path, what: str, parse):
         return parse(blob)
     except EvgridError as exc:
         raise EvgridError(f"{what} {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise EvgridError(f"{what} {path}: JSON nested too deeply") from exc

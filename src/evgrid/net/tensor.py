@@ -44,7 +44,13 @@ class Tensor:
         return self.data.dtype
 
     def backward(self) -> None:
-        """Reverse sweep from a scalar tensor; accumulates into .grad."""
+        """Reverse sweep from a scalar tensor; accumulates into the leaves' .grad.
+
+        The sweep consumes the tape: once an interior node's backward has run,
+        its grad, closure and parents are dropped, so its arrays are freed as
+        the sweep goes and a graph can be swept only once. Leaves (tensors with
+        no parents) are zero-filled up front and keep their .grad.
+        """
         if self.data.size != 1:
             raise ConfigError("backward() starts from a scalar loss")
         order: list[Tensor] = []
@@ -62,14 +68,20 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         for node in order:
-            node.grad = np.zeros_like(node.data)
+            if not node._parents:
+                node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad, node._backward, node._parents = None, None, ()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    if t.grad is None:  # an interior node's first gradient
+        t.grad = np.zeros_like(t.data)
     t.grad += g
 
 

@@ -5,6 +5,7 @@ from evgrid.errors import ConfigError
 from evgrid.net.losses import evidential_bayes_risk, softmax_cross_entropy
 from evgrid.net.tensor import (
     Tensor,
+    _accumulate,
     concat,
     conv2d,
     conv_transpose2d,
@@ -34,7 +35,7 @@ def _fd_grad(f, x, h=1e-6):
 
 def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
     out = Tensor(np.asarray((t.data * w).sum()), parents=(t,))
-    out._backward = lambda g: t.__setattr__("grad", t.grad + g * w)
+    out._backward = lambda g: _accumulate(t, g * w)
     return out
 
 
@@ -231,12 +232,25 @@ class TestConcatAndGraph:
 
         def lift():
             t = Tensor(x.data[None, :, None, None], parents=(x,))
-            t._backward = lambda g: x.__setattr__("grad", x.grad + g[0, :, 0, 0])
+            t._backward = lambda g: _accumulate(x, g[0, :, 0, 0])
             return t
 
         loss = _weighted_sum(concat(lift(), lift()), np.ones((1, 4, 1, 1)))
         loss.backward()
         assert np.allclose(x.grad, [2.0, 2.0])
+
+    def test_backward_consumes_the_tape(self):
+        arrays = {"x": RNG.normal(size=(1, 2, 4, 4)), "w": RNG.normal(size=(3, 2, 3, 3)),
+                  "b": RNG.normal(size=(3,))}
+        wsum = RNG.normal(size=(1, 3, 4, 4))
+        hidden = []  # the interior node of every graph built; _check sweeps the first
+
+        def build(t):
+            hidden.append(leaky_relu(conv2d(t["x"], t["w"], t["b"]), 0.1))
+            return _weighted_sum(hidden[-1], wsum)
+
+        _check(build, arrays)  # the leaves' gradients still match finite differences
+        assert hidden[0].grad is None and hidden[0]._backward is None and hidden[0]._parents == ()
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,10 @@
+import ctypes
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -186,6 +191,50 @@ class TestScenePool:
         assert str(early) in err and str(late) not in err
 
 
+class TestHeapPolicy:
+    def test_main_applies_it_before_the_command(self, tmp_path, monkeypatch):
+        events = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: events.append("policy"))
+        monkeypatch.setitem(cli._COMMANDS, "gen", lambda args, cfg: events.append("gen") or 0)
+        assert main(["gen", "--out", str(tmp_path / "x")]) == 0
+        assert events == ["policy", "gen"]
+
+    def test_no_mallopt_is_a_silent_no_op(self, monkeypatch, capsys):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_heap() is False
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_refused_threshold_stops_before_the_other(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append(param)
+                return 0
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        assert cli._keep_freed_heap() is False
+        assert calls == [-3]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_takes_both_thresholds(self):
+        assert cli._keep_freed_heap() is True
+
+    def test_import_applies_nothing(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        # the policy opens the C library by the name None; numpy may open other libraries
+        code = ("import ctypes, sys\n"
+                "opened, real = [], ctypes.CDLL\n"
+                "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k)\n"
+                "import evgrid.cli\n"
+                "assert None not in opened\n"
+                "evgrid.cli._keep_freed_heap()\n"
+                "sys.exit(opened.count(None) != 1)")
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert main([]) == 1
@@ -219,6 +268,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"\xff\xfe{}", "is not valid JSON"),
+        (b"[" * 100_000, "is JSON nested too deeply"),
+    ], ids=["not_utf8", "deep_nesting"])
+    def test_unparsable_config_file_is_named(self, tmp_path, capsys, blob, message):
+        bad, out = tmp_path / "bad.json", tmp_path / "x"
+        bad.write_bytes(blob)
+        assert main(["gen", "--out", str(out), "--config", str(bad)]) == 2
+        assert f"config file {bad} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_set_value(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--set", "sim.frames=" + "[" * 100_000]) == 2
+        assert "--set sim.frames holds JSON nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dataset(self, tmp_path):
         out = tmp_path / "o"

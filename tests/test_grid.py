@@ -203,18 +203,27 @@ class TestAtomicWrite:
 
 
 class TestReadInput:
-    @pytest.mark.parametrize("read, name, what", [
+    READERS = pytest.mark.parametrize("read, name, what", [
         (read_grid, "a.grid", "grid file"),
         (load_checkpoint, "a.ckpt", "checkpoint"),
         (read_detections, "detections.jsonl", "detections file"),
         (lambda path: load_manifest(path.parent), "manifest.json", "dataset manifest"),
     ], ids=["grid", "checkpoint", "detections", "manifest"])
+
+    @READERS
     @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
     def test_unreadable_file_is_named(self, tmp_path, read, name, what, directory):
         path = tmp_path / name
         if directory:
             path.mkdir()
         with pytest.raises(EvgridError, match=re.escape(f"cannot read {what} {path}: ")):
+            read(path)
+
+    @READERS
+    def test_deep_nesting_is_named(self, tmp_path, read, name, what):
+        path = tmp_path / name
+        path.write_bytes(b"[" * 100_000)  # deeper than json.loads can recurse
+        with pytest.raises(EvgridError, match=re.escape(f"{what} {path}: JSON nested too deeply")):
             read(path)
 
 
