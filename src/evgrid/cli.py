@@ -16,7 +16,7 @@ import numpy as np
 from evgrid import config as cfgmod
 from evgrid.errors import ConfigError, DomainError, EvgridError, write_atomic
 from evgrid.grid import Grid2D, read_grid, render_pgm, render_ppm, write_grid
-from evgrid.net.train import mc_predict, train
+from evgrid.net.train import _check_mode, mc_predict, train
 from evgrid.net.unet import _check_sides, load_checkpoint
 from evgrid.parallel import map_scenes
 from evgrid.rayism import ray_ism_scene
@@ -151,6 +151,7 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_infer(args, cfg: dict) -> int:
     params, spec, _header = load_checkpoint(args.checkpoint)
+    _check_mode(args.mode, spec)
     manifest = _unet_manifest(args.dataset)
     out = Path(args.out)
     cfgmod.echo_config(cfg, out)
@@ -207,7 +208,10 @@ def cmd_render(args, cfg: dict) -> int:
     if Path(args.out_image).suffix == ".pgm" or grid.data.shape[0] == 1:
         blob = render_pgm(grid.data[0])
     else:
-        blob = render_ppm(grid)
+        try:
+            blob = render_ppm(grid)
+        except DomainError as exc:  # e.g. a radar grid of 2 channels
+            raise EvgridError(f"{args.grid_file}: {exc}") from exc
     write_atomic(args.out_image, blob, "image")
     return EXIT_OK
 

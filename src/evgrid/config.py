@@ -43,14 +43,12 @@ def _merge(defaults, overrides, path=""):
         raise ConfigError(f"section {path or '<root>'} must be an object")
     merged = {}
     for key, default in defaults.items():
-        if key in overrides:
-            value = overrides[key]
-            if isinstance(default, dict):
-                merged[key] = _merge(default, value, f"{path}{key}.")
-            else:
-                merged[key] = _coerce(default, value, f"{path}{key}")
+        if isinstance(default, dict):
+            merged[key] = _merge(default, overrides.get(key, {}), f"{path}{key}.")
+        elif key in overrides:
+            merged[key] = _coerce(default, overrides[key], f"{path}{key}")
         else:
-            merged[key] = json.loads(json.dumps(default)) if isinstance(default, dict) else default
+            merged[key] = default
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(path + k for k in unknown))}")

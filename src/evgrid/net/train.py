@@ -34,7 +34,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.model not in ("ev", "soft"):
             raise ConfigError(f"model must be 'ev' or 'soft', got {self.model!r}")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.mc_samples < 1:
+        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1 or self.mc_samples < 1:
             raise ConfigError("rates and counts must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -181,6 +181,15 @@ def write_metrics(path, rows) -> None:
     write_atomic(path, text.getvalue(), "metrics file")
 
 
+def _check_mode(mode: str, spec: UNetSpec) -> None:
+    """A prediction mode must exist and match the head: "soft" needs the
+    3-channel softmax head, "ev" and "ev-s" the 2-channel evidence head."""
+    if mode not in ("ev", "ev-s", "soft"):
+        raise ConfigError(f"unknown prediction mode {mode!r}")
+    if (mode == "soft") != (spec.out_channels == 3):
+        raise ConfigError(f"mode {mode!r} incompatible with a {spec.out_channels}-channel head")
+
+
 def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
                rng: np.random.Generator, percentile: float = TrainConfig.percentile) -> np.ndarray:
     """Monte-Carlo dropout prediction for one input image (2, H, W).
@@ -191,10 +200,7 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
     the evidence samples; "soft": mean pre-softmax output through the
     softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
     """
-    if mode not in ("ev", "ev-s", "soft"):
-        raise ConfigError(f"unknown prediction mode {mode!r}")
-    if (mode == "soft") != (spec.out_channels == 3):
-        raise ConfigError(f"mode {mode!r} incompatible with a {spec.out_channels}-channel head")
+    _check_mode(mode, spec)
     if n_samples < 1:
         raise ConfigError("need at least one MC sample")
     xb = np.broadcast_to(x.astype(np.float32), (n_samples, *x.shape))

@@ -10,9 +10,10 @@ module needs numpy alone.
 
 A scene's static detections are accumulated by one kernel. The range and
 bearing of every cell are computed once per sensor, and the cells sorted by
-bearing, so a binary search finds each detection's candidates: the cells
-within phi_meas +- 4 sigma_phi, a window that wraps at +-pi and is capped at
-one full turn. The footprint test and the IDM run on all candidate
+bearing. The sorted bearings are repeated at -2 pi, 0 and +2 pi, a ring on
+which each detection's candidates, the cells within phi_meas +- 4 sigma_phi,
+are one slice found by binary search, even where the window crosses +-pi.
+The footprint test and the IDM run on all candidate
 (detection, cell) pairs at once. The logits are then added in detection
 order and clamped after each detection, touching only that detection's
 cells, so cells that saturate end up exactly as in a one-detection-at-a-time
@@ -202,26 +203,6 @@ def _polar_cells(grid: Grid2D, poses: list[Pose2D]):
     return np.stack(rng), phi, np.argsort(phi, axis=1, kind="stable")
 
 
-def _bearing_slices(sorted_phi: np.ndarray, phi_meas: np.ndarray, half: float):
-    """Slices of a bearing-sorted cell list within phi_meas +- half, wrapped at +-pi.
-
-    Returns (starts, ends), each (D, 3): the window clipped to [-pi, pi],
-    then the parts wrapping past -pi and past +pi. The three never overlap.
-    """
-    n = len(sorted_phi)
-    if half >= math.pi:  # a window of a full turn or more holds every cell once
-        return np.zeros((len(phi_meas), 3), np.int64), np.tile([n, 0, 0], (len(phi_meas), 1))
-    centre = wrap_angle(phi_meas)
-    lo, hi = centre - half, centre + half
-    a = np.searchsorted(sorted_phi, np.maximum(lo, -math.pi), "left")
-    b = np.searchsorted(sorted_phi, np.minimum(hi, math.pi), "right")
-    wrap_lo = np.where(lo < -math.pi, np.searchsorted(sorted_phi, lo + 2.0 * math.pi, "left"), n)
-    wrap_hi = np.where(hi > math.pi, np.searchsorted(sorted_phi, hi - 2.0 * math.pi, "right"), 0)
-    starts = np.stack([a, np.maximum(wrap_lo, b), np.zeros_like(a)], axis=1)
-    ends = np.stack([b, np.full_like(a, n), np.minimum(wrap_hi, a)], axis=1)
-    return starts, ends
-
-
 def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid: Grid2D,
                     cfg: RayIsmConfig) -> None:
     """Accumulate the IDMs of a list of detections into a log-odds grid, in place.
@@ -230,11 +211,12 @@ def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid
     |angular offset| <= 4 sigma_phi) are touched; outside it the IDM is
     indistinguishable from 0.5 and contributes zero logit. The candidates
     for that test are the cells whose bearing from the detection's sensor
-    lies in phi_meas +- 4 sigma_phi, found by binary search in the sensor's
-    cells sorted by bearing. The IDMs of all (detection, cell) pairs that
-    pass are evaluated as one block; the logits are then added detection by
-    detection, clamping after each, so saturated cells depend on the order
-    of ``dets``.
+    lies in phi_meas +- 4 sigma_phi: one slice, found by binary search, of
+    the sensor's cells sorted by bearing and repeated at -2 pi, 0 and +2 pi;
+    a slice position modulo the cell count is a sorted cell. The IDMs of all
+    (detection, cell) pairs that pass are evaluated as one block; the logits
+    are then added detection by detection, clamping after each, so
+    saturated cells depend on the order of ``dets``.
     """
     for det in dets:
         if det.sensor_id not in sensor_poses:
@@ -248,17 +230,21 @@ def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid
     phi_meas = np.array([det.phi for det in dets])
     r4, phi4 = 4.0 * cfg.noise.sigma_r, 4.0 * cfg.noise.sigma_phi
 
-    starts = np.empty((len(dets), 3), np.int64)
-    ends = np.empty((len(dets), 3), np.int64)
+    # half stops at pi, one full turn: a wider slice would only list a cell twice,
+    # which is harmless (both copies are set to the same old + logit) but is work
+    centre, half = wrap_angle(phi_meas), min(phi4 + _BEARING_SLACK, math.pi)
+    start, end = np.empty(len(dets), np.int64), np.empty(len(dets), np.int64)
     for k in range(len(sensors)):
+        ring = np.concatenate([phi[k, order[k]] + turn for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)])
         sel = row == k
-        starts[sel], ends[sel] = _bearing_slices(phi[k, order[k]], phi_meas[sel], phi4 + _BEARING_SLACK)
+        start[sel] = np.searchsorted(ring, centre[sel] - half, "left")
+        end[sel] = np.searchsorted(ring, centre[sel] + half, "right")
     # expand the slices into (detection, cell) pairs, grouped by detection
-    lengths = np.maximum(ends - starts, 0).ravel()
-    pair_det = np.repeat(np.arange(len(dets)), lengths.reshape(-1, 3).sum(axis=1))
-    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - starts.ravel(), lengths)
+    lengths = end - start
+    pair_det = np.repeat(np.arange(len(dets)), lengths)
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
     pair_row = row[pair_det]
-    cell = order[pair_row, pos]
+    cell = order[pair_row, pos % phi.shape[1]]
     pair_rng, pair_phi = rng[pair_row, cell], phi[pair_row, cell]
     pair_r, pair_phi_meas = r_meas[pair_det], phi_meas[pair_det]
 

@@ -222,15 +222,10 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     n = spec.side_cells
     status = np.zeros((n, n), dtype=np.int8)
     ego = scene.ego
-    static_edges = polygon_edges(list(scene.static_shapes))
-    dynamic_edges = polygon_edges([poly for poly, _ in scene.dynamic_objects])
-    if include_dynamic or cfg.occlude_by_dynamic:
-        edges = np.concatenate([static_edges, dynamic_edges], axis=0)
-    else:
-        edges = static_edges
-    hit_is_target = np.ones(len(edges), dtype=bool)
-    if not include_dynamic and cfg.occlude_by_dynamic:
-        hit_is_target[len(static_edges):] = False
+    # the static edges come first; moving objects join them as targets or occluders
+    movers = [poly for poly, _ in scene.dynamic_objects] if include_dynamic or cfg.occlude_by_dynamic else []
+    edges = polygon_edges([*scene.static_shapes, *movers])
+    n_static = sum(len(poly) for poly in scene.static_shapes)
 
     angles = scan.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -252,10 +247,10 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     status[rows[inside], cols[inside]] = _FREE
 
     # occupied: the cell containing each hit point, nudged inside the shape;
-    # when dynamic objects occlude but are not targets, their hit cells stay
-    # unmarked (the shadow behind them is still hidden)
+    # a moving object's hit marks its cell only when moving objects are
+    # targets (an occluder leaves the shadow behind it hidden)
     hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= max_range))
-    hit = hit[hit_is_target[edge_idx[hit]]]
+    hit = hit[include_dynamic | (edge_idx[hit] < n_static)]
     hx = origins[hit, 0] + dirs[hit, 0] * (t_hit[hit] + 1e-6)
     hy = origins[hit, 1] + dirs[hit, 1] * (t_hit[hit] + 1e-6)
     rows, cols, inside = world_to_cells(spec, ego, hx, hy)
@@ -362,22 +357,15 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
     list[Detection], list[bool] dynamic flags aligned with the detections).
     """
     sensors = corner_sensor_poses(scene.ego)
-    all_polys = list(scene.static_shapes) + [p for p, _ in scene.dynamic_objects]
-    edges = polygon_edges(all_polys)
+    # the static shapes move as one body at rest
+    bodies = [(scene.static_shapes, (0.0, 0.0)), *(([poly], vel) for poly, vel in scene.dynamic_objects)]
+    edges = polygon_edges([poly for polys, _ in bodies for poly in polys])
     r_max = spec.extent
 
     # candidate boundary points with their source velocities
-    cand_pts = []
-    cand_vel = []
-    stat_pts = _boundary_points(scene.static_shapes, cfg.boundary_spacing)
-    cand_pts.append(stat_pts)
-    cand_vel.append(np.zeros_like(stat_pts))
-    for poly, vel in scene.dynamic_objects:
-        pts = _boundary_points([poly], cfg.boundary_spacing)
-        cand_pts.append(pts)
-        cand_vel.append(np.broadcast_to(np.asarray(vel, dtype=np.float64), pts.shape).copy())
-    pts = np.concatenate(cand_pts, axis=0)
-    vels = np.concatenate(cand_vel, axis=0)
+    cand_pts = [_boundary_points(polys, cfg.boundary_spacing) for polys, _ in bodies]
+    pts = np.concatenate(cand_pts)
+    vels = np.repeat(np.array([vel for _, vel in bodies], float), [len(c) for c in cand_pts], axis=0)
 
     detections: list[Detection] = []
     dyn_flags: list[bool] = []

@@ -249,7 +249,7 @@ class TestExitCodes:
         "net.base_channels=0", "sim.detection_prob=2", "sim.side_cells=4", "sim.n_scenes=-3",
         "sim.n_scenes=0", "sim.scene_extent=2.0", "sim.scene_extent=0", "sim.p_dynamic=1.5",
         "sim.boundary_spacing=0", "sim.vr_sigma=-1", "sim.sensor_fov=-1", "train.percentile=0",
-        "train.percentile=150", "ray_ism.logodds_clamp=-1",
+        "train.percentile=150", "ray_ism.logodds_clamp=-1", "train.epochs=0",
     ])
     def test_bad_value_fails_before_any_output(self, tmp_path, capsys, override):
         out = tmp_path / "bad"
@@ -306,6 +306,22 @@ class TestExitCodes:
             assert main(argv + ["--dataset", str(data), "--out", str(out)] + FAST) == 2
             assert "divisible by 4" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("out_channels, mode", [(2, "soft"), (3, "ev"), (3, "ev-s")])
+    def test_mode_the_head_cannot_give(self, dataset, tmp_path, capsys, out_channels, mode):
+        spec = UNetSpec(out_channels=out_channels, base_channels=4)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "o"
+        save_checkpoint(ckpt, init_params(spec, np.random.default_rng(0)), spec)
+        assert main(["infer", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                     "--mode", mode, "--out", str(out)] + FAST) == 2
+        assert f"mode {mode!r} incompatible with a {out_channels}-channel head" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_render_names_grid_it_cannot_draw(self, dataset, tmp_path, capsys):
+        grid, out = dataset / "samples/00000/radar.grid", tmp_path / "radar.ppm"
+        assert main(["render", str(grid), str(out)]) == 3
+        assert f"{grid}: PPM rendering needs a 3-channel evidential grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint(self, dataset, tmp_path):
         out = tmp_path / "o"

@@ -253,6 +253,16 @@ class TestLidarGroundTruth:
         conflict = (target.data[0] == 0.5) & (target.data[1] == 0.5)
         assert conflict.any()
 
+    def test_accumulated_truth_ignores_occlude_flag(self):
+        # moving objects are targets in every accumulated frame, so they occlude anyway
+        for seed in range(6):
+            scene = generate_scene(seed, SimConfig(p_dynamic=1.0))
+            assert scene.dynamic_objects
+            plain, occluding = (accumulated_ground_truth(scene, SPEC, SimConfig(frames=3, occlude_by_dynamic=flag))
+                                for flag in (False, True))
+            for a, b in zip(plain, occluding):
+                assert np.array_equal(a.data, b.data)
+
     def test_accumulated_mask_is_frame_zero_scan(self):
         scene = Scene([rect(3.0, -1.0, 3.6, 1.0), rect(7.0, -4.0, 7.6, 4.0)], [],
                       Pose2D())
