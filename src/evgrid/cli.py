@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: gen, rayism, train, infer, eval, render. Every command is
-reproducible from (config, seed) and echoes the effective configuration
-into its output directory. Exit codes: 0 ok, 1 usage, 2 config, 3 runtime.
+reproducible from (config, seed). Each but render builds its --out directory
+aside, echoes the effective configuration into it, and swaps it in whole when
+it succeeds; a failed run leaves --out as it was. Exit codes: 0 ok, 1 usage,
+2 config, 3 runtime.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from evgrid import config as cfgmod
-from evgrid.errors import ConfigError, DomainError, EvgridError, write_atomic
+from evgrid.errors import ConfigError, DomainError, EvgridError, output_dir, write_atomic
 from evgrid.grid import Grid2D, read_grid, render_pgm, render_ppm, write_grid
-from evgrid.net.train import _check_mode, mc_predict, train
-from evgrid.net.unet import _check_sides, load_checkpoint
+from evgrid.net.train import mc_predict, train
+from evgrid.net.unet import load_checkpoint
 from evgrid.parallel import map_scenes
 from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
@@ -85,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a grid file to PPM/PGM")
     p.add_argument("grid_file")
     p.add_argument("out_image")
-    p.set_defaults(config=None, overrides=[], seed=None)  # render reads no config
     return parser
 
 
@@ -97,9 +98,7 @@ def _sample_ids(manifest: dict, split: str) -> list[str]:
     return list(manifest["splits"][split])
 
 
-def cmd_gen(args, cfg: dict) -> int:
-    out = Path(args.out)
-    cfgmod.echo_config(cfg, out)
+def cmd_gen(args, cfg: dict, out: Path) -> int:
     write_dataset(
         n_scenes=cfg["sim"]["n_scenes"],
         spec=cfgmod.grid_spec(cfg),
@@ -110,10 +109,8 @@ def cmd_gen(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_rayism(args, cfg: dict) -> int:
+def cmd_rayism(args, cfg: dict, out: Path) -> int:
     manifest = load_manifest(args.dataset)
-    out = Path(args.out)
-    cfgmod.echo_config(cfg, out)
     rcfg = cfgmod.rayism_config(cfg)
     threshold = cfg["sim"]["dynamic_velocity_threshold"]
 
@@ -133,28 +130,14 @@ def cmd_rayism(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _unet_manifest(dataset) -> dict:
-    """The manifest of a dataset for the U-Net; a missing or bad one, or a grid
-    side the U-Net cannot take, fails here, before --out exists."""
-    manifest = load_manifest(dataset)
-    _check_sides((manifest["grid"]["side_cells"],) * 2)
-    return manifest
-
-
-def cmd_train(args, cfg: dict) -> int:
-    _unet_manifest(args.dataset)
-    out = Path(args.out)
-    cfgmod.echo_config(cfg, out)
+def cmd_train(args, cfg: dict, out: Path) -> int:
     train(args.dataset, cfgmod.train_config(cfg), out_dir=out)
     return EXIT_OK
 
 
-def cmd_infer(args, cfg: dict) -> int:
+def cmd_infer(args, cfg: dict, out: Path) -> int:
     params, spec, _header = load_checkpoint(args.checkpoint)
-    _check_mode(args.mode, spec)
-    manifest = _unet_manifest(args.dataset)
-    out = Path(args.out)
-    cfgmod.echo_config(cfg, out)
+    manifest = load_manifest(args.dataset)
     tcfg = cfgmod.train_config(cfg)
 
     def write_scene(sid: str) -> None:
@@ -170,11 +153,9 @@ def cmd_infer(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, cfg: dict) -> int:
+def cmd_eval(args, cfg: dict, out: Path) -> int:
     split = cfg["eval"]["split"]
     ids = _sample_ids(load_manifest(args.dataset), split)
-    out = Path(args.out)
-    cfgmod.echo_config(cfg, out)
     pdirs = [Path(pred_dir) for pred_dir in args.pred_dirs]
     accs = [ScoreAccumulator(conflict_guard=cfg["eval"]["conflict_guard"]) for _ in pdirs]
     for sid in ids:
@@ -203,7 +184,7 @@ def cmd_eval(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_render(args, cfg: dict) -> int:
+def cmd_render(args) -> int:
     grid = read_grid(args.grid_file)
     if Path(args.out_image).suffix == ".pgm" or grid.data.shape[0] == 1:
         blob = render_pgm(grid.data[0])
@@ -222,7 +203,6 @@ _COMMANDS = {
     "train": cmd_train,
     "infer": cmd_infer,
     "eval": cmd_eval,
-    "render": cmd_render,
 }
 
 
@@ -236,11 +216,16 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         return EXIT_USAGE
     try:
+        if args.command == "render":  # reads no config and writes one file
+            return cmd_render(args)
         # --seed and train's --model act as the last --set overrides
         flags = [] if args.seed is None else [f"master_seed={args.seed}"]
         flags += [f"train.model={args.model}"] if getattr(args, "model", None) else []
         cfg = cfgmod.load_config(args.config, args.overrides + flags)
-        return _COMMANDS[args.command](args, cfg)
+        inputs = [getattr(args, name) for name in ("dataset", "checkpoint") if hasattr(args, name)]
+        with output_dir(args.out, inputs + getattr(args, "pred_dirs", [])) as out:
+            cfgmod.echo_config(cfg, out)
+            return _COMMANDS[args.command](args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ import json
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from evgrid.errors import ConfigError, DomainError, write_atomic
+from evgrid.errors import ConfigError, DomainError, is_number, write_atomic
 from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
 from evgrid.rayism import RayIsmConfig
@@ -60,13 +60,13 @@ def _coerce(default, value, path):
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be a boolean, got {value!r}")
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+    if isinstance(default, int):
+        if not is_number(value) or value != int(value):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
         return int(value)
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number, got {value!r}")
+        if not is_number(value):
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -142,7 +142,6 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def echo_config(cfg: dict, out_dir) -> None:
-    """Write the effective configuration into an output directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n", "config echo")
+    """Write the effective configuration into an existing output directory."""
+    write_atomic(Path(out_dir) / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n",
+                 "config echo")

@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the package, the JSON value checks the
-file readers use, and the one reader of input files and writer of outputs."""
+file readers use, the one reader of input files and writer of outputs, and
+the one way a command's output directory comes into place."""
 
 import contextlib
 import math
 import os
+import shutil
 from pathlib import Path
 
 
@@ -30,8 +32,11 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A finite JSON number (bool excluded)."""
-    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    """A finite JSON number (bool excluded); an int too large for a float is not one."""
+    try:
+        return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def write_atomic(path, data: bytes | str, what: str) -> None:
@@ -69,3 +74,36 @@ def read_input(path, what: str, parse):
         raise EvgridError(f"{what} {path}: {exc}") from exc
     except RecursionError as exc:
         raise EvgridError(f"{what} {path}: JSON nested too deeply") from exc
+
+
+@contextlib.contextmanager
+def output_dir(out, inputs=()):
+    """Yield a staging directory, the hidden sibling ``.<name>.<pid>.new``, that
+    replaces the directory ``out`` whole once the block succeeds: the old tree is
+    renamed aside, the new one in, and only then is the old one deleted. On any
+    failure, KeyboardInterrupt included, ``out`` is left as it was. An ``out``
+    that holds an input, or is neither empty nor an earlier output (one with a
+    config.json), is refused first: replacing it would delete what it holds."""
+    out = Path(out).resolve()
+    if any(out == path or out in path.parents for path in (Path(p).resolve() for p in inputs)):
+        raise ConfigError(f"output directory {out} holds an input of the command")
+    if out.exists() and not (out.is_dir() and (not os.listdir(out) or (out / "config.json").is_file())):
+        raise ConfigError(f"output directory {out} is not an earlier output; refusing to replace it")
+    stage, aside = (out.with_name(f".{out.name}.{os.getpid()}.{end}") for end in ("new", "old"))
+    try:
+        stage.mkdir(parents=True)
+    except OSError as exc:
+        raise EvgridError(f"cannot create output directory {stage}: {exc}") from exc
+    try:
+        yield stage
+        try:
+            if out.exists():
+                os.rename(out, aside)
+            os.rename(stage, out)
+        except OSError as exc:
+            if aside.exists() and not out.exists():  # put the old tree back
+                os.rename(aside, out)
+            raise EvgridError(f"cannot move output directory {stage} to {out}: {exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)  # already gone after a success
+    shutil.rmtree(aside, ignore_errors=True)

@@ -168,10 +168,14 @@ def unpack_f32(blob: bytes) -> tuple[dict, bytes]:
 
 
 def f32_values(payload: bytes, count: int) -> np.ndarray:
-    """A read-only view of the payload as ``count`` values; any other length is an error."""
+    """A read-only view of the payload as ``count`` finite values; any other length,
+    or a NaN or infinity, is an error."""
     if len(payload) != 4 * count:
         raise EvgridError(f"payload is {len(payload)} bytes, expected {4 * count}")
-    return np.frombuffer(payload, dtype="<f4")
+    values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise EvgridError("payload holds a NaN or an infinity")
+    return values
 
 
 def grid_to_bytes(grid: Grid2D) -> bytes:

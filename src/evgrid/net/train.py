@@ -164,6 +164,9 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
         rows = [(epoch, "train", eval_loss(params, spec, x_train, t_train, cfg.model))]
         if len(x_val):
             rows.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model)))
+        for _epoch, split, loss in rows:
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"epoch {epoch}: non-finite {split} eval loss: {loss}")
         metrics.extend(rows)
         if out_dir is not None:
             write_metrics(Path(out_dir) / "metrics.csv", metrics)

@@ -68,12 +68,8 @@ class ScoreAccumulator:
         for region, region_mask in (("visible", visible), ("hidden", ~visible)):
             for tname, tmask in (("free", tgt_free), ("occupied", tgt_occ)):
                 sel = region_mask & tmask
-                c = self.counts[(region, tname)]
-                c[0] += int((label_f & sel).sum())
-                c[1] += int((label_o & sel).sum())
-                c[2] += int((label_u & sel).sum())
-                c[3] += int((conflict & sel).sum())
-                c[4] += int(sel.sum())
+                counts = [(m & sel).sum() for m in (label_f, label_o, label_u, conflict, sel)]
+                self.counts[(region, tname)] += counts
 
     def table(self) -> ScoreTable:
         table = ScoreTable()
@@ -82,12 +78,7 @@ class ScoreAccumulator:
             if c[4] == 0:
                 table.entries[key] = None
                 continue
-            table.entries[key] = {
-                "p_f": 100.0 * c[0] / c[4],
-                "p_o": 100.0 * c[1] / c[4],
-                "p_u": 100.0 * c[2] / c[4],
-                "p_c": 100.0 * c[3] / c[4],
-            }
+            table.entries[key] = dict(zip(_PRED_KEYS, (100.0 * c[:4] / c[4]).tolist()))
         return table
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import shutil
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -56,10 +55,7 @@ def polygon_area(poly: np.ndarray) -> float:
 
 def polygon_edges(polys: list[np.ndarray]) -> np.ndarray:
     """Stack all polygon edges into an (E, 2, 2) array of segments."""
-    segs = []
-    for poly in polys:
-        nxt = np.roll(poly, -1, axis=0)
-        segs.append(np.stack([poly, nxt], axis=1))
+    segs = [np.stack([poly, np.roll(poly, -1, axis=0)], axis=1) for poly in polys]
     if not segs:
         return np.zeros((0, 2, 2))
     return np.concatenate(segs, axis=0)
@@ -305,8 +301,7 @@ def fuse_target_frames(statuses: list[np.ndarray], spec: GridSpec, ego: Pose2D):
     conflict = any_free & any_occ
     target[0][any_free & ~any_occ] = 1.0
     target[1][any_occ & ~any_free] = 1.0
-    target[0][conflict] = 0.5
-    target[1][conflict] = 0.5
+    target[:2, conflict] = 0.5
     unknown = ~(any_free | any_occ)
     target[2][unknown] = 1.0
     visible = (statuses[0] != 0).astype(np.float64)
@@ -325,14 +320,8 @@ def corner_sensor_poses(ego: Pose2D) -> dict[int, Pose2D]:
     offsets = [(1.8, 0.8, math.pi / 4), (1.8, -0.8, -math.pi / 4),
                (-1.8, 0.8, 3 * math.pi / 4), (-1.8, -0.8, -3 * math.pi / 4)]
     c, s = math.cos(ego.heading), math.sin(ego.heading)
-    poses = {}
-    for i, (ox, oy, oh) in enumerate(offsets):
-        poses[i] = Pose2D(
-            x=ego.x + c * ox - s * oy,
-            y=ego.y + s * ox + c * oy,
-            heading=ego.heading + oh,
-        )
-    return poses
+    return {i: Pose2D(x=ego.x + c * ox - s * oy, y=ego.y + s * ox + c * oy, heading=ego.heading + oh)
+            for i, (ox, oy, oh) in enumerate(offsets)}
 
 
 def _boundary_points(polys: list[np.ndarray], spacing: float):
@@ -463,19 +452,11 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
 
     Layout: manifest.json at the root plus one directory per sample with
     radar.grid, target.grid, mask.grid and detections.jsonl. Deterministic
-    and byte-identical given (n_scenes, config, master_seed). A manifest
-    exists only over a complete dataset: an old one and its samples are
-    removed first, the scenes are written (on every usable CPU, see
-    ``map_scenes``), and the new manifest is written last.
+    and byte-identical given (n_scenes, config, master_seed). The scenes are
+    written on every usable CPU (see ``map_scenes``) and the manifest last.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").unlink(missing_ok=True)
-        if (out / "samples").exists():
-            shutil.rmtree(out / "samples")
-    except OSError as exc:
-        raise EvgridError(f"cannot prepare dataset directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
 
     def write_sample(i: int) -> str:
         seed = _scene_seed(master_seed, i)
@@ -541,13 +522,5 @@ def _manifest_from_bytes(blob: bytes) -> dict:
 
 def augment_arrays(arrays: list[np.ndarray], k_rot: int, flip_h: bool, flip_v: bool) -> list[np.ndarray]:
     """Apply the same flip/rot90 transform to each (C, H, W) array."""
-    out = []
-    for arr in arrays:
-        a = arr
-        if flip_h:
-            a = a[:, :, ::-1]
-        if flip_v:
-            a = a[:, ::-1, :]
-        a = np.rot90(a, k=k_rot % 4, axes=(1, 2))
-        out.append(np.ascontiguousarray(a))
-    return out
+    flip = np.s_[:, ::-1 if flip_v else 1, ::-1 if flip_h else 1]
+    return [np.ascontiguousarray(np.rot90(arr[flip], k=k_rot % 4, axes=(1, 2))) for arr in arrays]

@@ -10,14 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evgrid import cli, sim
 from evgrid.cli import main
-from evgrid.errors import EvgridError
+from evgrid.errors import EvgridError, output_dir
 from evgrid.grid import Grid2D, GridSpec, read_grid, write_grid
 from evgrid.net.unet import UNetSpec, init_params, load_checkpoint, save_checkpoint
 
-from conftest import fake_cpus
+from conftest import cut_and_flip, fake_cpus
 
 FAST = ["--set", "sim.n_scenes=6", "--set", "sim.side_cells=16",
         "--set", "sim.lidar_rays=90", "--set", "net.base_channels=4",
@@ -30,6 +32,40 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-ds")
     assert main(["gen", "--out", str(out)] + FAST) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def runs(dataset, tmp_path_factory):
+    """The Ray-ISM output, an Ev-Net and its predictions on the shared dataset."""
+    root = tmp_path_factory.mktemp("cli-runs")
+    ray, model, pred = root / "ray", root / "model", root / "pred"
+    assert main(["rayism", "--dataset", str(dataset), "--out", str(ray)] + FAST) == 0
+    assert main(["train", "--dataset", str(dataset), "--model", "ev", "--out", str(model)] + FAST) == 0
+    assert main(["infer", "--checkpoint", str(model / "checkpoint.ckpt"), "--dataset", str(dataset),
+                 "--mode", "ev", "--out", str(pred)] + FAST) == 0
+    return ray, model, pred
+
+
+def _argv(command: str, data, model, pred, out) -> list[str]:
+    """A run of ``command`` on the dataset ``data`` (and the model or predictions it reads) into ``out``."""
+    return {
+        "gen": ["gen"],
+        "rayism": ["rayism", "--dataset", str(data)],
+        "train": ["train", "--dataset", str(data), "--model", "ev"],
+        "infer": ["infer", "--checkpoint", str(model / "checkpoint.ckpt"), "--dataset", str(data),
+                  "--mode", "ev"],
+        "eval": ["eval", str(pred), "--dataset", str(data)],
+    }[command] + ["--out", str(out)] + FAST
+
+
+def _tree(root: Path) -> dict:
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _staging_left(out: Path) -> list[str]:
+    """The hidden siblings ``.<name>.*`` that a command builds ``out`` in."""
+    return sorted(p.name for p in out.parent.glob(f".{out.name}.*"))
 
 
 class TestGen:
@@ -56,9 +92,10 @@ class TestGen:
         manifest = json.loads((dataset / "manifest.json").read_text())
         assert manifest["config"].keys() | {"n_scenes", "side_cells", "cell_size"} == sim_keys
 
-    def test_failed_rerun_leaves_no_manifest(self, dataset, tmp_path, monkeypatch, capsys):
+    def test_failed_rerun_leaves_old_dataset(self, dataset, tmp_path, monkeypatch):
         data = tmp_path / "ds"
         shutil.copytree(dataset, data)
+        before = _tree(data)
         generate_scene, third_scene = sim.generate_scene, sim._scene_seed(5, 2)
 
         def failing_scene(seed, *args):  # fails in the third scene, in any worker
@@ -68,10 +105,8 @@ class TestGen:
 
         monkeypatch.setattr(sim, "generate_scene", failing_scene)
         assert main(["gen", "--out", str(data), "--seed", "5"] + FAST) == 3
-        assert (data / "samples/00001/radar.grid").exists() and not (data / "manifest.json").exists()
-        capsys.readouterr()
-        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "m")] + FAST) == 3
-        assert "manifest.json" in capsys.readouterr().err
+        assert _tree(data) == before
+        assert _staging_left(data) == []
 
     def test_rerun_with_fewer_scenes_leaves_only_its_samples(self, tmp_path):
         out = tmp_path / "ds"
@@ -153,10 +188,6 @@ class TestPipeline:
 class TestScenePool:
     """gen, rayism and infer run their scenes in a pool when the affinity holds two or more CPUs."""
 
-    @staticmethod
-    def _tree(root: Path) -> dict:
-        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
     def test_pooled_stages_match_serial(self, tmp_path, monkeypatch):
         trees = []
         for n in (1, 2):
@@ -167,7 +198,7 @@ class TestScenePool:
             assert main(["train", "--dataset", str(data), "--model", "ev", "--out", str(model)] + FAST) == 0
             assert main(["infer", "--checkpoint", str(model / "checkpoint.ckpt"), "--dataset", str(data),
                          "--mode", "ev-s", "--out", str(pred)] + FAST) == 0
-            trees.append([self._tree(d) for d in (data, ray, pred)])
+            trees.append([_tree(d) for d in (data, ray, pred)])
         assert trees[0] == trees[1]
         assert [len(tree) for tree in trees[0]] == [2 + 6 * 4, 1 + 6, 1 + 6]
 
@@ -195,7 +226,7 @@ class TestHeapPolicy:
     def test_main_applies_it_before_the_command(self, tmp_path, monkeypatch):
         events = []
         monkeypatch.setattr(cli, "_keep_freed_heap", lambda: events.append("policy"))
-        monkeypatch.setitem(cli._COMMANDS, "gen", lambda args, cfg: events.append("gen") or 0)
+        monkeypatch.setitem(cli._COMMANDS, "gen", lambda args, cfg, out: events.append("gen") or 0)
         assert main(["gen", "--out", str(tmp_path / "x")]) == 0
         assert events == ["policy", "gen"]
 
@@ -250,6 +281,9 @@ class TestExitCodes:
         "sim.n_scenes=0", "sim.scene_extent=2.0", "sim.scene_extent=0", "sim.p_dynamic=1.5",
         "sim.boundary_spacing=0", "sim.vr_sigma=-1", "sim.sensor_fov=-1", "train.percentile=0",
         "train.percentile=150", "ray_ism.logodds_clamp=-1", "train.epochs=0",
+        # JSON numbers a config value cannot be: too large, not a number, infinite
+        "sim.n_scenes=1e999", "sim.n_scenes=NaN", "master_seed=NaN", "sim.cell_size=NaN",
+        "train.lr=NaN", "train.lr=Infinity",
     ])
     def test_bad_value_fails_before_any_output(self, tmp_path, capsys, override):
         out = tmp_path / "bad"
@@ -443,3 +477,188 @@ class TestBadDatasetFiles:
         data = _damaged_copy(dataset, tmp_path, "samples/00000/radar.grid", edit)
         assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
         assert "radar.grid" in capsys.readouterr().err
+
+
+class TestTrainDivergence:
+    def test_non_finite_eval_loss_fails_with_no_output(self, tmp_path, capsys):
+        data, out = tmp_path / "ds12", tmp_path / "m"
+        assert main(["gen", "--out", str(data), "--set", "sim.n_scenes=12", "--set", "sim.side_cells=16",
+                     "--set", "sim.lidar_rays=90"]) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(out),
+                     "--set", "train.lr=1e6", "--set", "train.epochs=1"]) == 3
+        assert "epoch 0: non-finite train eval loss" in capsys.readouterr().err
+        assert not out.exists() and _staging_left(out) == []
+
+
+class TestOutputDir:
+    """Every command but render builds --out aside and swaps it in whole on success;
+    a failed run leaves --out as it was."""
+
+    COMMANDS = ["gen", "rayism", "train", "infer", "eval"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_replaces_out_whole(self, dataset, runs, tmp_path, command):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert main(_argv(command, dataset, runs[1], runs[2], fresh)) == 0
+        out.mkdir()
+        (out / "config.json").write_text("{}\n")
+        (out / "stale.grid").write_bytes(b"old")
+        assert main(_argv(command, dataset, runs[1], runs[2], out)) == 0
+        assert _tree(out) == _tree(fresh)
+        assert _staging_left(out) == []
+
+    @pytest.mark.parametrize("interrupt", [EvgridError("late failure"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failure_after_the_last_file_leaves_out_as_it_was(self, dataset, runs, tmp_path, monkeypatch,
+                                                              command, existing, interrupt):
+        out = tmp_path / "out"
+        if existing:
+            assert main(_argv(command, dataset, runs[1], runs[2], out)) == 0
+        before = _tree(out) if existing else None
+        run = cli._COMMANDS[command]
+
+        def run_then_fail(args, cfg, stage):  # every output file is written, then the run fails
+            run(args, cfg, stage)
+            raise interrupt
+
+        monkeypatch.setitem(cli._COMMANDS, command, run_then_fail)
+        argv = _argv(command, dataset, runs[1], runs[2], out)
+        if isinstance(interrupt, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 3
+        assert (_tree(out) if existing else out.exists()) == (before if existing else False)
+        assert _staging_left(out) == []
+
+    @pytest.mark.parametrize("command, out_of", [
+        ("rayism", lambda data, model, pred: data),
+        ("train", lambda data, model, pred: data.parent),
+        ("infer", lambda data, model, pred: model),
+        ("eval", lambda data, model, pred: pred),
+    ], ids=["rayism_into_dataset", "train_into_parent_of_dataset", "infer_into_model", "eval_into_pred"])
+    def test_out_holding_an_input_is_refused(self, dataset, runs, tmp_path, capsys, command, out_of):
+        data, model, pred = tmp_path / "w" / "data", tmp_path / "w" / "model", tmp_path / "w" / "pred"
+        for src, dst in ((dataset, data), (runs[1], model), (runs[2], pred)):
+            shutil.copytree(src, dst)
+        before = _tree(tmp_path)
+        assert main(_argv(command, data, model, pred, out_of(data, model, pred))) == 2
+        assert "holds an input of the command" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    def test_out_that_is_not_an_earlier_output_is_refused(self, tmp_path, capsys):
+        notes, plain = tmp_path / "notes", tmp_path / "plain.txt"
+        notes.mkdir()
+        (notes / "todo.txt").write_text("keep me\n")
+        plain.write_text("keep me too\n")
+        for out in (notes, plain):
+            assert main(["gen", "--out", str(out)] + FAST) == 2
+            assert "refusing to replace it" in capsys.readouterr().err
+        assert (notes / "todo.txt").read_text() == "keep me\n" and plain.read_text() == "keep me too\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes", "plain.txt"]
+
+    def test_dot_and_trailing_slash_name_the_directory(self, tmp_path, monkeypatch):
+        work, other = tmp_path / "work", tmp_path / "other"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["gen", "--out", "."] + FAST) == 0
+        assert main(["gen", "--out", f"{other}/"] + FAST) == 0
+        assert _tree(work) == _tree(other)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "work"]
+
+    def test_failed_swap_puts_the_old_tree_back(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "config.json").write_text("old\n")
+        rename = os.rename
+
+        def refuse_the_new_tree(src, dst):
+            if Path(src).name.endswith(".new"):
+                raise OSError("no room")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", refuse_the_new_tree)
+        with pytest.raises(EvgridError, match="cannot move output directory"):
+            with output_dir(out) as stage:
+                (stage / "config.json").write_text("new\n")
+        assert _tree(out) == {"config.json": b"old\n"}
+        assert _staging_left(out) == []
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(dataset, runs, tmp_path_factory):
+    """A copy of the dataset, the model and the predictions, whose files the fuzz tests damage."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    for src, name in ((dataset, "data"), (runs[1], "model"), (runs[2], "pred")):
+        shutil.copytree(src, root / name)
+    return root
+
+
+class TestDamagedInputs:
+    """rayism, train, infer and eval on a cut or flipped input, or on one line of
+    100,000 '[': a run that fails exits 3 naming the file, leaves an existing --out
+    byte-identical, creates none where none existed, and leaves no staging directory."""
+
+    # the inputs each command reads (sample 00000 is in the train split, 00005 in test)
+    FILES = {
+        "rayism": ["data/manifest.json", "data/samples/00000/radar.grid",
+                   "data/samples/00000/detections.jsonl"],
+        "train": ["data/manifest.json", "data/samples/00000/radar.grid", "data/samples/00000/target.grid"],
+        "infer": ["model/checkpoint.ckpt", "data/manifest.json", "data/samples/00000/radar.grid"],
+        "eval": ["data/manifest.json", "data/samples/00005/target.grid", "data/samples/00005/mask.grid",
+                 "pred/00005.grid"],
+    }
+
+    @staticmethod
+    def _run(root, command, rel, blob, existing, capsys) -> tuple[int, str]:
+        """Run ``command`` with the file ``rel`` holding ``blob``; check what it left in --out."""
+        path, out = root / rel, root / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        if existing:
+            out.mkdir()
+            (out / "config.json").write_text("{}\n")
+            (out / "00000.grid").write_bytes(b"an earlier run")
+        before = _tree(out) if existing else None
+        original = path.read_bytes()
+        path.write_bytes(blob)
+        try:
+            code = main(_argv(command, root / "data", root / "model", root / "pred", out))
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        assert _staging_left(out) == []
+        if code != 0:
+            assert (_tree(out) if existing else out.exists()) == (before if existing else False)
+        return code, err
+
+    @pytest.mark.parametrize("command, rel", [(c, rel) for c, rels in FILES.items() for rel in rels])
+    def test_deeply_nested_line(self, fuzz_root, capsys, command, rel):
+        for existing in (False, True):
+            code, err = self._run(fuzz_root, command, rel, b"[" * 100_000 + b"\n", existing, capsys)
+            assert code == 3 and str(fuzz_root / rel) in err
+
+    @pytest.mark.parametrize("command, rel", [(c, rel) for c, rels in FILES.items() for rel in rels
+                                              if rel.endswith((".grid", ".ckpt"))])
+    def test_non_finite_value(self, fuzz_root, capsys, command, rel):
+        blob = (fuzz_root / rel).read_bytes()
+        code, err = self._run(fuzz_root, command, rel, blob[:-4] + np.array([np.nan], "<f4").tobytes(),
+                              True, capsys)
+        assert code == 3 and f"{fuzz_root / rel}: payload holds a NaN or an infinity" in err
+
+    @pytest.mark.parametrize("command", list(FILES))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cut_or_flipped_input(self, fuzz_root, capsys, command, data):
+        rel = data.draw(st.sampled_from(self.FILES[command]))
+        blob = cut_and_flip(data, (fuzz_root / rel).read_bytes())
+        code, err = self._run(fuzz_root, command, rel, blob, data.draw(st.booleans()), capsys)
+        assert code in (0, 3), err
+        if code == 3:
+            # a flipped sample id in a manifest sends the command to a sample file it cannot read
+            named = str(fuzz_root / rel) in err or (rel.endswith("manifest.json")
+                                                     and str(fuzz_root / "data/samples") in err)
+            # a flipped payload byte can make a finite but huge value, which training reports
+            diverged = command == "train" and "non-finite" in err
+            assert named or diverged, err

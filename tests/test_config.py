@@ -4,6 +4,7 @@ import pytest
 
 from evgrid import config as cfgmod
 from evgrid.config import DEFAULTS, load_config
+from evgrid.errors import ConfigError
 from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
 from evgrid.rayism import RayIsmConfig
@@ -44,3 +45,8 @@ def test_every_key_reaches_a_dataclass(key):
         node = node[part]
     override = f"{key}={json.dumps(_changed(node))}"
     assert _built(load_config(overrides=[override])) != _built(load_config())
+
+
+def test_integer_too_large_for_a_float_is_a_config_error():
+    with pytest.raises(ConfigError, match="sim.n_scenes must be an integer"):
+        load_config(overrides=["sim.n_scenes=1" + "0" * 400])

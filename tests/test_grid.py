@@ -242,8 +242,10 @@ class TestGridValidation:
         lambda b: b.replace(b'"channels":["b_f","b_o","u"]', b'"channels":[]'),
         lambda b: b.replace(b'"heading":0.5', b'"heading":"0.5"'),
         lambda b: b.replace(b'"side_cells":8', b'"side_cells":4'),
+        lambda b: b[:-4] + np.array([np.nan], "<f4").tobytes(),
+        lambda b: b[:-4] + np.array([-np.inf], "<f4").tobytes(),
     ], ids=["short", "long", "no_newline", "not_object", "f64", "float_side", "bool_side",
-            "nan_cell_size", "no_channels", "string_heading", "too_small"])
+            "nan_cell_size", "no_channels", "string_heading", "too_small", "nan_value", "inf_value"])
     def test_rejected(self, damage):
         bad = damage(self.BLOB)
         assert bad != self.BLOB

@@ -465,7 +465,8 @@ class TestDetectionsJsonl:
         path = tmp_path / "dets.jsonl"
         for bad in ['{"r": 1.0', '{"r": 1.0, "phi": 0.0, "v_r": 0.0}', '[1, 2]',
                     good.replace('"sensor_id":0', '"sensor_id":"0"'),
-                    good.replace('"r":1.0', '"r":-1.0'), good.replace('"phi":0.0', '"phi":NaN')]:
+                    good.replace('"r":1.0', '"r":-1.0'), good.replace('"phi":0.0', '"phi":NaN'),
+                    good.replace('"r":1.0', '"r":1' + '0' * 400)]:  # an int too large for a float
             path.write_text(f"{good}\n\n{bad}\n")
             with pytest.raises(EvgridError, match=re.escape(f"{path}: line 3:")):
                 read_detections(path)
