@@ -3,8 +3,8 @@
 Subcommands: gen, rayism, train, infer, eval, render. Every command is
 reproducible from (config, seed). Each but render builds its --out directory
 aside, echoes the effective configuration into it, and swaps it in whole when
-it succeeds; a failed run leaves --out as it was. Exit codes: 0 ok, 1 usage,
-2 config, 3 runtime.
+it succeeds; a failed or interrupted run leaves --out as it was. Exit codes:
+0 ok, 1 usage, 2 config, 3 runtime, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
 from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, write_dataset
 
-EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INTERRUPTED = 0, 1, 2, 3, 130
 
 
 def _keep_freed_heap() -> bool:
@@ -232,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EvgridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ the one way a command's output directory comes into place."""
 import contextlib
 import math
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -76,6 +77,17 @@ def read_input(path, what: str, parse):
         raise EvgridError(f"{what} {path}: JSON nested too deeply") from exc
 
 
+def _running(pid: int) -> bool:
+    """Whether another process has the pid; one signal 0 may not reach is another user's."""
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):  # no such process, or no pid that large
+        return False
+    except PermissionError:
+        pass
+    return pid != os.getpid()
+
+
 @contextlib.contextmanager
 def output_dir(out, inputs=()):
     """Yield a staging directory, the hidden sibling ``.<name>.<pid>.new``, that
@@ -83,13 +95,20 @@ def output_dir(out, inputs=()):
     renamed aside, the new one in, and only then is the old one deleted. On any
     failure, KeyboardInterrupt included, ``out`` is left as it was. An ``out``
     that holds an input, or is neither empty nor an earlier output (one with a
-    config.json), is refused first: replacing it would delete what it holds."""
+    config.json), is refused first: replacing it would delete what it holds.
+    A staging directory of ``out`` that no running process builds, as a run
+    killed by SIGKILL leaves, is deleted before this run's is made."""
     out = Path(out).resolve()
     if any(out == path or out in path.parents for path in (Path(p).resolve() for p in inputs)):
         raise ConfigError(f"output directory {out} holds an input of the command")
     if out.exists() and not (out.is_dir() and (not os.listdir(out) or (out / "config.json").is_file())):
         raise ConfigError(f"output directory {out} is not an earlier output; refusing to replace it")
     stage, aside = (out.with_name(f".{out.name}.{os.getpid()}.{end}") for end in ("new", "old"))
+    stale = re.compile(rf"\.{re.escape(out.name)}\.([0-9]+)\.new")
+    for path in out.parent.iterdir() if out.parent.is_dir() else ():
+        match = stale.fullmatch(path.name)
+        if match and not _running(int(match[1])):
+            shutil.rmtree(path, ignore_errors=True)
     try:
         stage.mkdir(parents=True)
     except OSError as exc:

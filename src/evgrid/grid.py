@@ -178,6 +178,12 @@ def f32_values(payload: bytes, count: int) -> np.ndarray:
     return values
 
 
+# the values a grid channel may hold, by name: belief masses and visibility are
+# fractions, radar hit counts at most what a float32 counts exactly
+_CHANNEL_RANGES = {"b_f": (0.0, 1.0), "b_o": (0.0, 1.0), "u": (0.0, 1.0), "visible": (0.0, 1.0),
+                  "static": (0.0, 2.0**24), "dynamic": (0.0, 2.0**24)}
+
+
 def grid_to_bytes(grid: Grid2D) -> bytes:
     header = {
         "side_cells": grid.spec.side_cells,
@@ -201,6 +207,10 @@ def grid_from_bytes(blob: bytes) -> Grid2D:
         raise EvgridError(f"header origin must hold numeric x, y and heading, got {o!r}")
     spec = GridSpec(side_cells=side, cell_size=cell_size)
     data = f32_values(payload, len(channels) * side * side).reshape(len(channels), side, side)
+    for name, values in zip(channels, data):
+        lo, hi = _CHANNEL_RANGES.get(name, (-np.inf, np.inf))
+        if not lo <= values.min() <= values.max() <= hi:
+            raise EvgridError(f"channel {name!r} holds a value outside [{lo:.9g}, {hi:.9g}]")
     return Grid2D(spec, data.astype(np.float64), tuple(channels), Pose2D(o["x"], o["y"], o["heading"]))
 
 

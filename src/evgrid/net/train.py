@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evgrid.errors import ConfigError, TrainingDiverged, write_atomic
+from evgrid.errors import ConfigError, EvgridError, TrainingDiverged, write_atomic
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
@@ -54,20 +54,23 @@ class TrainConfig:
 def load_split(dataset_dir, split: str):
     """Load one dataset split into memory.
 
-    Returns (images (N,2,H,W) f32, targets (N,3,H,W) f32, sample ids).
+    Returns (images (N,2,H,W) f32, targets (N,3,H,W) f32, sample ids) at the manifest's side.
     """
-    manifest = load_manifest(dataset_dir)
-    ids = manifest["splits"][split]
-    root = Path(dataset_dir)
-    images, targets = [], []
-    for sid in ids:
-        sdir = root / "samples" / sid
-        images.append(read_grid(sdir / "radar.grid").data.astype(np.float32))
-        targets.append(read_grid(sdir / "target.grid").data.astype(np.float32))
-    if not ids:
-        side = manifest["grid"]["side_cells"]
-        return np.zeros((0, 2, side, side), np.float32), np.zeros((0, 3, side, side), np.float32), []
-    return np.stack(images), np.stack(targets), ids
+    manifest, root = load_manifest(dataset_dir), Path(dataset_dir)
+    ids, side = manifest["splits"][split], manifest["grid"]["side_cells"]
+    try:  # a negative side, or one too large to hold
+        images, targets = (np.empty((len(ids), c, side, side), np.float32) for c in (2, 3))
+    except (ValueError, MemoryError) as exc:
+        raise EvgridError(f"dataset manifest {root / 'manifest.json'}: side_cells {side}: {exc}") from exc
+    for i, sid in enumerate(ids):
+        for array, path in ((images, root / "samples" / sid / "radar.grid"),
+                            (targets, root / "samples" / sid / "target.grid")):
+            data = read_grid(path).data
+            if data.shape != array.shape[1:]:
+                raise EvgridError(f"{path}: grid of shape {data.shape}, "
+                                  f"the manifest's samples are {array.shape[1:]}")
+            array[i] = data
+    return images, targets, ids
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -148,15 +151,11 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
         for i in range(0, len(order), cfg.batch_size):
             idx = order[i:i + cfg.batch_size]
             xb, tb = x_train[idx], t_train[idx]
-            if cfg.augment:
-                xs, ts = [], []
+            if cfg.augment:  # xb and tb are copies, so each sample is transformed in place
                 for j in range(len(idx)):
                     k_rot = int(rng.integers(0, 4))
                     flips = rng.integers(0, 2, size=2)
-                    xa, ta = augment_arrays([xb[j], tb[j]], k_rot, bool(flips[0]), bool(flips[1]))
-                    xs.append(xa)
-                    ts.append(ta)
-                xb, tb = np.stack(xs), np.stack(ts)
+                    xb[j], tb[j] = augment_arrays([xb[j], tb[j]], k_rot, bool(flips[0]), bool(flips[1]))
             try:
                 train_step(params, spec, xb, tb, cfg.model, opt, dropout_rng=rng)
             except TrainingDiverged as exc:

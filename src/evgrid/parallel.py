@@ -16,8 +16,8 @@ import os
 _task = None  # the function a forked worker calls; set only while a pool runs
 
 
-def _call(item):
-    return _task(item)
+def _call(chunk):
+    return [_task(item) for item in chunk]
 
 
 def map_scenes(fn, items) -> list:
@@ -29,7 +29,8 @@ def map_scenes(fn, items) -> list:
     output files. When several items fail, the exception raised is that of
     the first failing item in item order, as in the serial loop. Items not
     yet started when it is raised are cancelled, and the ones running are
-    let finish, so no worker is killed halfway through writing a file.
+    let finish, so no worker is killed halfway through writing a file. A
+    Ctrl-C ends the workers at once, and KeyboardInterrupt is raised once they are gone.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items))
@@ -37,14 +38,21 @@ def map_scenes(fn, items) -> list:
         return [fn(item) for item in items]
     # not on the import path of the CLI
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
+    # a worker dies of SIGINT without a traceback, and the pool then stops the others
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
     global _task
     _task = fn
+    size = -(-len(items) // (4 * workers))  # about four chunks per worker, to even out slow scenes
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            # about four chunks per worker, to even out slow scenes; the map is ordered,
-            # so chunk k's error is raised only after chunks 0..k-1 have returned
-            return list(pool.map(_call, items, chunksize=-(-len(items) // (4 * workers))))
+        chunks = [pool.submit(_call, items[i:i + size]) for i in range(0, len(items), size)]
+        # chunk k's error is raised only after chunks 0..k-1 have returned
+        return [result for chunk in chunks for result in chunk.result()]
     finally:
+        # waits for the running chunks; the pool's own thread cancels the rest, because a
+        # cancel from this thread races a broken pool's cleanup, which Python 3.11 abandons
+        pool.shutdown(cancel_futures=True)
         _task = None

@@ -56,9 +56,7 @@ def polygon_area(poly: np.ndarray) -> float:
 def polygon_edges(polys: list[np.ndarray]) -> np.ndarray:
     """Stack all polygon edges into an (E, 2, 2) array of segments."""
     segs = [np.stack([poly, np.roll(poly, -1, axis=0)], axis=1) for poly in polys]
-    if not segs:
-        return np.zeros((0, 2, 2))
-    return np.concatenate(segs, axis=0)
+    return np.concatenate([np.zeros((0, 2, 2)), *segs])
 
 
 def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray):
@@ -99,12 +97,9 @@ class Scene:
     ego: Pose2D
 
     def __post_init__(self) -> None:
-        for poly in self.static_shapes:
-            if polygon_area(poly) <= 0.0:
-                raise DomainError("degenerate static shape (zero area)")
-        for poly, _vel in self.dynamic_objects:
-            if polygon_area(poly) <= 0.0:
-                raise DomainError("degenerate dynamic shape (zero area)")
+        for kind, polys in (("static", self.static_shapes), ("dynamic", [p for p, _ in self.dynamic_objects])):
+            if any(polygon_area(poly) <= 0.0 for poly in polys):
+                raise DomainError(f"degenerate {kind} shape (zero area)")
 
     def at_time(self, dt: float) -> "Scene":
         """Scene with dynamic objects advanced by their velocity for dt seconds."""
@@ -169,13 +164,14 @@ def generate_scene(seed: int, cfg: SimConfig = SimConfig()) -> Scene:
     w = float(rng.uniform(5.0, 9.0))  # corridor width
     th = 0.6  # wall thickness
     kind = rng.integers(0, 3)
-    statics: list[np.ndarray] = []
-    if kind == 0:  # straight corridor
-        statics.append(rect(-half_len, -w / 2 - th, half_len, -w / 2))
+    statics = [rect(-half_len, -w / 2 - th, half_len, -w / 2)]  # the near wall
+    if kind < 2:  # a straight far wall: plain corridor (0) or parked-car rows (1)
         statics.append(rect(-half_len, w / 2, half_len, w / 2 + th))
-    elif kind == 1:  # corridor with parked-car rows
-        statics.append(rect(-half_len, -w / 2 - th, half_len, -w / 2))
-        statics.append(rect(-half_len, w / 2, half_len, w / 2 + th))
+    else:  # T-intersection: the far wall opens on a branch upward
+        gap = float(rng.uniform(1.5, 2.5))
+        statics += [rect(-half_len, w / 2, -gap, w / 2 + th), rect(gap, w / 2, half_len, w / 2 + th),
+                    rect(-gap - th, w / 2, -gap, half_len), rect(gap, w / 2, gap + th, half_len)]
+    if kind == 1:
         for side in (-1.0, 1.0):
             n_cars = int(rng.integers(1, 4))
             xs = rng.uniform(-half_len * 0.8, half_len * 0.8 - 2.5, size=n_cars)
@@ -184,13 +180,6 @@ def generate_scene(seed: int, cfg: SimConfig = SimConfig()) -> Scene:
                 statics.append(
                     l_shape(float(x0), y_in, 2.2, 1.1, float(rng.uniform(0.6, 1.2)), 0.5)
                 )
-    else:  # T-intersection: corridor plus a branch opening upward
-        gap = float(rng.uniform(1.5, 2.5))
-        statics.append(rect(-half_len, -w / 2 - th, half_len, -w / 2))
-        statics.append(rect(-half_len, w / 2, -gap, w / 2 + th))
-        statics.append(rect(gap, w / 2, half_len, w / 2 + th))
-        statics.append(rect(-gap - th, w / 2, -gap, half_len))
-        statics.append(rect(gap, w / 2, gap + th, half_len))
 
     dynamics: list[tuple[np.ndarray, np.ndarray]] = []
     if rng.uniform() < cfg.p_dynamic:
@@ -207,17 +196,17 @@ def generate_scene(seed: int, cfg: SimConfig = SimConfig()) -> Scene:
 # LiDAR ground truth
 # ---------------------------------------------------------------------------
 
-def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
-                 include_dynamic: bool, scan: Pose2D) -> np.ndarray:
+def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> np.ndarray:
     """Per-cell status grid (0 unknown, 1 free, 2 occupied) from one scan.
 
     Rays originate at ``scan``; cells are always expressed in the scene's
     reference ego frame, so scans taken from later positions of a recording
     land on the same grid.
     """
-    n = spec.side_cells
-    status = np.zeros((n, n), dtype=np.int8)
+    status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
     ego = scene.ego
+    # a moving object is a target only when several frames show it moving
+    include_dynamic = cfg.frames >= 2
     # the static edges come first; moving objects join them as targets or occluders
     movers = [poly for poly, _ in scene.dynamic_objects] if include_dynamic or cfg.occlude_by_dynamic else []
     edges = polygon_edges([*scene.static_shapes, *movers])
@@ -254,27 +243,16 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig,
     return status
 
 
-def lidar_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimConfig()):
-    """Single-frame LiDAR truth: (target Grid2D with 3 channels, visibility Grid2D).
+def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimConfig()):
+    """LiDAR truth on the frame-0 grid: (target Grid2D with 3 channels, visibility Grid2D).
 
-    Rays over 360 degrees with exact ray-polygon intersection; cells before
-    the first hit are free, the hit cell occupied, everything beyond or never
-    crossed unknown and hidden. Dynamic objects never appear as occupied
-    truth (optionally they still occlude, see SimConfig.occlude_by_dynamic).
-    """
-    status = _status_scan(scene, spec, cfg, include_dynamic=False, scan=scene.ego)
-    return fuse_target_frames([status], spec, scene.ego)
-
-
-def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig):
-    """Multi-frame truth (cfg.frames >= 2) on the frame-0 grid.
-
-    Each frame advances the dynamic objects by their velocity and the scan
-    position by cfg.ego_step along the ego heading, like consecutive poses of
-    a recording. Targets fuse all frames (mixed free/occupied history becomes
-    conflict); the visibility mask is the frame-0 scan only, so cells that are
-    occluded now but were mapped from another pose count as hidden with a
-    known target.
+    Each of cfg.frames 360-degree scans marks the cells before a ray's first
+    hit free and the hit cell occupied. Frame k advances the dynamic objects
+    by k seconds and the scan position by k * cfg.ego_step along the ego
+    heading, like consecutive poses of a recording. Targets fuse all frames
+    (mixed free/occupied history becomes conflict; never seen is unknown).
+    The visibility mask is the frame-0 scan only, so a cell occluded now but
+    mapped from another pose is hidden with a known target.
     """
     ego = scene.ego
     statuses = []
@@ -285,25 +263,11 @@ def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig):
             y=ego.y + k * cfg.ego_step * math.sin(ego.heading),
             heading=ego.heading,
         )
-        statuses.append(_status_scan(frame, spec, cfg, include_dynamic=True, scan=scan))
-    return fuse_target_frames(statuses, spec, ego)
-
-
-def fuse_target_frames(statuses: list[np.ndarray], spec: GridSpec, ego: Pose2D):
-    """Fuse per-frame status grids: mixed free/occupied history -> conflict.
-
-    Visibility is the first frame's scan.
-    """
+        statuses.append(_status_scan(frame, spec, cfg, scan))
     stack = np.stack(statuses)
-    any_free = (stack == _FREE).any(axis=0)
-    any_occ = (stack == _OCC).any(axis=0)
-    target = np.zeros((3, spec.side_cells, spec.side_cells), dtype=np.float64)
-    conflict = any_free & any_occ
-    target[0][any_free & ~any_occ] = 1.0
-    target[1][any_occ & ~any_free] = 1.0
-    target[:2, conflict] = 0.5
-    unknown = ~(any_free | any_occ)
-    target[2][unknown] = 1.0
+    any_free, any_occ = (stack == _FREE).any(axis=0), (stack == _OCC).any(axis=0)
+    target = np.stack([any_free & ~any_occ, any_occ & ~any_free, ~(any_free | any_occ)]).astype(np.float64)
+    target[:2, any_free & any_occ] = 0.5
     visible = (statuses[0] != 0).astype(np.float64)
     return (
         Grid2D(spec, target, channels=("b_f", "b_o", "u"), origin=ego),
@@ -324,19 +288,15 @@ def corner_sensor_poses(ego: Pose2D) -> dict[int, Pose2D]:
             for i, (ox, oy, oh) in enumerate(offsets)}
 
 
-def _boundary_points(polys: list[np.ndarray], spacing: float):
-    """Sample points along polygon boundaries at roughly the given spacing."""
-    pts = []
-    for poly in polys:
-        nxt = np.roll(poly, -1, axis=0)
-        for a, b in zip(poly, nxt):
-            length = float(np.hypot(*(b - a)))
-            k = max(1, int(length / spacing))
-            frac = (np.arange(k) + 0.5) / k
-            pts.append(a[None] + frac[:, None] * (b - a)[None])
-    if not pts:
-        return np.zeros((0, 2))
-    return np.concatenate(pts, axis=0)
+def _boundary_points(edges: np.ndarray, spacing: float) -> np.ndarray:
+    """Sample points along (E, 2, 2) edges at roughly the given spacing: the
+    midpoints of max(1, int(length / spacing)) equal steps along each edge."""
+    a, d = edges[:, 0], edges[:, 1] - edges[:, 0]
+    k = np.maximum(1, (np.hypot(d[:, 0], d[:, 1]) / spacing).astype(np.int64))
+    edge = np.repeat(np.arange(len(edges)), k)
+    j = np.arange(len(edge)) - np.repeat(np.cumsum(k) - k, k)
+    frac = (j + 0.5) / k[edge]
+    return a[edge] + frac[:, None] * d[edge]
 
 
 def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.Generator):
@@ -348,11 +308,12 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
     sensors = corner_sensor_poses(scene.ego)
     # the static shapes move as one body at rest
     bodies = [(scene.static_shapes, (0.0, 0.0)), *(([poly], vel) for poly, vel in scene.dynamic_objects)]
-    edges = polygon_edges([poly for polys, _ in bodies for poly in polys])
+    body_edges = [polygon_edges(polys) for polys, _ in bodies]
+    edges = np.concatenate(body_edges)
     r_max = spec.extent
 
     # candidate boundary points with their source velocities
-    cand_pts = [_boundary_points(polys, cfg.boundary_spacing) for polys, _ in bodies]
+    cand_pts = [_boundary_points(e, cfg.boundary_spacing) for e in body_edges]
     pts = np.concatenate(cand_pts)
     vels = np.repeat(np.array([vel for _, vel in bodies], float), [len(c) for c in cand_pts], axis=0)
 
@@ -461,10 +422,7 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
     def write_sample(i: int) -> str:
         seed = _scene_seed(master_seed, i)
         scene = generate_scene(seed, cfg)
-        if cfg.frames >= 2:
-            target, mask = accumulated_ground_truth(scene, spec, cfg)
-        else:
-            target, mask = lidar_ground_truth(scene, spec, cfg)
+        target, mask = accumulated_ground_truth(scene, spec, cfg)
         radar_rng = np.random.default_rng([seed, 1])
         image, dets, _dyn = simulate_radar(scene, spec, cfg, radar_rng)
 

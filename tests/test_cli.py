@@ -3,6 +3,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -490,6 +491,36 @@ class TestTrainDivergence:
         assert not out.exists() and _staging_left(out) == []
 
 
+class TestMixedSides:
+    """Every grid of a dataset has the side its manifest names."""
+
+    @pytest.fixture(scope="class")
+    def dataset32(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ds32")
+        assert main(["gen", "--out", str(out)] + FAST + ["--set", "sim.side_cells=32"]) == 0
+        return out
+
+    @pytest.mark.parametrize("name, channels", [("radar.grid", 2), ("target.grid", 3)])
+    def test_grid_of_another_side_fails_train(self, dataset, dataset32, tmp_path, capsys, name, channels):
+        data, out = tmp_path / "ds", tmp_path / "m"
+        shutil.copytree(dataset32, data)
+        shutil.copy(dataset / "samples/00001" / name, data / "samples/00001" / name)
+        assert main(["train", "--dataset", str(data), "--out", str(out)] + FAST) == 3
+        assert (f"{data / 'samples/00001' / name}: grid of shape ({channels}, 16, 16), "
+                f"the manifest's samples are ({channels}, 32, 32)") in capsys.readouterr().err
+        assert not out.exists() and _staging_left(out) == []
+
+    def test_negative_manifest_side_fails_train(self, dataset, tmp_path, capsys):
+        data, out = tmp_path / "ds", tmp_path / "m"
+        shutil.copytree(dataset, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["grid"]["side_cells"] = -16
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--dataset", str(data), "--out", str(out)] + FAST) == 3
+        assert f"dataset manifest {data / 'manifest.json'}: side_cells -16" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutputDir:
     """Every command but render builds --out aside and swaps it in whole on success;
     a failed run leaves --out as it was."""
@@ -525,11 +556,7 @@ class TestOutputDir:
 
         monkeypatch.setitem(cli._COMMANDS, command, run_then_fail)
         argv = _argv(command, dataset, runs[1], runs[2], out)
-        if isinstance(interrupt, KeyboardInterrupt):
-            with pytest.raises(KeyboardInterrupt):
-                main(argv)
-        else:
-            assert main(argv) == 3
+        assert main(argv) == (130 if isinstance(interrupt, KeyboardInterrupt) else 3)
         assert (_tree(out) if existing else out.exists()) == (before if existing else False)
         assert _staging_left(out) == []
 
@@ -585,6 +612,62 @@ class TestOutputDir:
                 (stage / "config.json").write_text("new\n")
         assert _tree(out) == {"config.json": b"old\n"}
         assert _staging_left(out) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    def test_ctrl_c_exits_130_with_one_line(self, dataset, tmp_path, monkeypatch, capsys, existing):
+        out = tmp_path / "out"
+        if existing:
+            shutil.copytree(dataset, out)
+        before = _tree(out) if existing else None
+
+        def interrupted(args, cfg, stage):
+            (stage / "00000.grid").write_bytes(b"half done")
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "gen", interrupted)
+        assert main(["gen", "--out", str(out)] + FAST) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert (_tree(out) if existing else out.exists()) == (before if existing else False)
+        assert _staging_left(out) == []
+
+    def test_sigint_to_a_running_gen(self, tmp_path):
+        """Ctrl-C reaches the whole process group: the CLI and every scene worker."""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "evgrid.cli", "gen", "--out", "o"] + FAST + ["--set", "sim.n_scenes=100000"]
+        # a shell's background job starts with SIGINT ignored; the CLI must see it as a terminal would
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True,
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob(".o.*.new/samples/*")) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)
+            os.killpg(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, err) == (130, "interrupted\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_stale_staging_directories_are_reclaimed(self, tmp_path):
+        out = tmp_path / "o"
+        finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                  capture_output=True, text=True, check=True)
+        running = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        gone = finished.stdout.strip()
+        try:
+            for name in (f".o.{os.getpid()}.new", f".o.{gone}.new", f".o.{running.pid}.new", f".o.{gone}.old"):
+                (tmp_path / name / "samples").mkdir(parents=True)
+            assert main(["gen", "--out", str(out)] + FAST) == 0
+        finally:
+            running.kill()
+            running.wait()
+        # a running process's staging directory and an aside tree stay
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["o", f".o.{running.pid}.new", f".o.{gone}.old"])
 
 
 @pytest.fixture(scope="module")
@@ -646,6 +729,17 @@ class TestDamagedInputs:
         code, err = self._run(fuzz_root, command, rel, blob[:-4] + np.array([np.nan], "<f4").tobytes(),
                               True, capsys)
         assert code == 3 and f"{fuzz_root / rel}: payload holds a NaN or an infinity" in err
+
+    @pytest.mark.parametrize("command, rel, value, channel", [
+        ("train", "data/samples/00000/target.grid", 3e38, "'u' holds a value outside [0, 1]"),
+        ("infer", "data/samples/00000/radar.grid", 3e38, "'dynamic' holds a value outside [0, 16777216]"),
+        ("eval", "data/samples/00005/mask.grid", 2.0, "'visible' holds a value outside [0, 1]"),
+    ])
+    def test_value_out_of_channel_range(self, fuzz_root, capsys, command, rel, value, channel):
+        blob = (fuzz_root / rel).read_bytes()
+        code, err = self._run(fuzz_root, command, rel, blob[:-4] + np.array([value], "<f4").tobytes(),
+                              False, capsys)
+        assert code == 3 and f"{fuzz_root / rel}: channel {channel}" in err
 
     @pytest.mark.parametrize("command", list(FILES))
     @given(data=st.data())

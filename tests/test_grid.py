@@ -252,6 +252,20 @@ class TestGridValidation:
         with pytest.raises(EvgridError):
             grid_from_bytes(bad)
 
+    @pytest.mark.parametrize("channel, value, ok", [
+        ("b_f", 1.0, True), ("b_o", -1e-30, False), ("u", 1.5, False), ("visible", 2.0, False),
+        ("static", 2.0**24, True), ("dynamic", 3e38, False), ("static", -1.0, False), ("value", 3e38, True),
+    ])
+    def test_channel_value_ranges(self, channel, value, ok):
+        data = np.zeros((1, 8, 8))
+        data[0, 3, 4] = value
+        blob = grid_to_bytes(Grid2D(GridSpec(8, 0.5), data, channels=(channel,)))
+        if ok:
+            assert grid_from_bytes(blob).data[0, 3, 4] == np.float32(value)
+        else:
+            with pytest.raises(EvgridError, match=f"channel '{channel}' holds a value outside"):
+                grid_from_bytes(blob)
+
     def test_read_grid_names_the_file(self, tmp_path):
         path = tmp_path / "cut.grid"
         path.write_bytes(self.BLOB[:-100])

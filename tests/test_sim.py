@@ -23,7 +23,6 @@ from evgrid.sim import (
     detections_from_jsonl,
     generate_scene,
     l_shape,
-    lidar_ground_truth,
     load_manifest,
     polygon_area,
     polygon_edges,
@@ -150,7 +149,7 @@ class TestSceneGeneration:
     def test_empty_scene(self):
         # nothing to hit: every cell is seen free
         scene = Scene([], [], Pose2D(0.3, -0.2, 0.4))
-        target, visible = lidar_ground_truth(scene, SPEC)
+        target, visible = accumulated_ground_truth(scene, SPEC)
         assert np.all(target.data[0] == 1.0) and np.all(visible.data == 1.0)
 
     def test_occupied_fraction_band(self):
@@ -171,7 +170,7 @@ class TestLidarGroundTruth:
         return Scene([rect(5.0, -4.0, 5.6, 4.0)], [], Pose2D())
 
     def test_free_occupied_unknown_layout(self):
-        target, visible = lidar_ground_truth(self._wall_scene(), SPEC)
+        target, visible = accumulated_ground_truth(self._wall_scene(), SPEC)
         free_cell = cell_of(SPEC, (3.0, 0.0), Pose2D())
         wall_cell = cell_of(SPEC, (5.1, 0.0), Pose2D())
         behind_cell = cell_of(SPEC, (7.0, 0.0), Pose2D())
@@ -181,16 +180,16 @@ class TestLidarGroundTruth:
 
     def test_visible_iff_not_unknown(self):
         for seed in (0, 3, 11):
-            target, visible = lidar_ground_truth(generate_scene(seed), SPEC)
+            target, visible = accumulated_ground_truth(generate_scene(seed), SPEC)
             assert np.array_equal(visible.data[0] > 0.5, target.data[2] < 0.5)
 
     def test_channels_partition(self):
-        target, _ = lidar_ground_truth(generate_scene(5), SPEC)
+        target, _ = accumulated_ground_truth(generate_scene(5), SPEC)
         assert np.allclose(target.data.sum(axis=0), 1.0)
 
     def test_per_ray_oracle(self):
         scene = generate_scene(7)
-        target, _ = lidar_ground_truth(scene, SPEC)
+        target, _ = accumulated_ground_truth(scene, SPEC)
         edges = polygon_edges(list(scene.static_shapes))
         ego = scene.ego
         rng = np.random.default_rng(0)
@@ -210,7 +209,7 @@ class TestLidarGroundTruth:
         cfg = SimConfig(occlude_by_dynamic=occlude)
         for seed in range(12):
             scene = generate_scene(seed)
-            target, visible = lidar_ground_truth(scene, SPEC, cfg)
+            target, visible = accumulated_ground_truth(scene, SPEC, cfg)
             shapes = list(scene.static_shapes) + ([p for p, _ in scene.dynamic_objects] if occlude else [])
             ego = scene.ego
             angles = ego.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
@@ -232,18 +231,18 @@ class TestLidarGroundTruth:
     def test_dynamic_objects_absent_from_single_frame_truth(self):
         scene = Scene([], [(rect(3.0, -0.5, 5.0, 0.5), np.array([2.0, 0.0]))],
                       Pose2D())
-        target, _ = lidar_ground_truth(scene, SPEC)
+        target, _ = accumulated_ground_truth(scene, SPEC)
         assert np.all(target.data[1] == 0.0)
 
     def test_dynamic_object_occludes_without_being_a_target(self):
         scene = Scene([rect(6.0, -4.0, 6.6, 4.0)], [(rect(3.0, -0.5, 4.0, 0.5), np.array([1.0, 0.0]))],
                       Pose2D())
         face, shadowed, lit = (cell_of(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0), (6.1, 3.0)))
-        target, _ = lidar_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=True))
+        target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=True))
         occupied, unknown = target.data[1], target.data[2]
         assert occupied[face] == 0.0  # the hit on the moving box is not occupied truth
         assert unknown[shadowed] == 1.0 and occupied[lit] == 1.0
-        target, _ = lidar_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=False))
+        target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=False))
         assert target.data[1][shadowed] == 1.0
 
     def test_accumulated_frames_produce_conflict(self):
@@ -268,7 +267,7 @@ class TestLidarGroundTruth:
                       Pose2D())
         cfg = SimConfig(frames=3, ego_step=2.0)
         target, visible = accumulated_ground_truth(scene, SPEC, cfg)
-        single_target, single_visible = lidar_ground_truth(scene, SPEC, cfg)
+        single_target, single_visible = accumulated_ground_truth(scene, SPEC, SimConfig(frames=1))
         assert np.array_equal(visible.data, single_visible.data)
         # later scans map cells behind the near box, so some hidden cells
         # now carry a known target
@@ -350,10 +349,10 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
     sensors = corner_sensor_poses(scene.ego)
     edges = polygon_edges(list(scene.static_shapes) + [p for p, _ in scene.dynamic_objects])
     r_max = spec.extent
-    stat_pts = _boundary_points(scene.static_shapes, cfg.boundary_spacing)
+    stat_pts = _boundary_points(polygon_edges(scene.static_shapes), cfg.boundary_spacing)
     cand_pts, cand_vel = [stat_pts], [np.zeros_like(stat_pts)]
     for poly, vel in scene.dynamic_objects:
-        pts = _boundary_points([poly], cfg.boundary_spacing)
+        pts = _boundary_points(polygon_edges([poly]), cfg.boundary_spacing)
         cand_pts.append(pts)
         cand_vel.append(np.broadcast_to(np.asarray(vel, dtype=np.float64), pts.shape).copy())
     pts, vels = np.concatenate(cand_pts), np.concatenate(cand_vel)
