@@ -144,8 +144,11 @@ def cmd_infer(args, cfg: dict, out: Path) -> int:
         sdir = Path(args.dataset) / "samples" / sid
         radar = read_grid(sdir / "radar.grid")
         rng = np.random.default_rng([cfg["master_seed"], int(sid)])
-        pred = mc_predict(params, spec, radar.data.astype(np.float32), tcfg.mc_samples,
-                          args.mode, rng, percentile=tcfg.percentile)
+        try:
+            pred = mc_predict(params, spec, radar.data.astype(np.float32), tcfg.mc_samples,
+                              args.mode, rng, percentile=tcfg.percentile)
+        except DomainError as exc:  # a network whose output overflows, e.g. a huge weight
+            raise EvgridError(f"{args.checkpoint}: scene {sid}: {exc}") from exc
         write_grid(out / f"{sid}.grid",
                    Grid2D(radar.spec, pred, channels=("b_f", "b_o", "u"), origin=radar.origin))
 

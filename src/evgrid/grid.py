@@ -80,6 +80,12 @@ class Grid2D:
             raise DomainError(f"grid data shape {self.data.shape} != expected {expected}")
 
 
+def _grid_frame(ego: Pose2D, dx, dy):
+    """An ego-relative world offset (or direction) in the grid's axes: (x, y)."""
+    c, s = math.cos(ego.heading), math.sin(ego.heading)
+    return c * dx - s * dy, s * dx + c * dy
+
+
 def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
     """Map world points into grid cells: (row, col, inside) arrays.
 
@@ -88,10 +94,7 @@ def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
     cell whose lower edge they sit on. ``row`` and ``col`` are int64 and lie
     outside [0, side) where ``inside`` is False.
     """
-    c, s = math.cos(ego.heading), math.sin(ego.heading)
-    dx, dy = px - ego.x, py - ego.y
-    xr = c * dx - s * dy
-    yr = s * dx + c * dy
+    xr, yr = _grid_frame(ego, px - ego.x, py - ego.y)
     half = spec.side_cells // 2
     col = np.floor(xr / spec.cell_size).astype(np.int64) + half
     row = np.floor(yr / spec.cell_size).astype(np.int64) + half

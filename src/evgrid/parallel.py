@@ -30,7 +30,10 @@ def map_scenes(fn, items) -> list:
     the first failing item in item order, as in the serial loop. Items not
     yet started when it is raised are cancelled, and the ones running are
     let finish, so no worker is killed halfway through writing a file. A
-    Ctrl-C ends the workers at once, and KeyboardInterrupt is raised once they are gone.
+    KeyboardInterrupt ends the workers at once, whether the SIGINT reached them
+    too (a terminal's Ctrl-C) or this process alone, and is raised once they
+    are gone: what they were writing is discarded with the caller's staging
+    directory.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items))
@@ -51,6 +54,10 @@ def map_scenes(fn, items) -> list:
         chunks = [pool.submit(_call, items[i:i + size]) for i in range(0, len(items), size)]
         # chunk k's error is raised only after chunks 0..k-1 have returned
         return [result for chunk in chunks for result in chunk.result()]
+    except KeyboardInterrupt:
+        for worker in multiprocessing.active_children():
+            worker.terminate()
+        raise
     finally:
         # waits for the running chunks; the pool's own thread cancels the rest, because a
         # cancel from this thread races a broken pool's cleanup, which Python 3.11 abandons

@@ -8,22 +8,23 @@ converted to belief masses for scoring. The standard normal CDF of the
 closed form is ``_ndtr``, a numpy port of the Cephes ``ndtr``, so the
 module needs numpy alone.
 
-A scene's static detections are accumulated by one kernel. The range and
-bearing of every cell are computed once per sensor, and the cells sorted by
-bearing. The sorted bearings are repeated at -2 pi, 0 and +2 pi, a ring on
-which each detection's candidates, the cells within phi_meas +- 4 sigma_phi,
-are one slice found by binary search, even where the window crosses +-pi.
-The footprint test and the IDM run on all candidate
-(detection, cell) pairs at once. The logits are then added in detection
-order and clamped after each detection, touching only that detection's
-cells, so cells that saturate end up exactly as in a one-detection-at-a-time
-loop.
+A scene's detections travel as ``Detections``, one array per field, from
+the simulator through the file reader to the kernel, which accumulates the
+static ones. The range and bearing of every cell are computed once per
+sensor, and the cells sorted by bearing. The sorted bearings are repeated at
+-2 pi, 0 and +2 pi, a ring on which each detection's candidates, the cells
+within phi_meas +- 4 sigma_phi, are one slice found by binary search, even
+where the window crosses +-pi. The footprint test and the IDM run on all
+candidate (detection, cell) pairs at once. The logits are then added in
+detection order and clamped after each detection, touching only that
+detection's cells, so cells that saturate end up exactly as in a
+one-detection-at-a-time loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +61,8 @@ _SQRT1_2 = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class Detection:
-    """One radar return in the sensor frame."""
+    """One radar return in the sensor frame: the scalar form ``idm`` takes. A
+    scene's returns travel as ``Detections``."""
 
     r: float
     phi: float
@@ -73,6 +75,44 @@ class Detection:
             raise DomainError("detection fields must be finite")
         if self.r < 0.0:
             raise DomainError(f"range must be >= 0, got {self.r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """A scene's radar returns as columns: entry i of each 1-D array is one
+    return, in the frame of sensor ``sensor_id[i]``."""
+
+    r: np.ndarray
+    phi: np.ndarray
+    v_r: np.ndarray
+    sensor_id: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = np.asarray(getattr(self, f.name))
+            if f.name != "sensor_id":
+                value = value.astype(np.float64, copy=False)
+            elif value.dtype.kind in "iu" or value.size == 0:
+                value = value.astype(np.int64, copy=False)
+            else:
+                raise DomainError(f"sensor ids must be integers, got {value.dtype}")
+            object.__setattr__(self, f.name, value)
+        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise DomainError("detection fields must be 1-D arrays of one length")
+        if not all(np.isfinite(getattr(self, name)).all() for name in ("r", "phi", "v_r", "t")):
+            raise DomainError("detection fields must be finite")
+        negative = np.flatnonzero(self.r < 0.0)
+        if len(negative):
+            raise DomainError(f"range must be >= 0, got {self.r[negative[0]]}")
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, index) -> "Detections":
+        """The detections at an index array, in its order."""
+        return Detections(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +232,11 @@ def _idm(r, phi, r_meas, phi_meas, cfg: RayIsmConfig):
 
 
 def _polar_cells(grid: Grid2D, poses: list[Pose2D]):
-    """Range, bearing and bearing sort order of every cell, one row per sensor."""
+    """Range, bearing and bearing sort order of every cell, one row per sensor.
+
+    The sort need not be stable: a binary search never splits a run of equal
+    bearings, so a detection's candidate cells are the same set in any order.
+    """
     wx, wy = cell_centers(grid.spec, grid.origin)
     rng, phi = [], []
     for pose in poses:
@@ -200,12 +244,12 @@ def _polar_cells(grid: Grid2D, poses: list[Pose2D]):
         rng.append(np.hypot(dx, dy).ravel())
         phi.append(wrap_angle(np.arctan2(dy, dx) - pose.heading).ravel())
     phi = np.stack(phi)
-    return np.stack(rng), phi, np.argsort(phi, axis=1, kind="stable")
+    return np.stack(rng), phi, np.argsort(phi, axis=1)
 
 
-def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid: Grid2D,
+def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Grid2D,
                     cfg: RayIsmConfig) -> None:
-    """Accumulate the IDMs of a list of detections into a log-odds grid, in place.
+    """Accumulate the IDMs of a scene's detections into a log-odds grid, in place.
 
     Only cells inside a detection's beam footprint (range <= r_meas + 4 sigma_r,
     |angular offset| <= 4 sigma_phi) are touched; outside it the IDM is
@@ -218,21 +262,18 @@ def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid
     are then added detection by detection, clamping after each, so
     saturated cells depend on the order of ``dets``.
     """
-    for det in dets:
-        if det.sensor_id not in sensor_poses:
-            raise DomainError(f"no pose for sensor {det.sensor_id}")
-    if not dets:
+    unknown = np.flatnonzero(~np.isin(dets.sensor_id, list(sensor_poses)))
+    if len(unknown):
+        raise DomainError(f"no pose for sensor {dets.sensor_id[unknown[0]]}")
+    if not len(dets):
         return
-    sensors = sorted({det.sensor_id for det in dets})
-    rng, phi, order = _polar_cells(grid, [sensor_poses[sid] for sid in sensors])
-    row = np.searchsorted(sensors, [det.sensor_id for det in dets])
-    r_meas = np.array([det.r for det in dets])
-    phi_meas = np.array([det.phi for det in dets])
+    sensors, row = np.unique(dets.sensor_id, return_inverse=True)
+    rng, phi, order = _polar_cells(grid, [sensor_poses[sid] for sid in sensors.tolist()])
     r4, phi4 = 4.0 * cfg.noise.sigma_r, 4.0 * cfg.noise.sigma_phi
 
     # half stops at pi, one full turn: a wider slice would only list a cell twice,
     # which is harmless (both copies are set to the same old + logit) but is work
-    centre, half = wrap_angle(phi_meas), min(phi4 + _BEARING_SLACK, math.pi)
+    centre, half = wrap_angle(dets.phi), min(phi4 + _BEARING_SLACK, math.pi)
     start, end = np.empty(len(dets), np.int64), np.empty(len(dets), np.int64)
     for k in range(len(sensors)):
         ring = np.concatenate([phi[k, order[k]] + turn for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)])
@@ -246,7 +287,7 @@ def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid
     pair_row = row[pair_det]
     cell = order[pair_row, pos % phi.shape[1]]
     pair_rng, pair_phi = rng[pair_row, cell], phi[pair_row, cell]
-    pair_r, pair_phi_meas = r_meas[pair_det], phi_meas[pair_det]
+    pair_r, pair_phi_meas = dets.r[pair_det], dets.phi[pair_det]
 
     keep = (pair_rng <= pair_r + r4) & (np.abs(wrap_angle(pair_phi - pair_phi_meas)) <= phi4)
     idx = np.flatnonzero(keep)  # six integer gathers cost less than six boolean-mask ones
@@ -265,7 +306,7 @@ def accumulate_idms(dets: list[Detection], sensor_poses: dict[int, Pose2D], grid
 
 
 def ray_ism_scene(
-    detections: list[Detection],
+    detections: Detections,
     sensor_poses: dict[int, Pose2D],
     spec: GridSpec,
     cfg: RayIsmConfig = RayIsmConfig(),
@@ -279,7 +320,7 @@ def ray_ism_scene(
     per-cell probability is mapped linearly onto (b_f, b_o, u).
     """
     logodds = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
-    static = [det for det in detections if abs(det.v_r) <= dynamic_velocity_threshold]
+    static = detections[np.flatnonzero(np.abs(detections.v_r) <= dynamic_velocity_threshold)]
     accumulate_idms(static, sensor_poses, logodds, cfg)
     p_o = 1.0 / (1.0 + np.exp(-logodds.data[0]))
     return Grid2D(spec, prob_to_evidential_array(p_o), channels=("b_f", "b_o", "u"), origin=ego)

@@ -4,7 +4,8 @@ Stands in for the vehicle dataset: scenes built from axis-aligned walls and
 L-shaped parked cars plus optional moving rectangles, a LiDAR raycaster that
 produces ground-truth occupancy patches and visibility masks, and a sparse,
 noisy radar detection simulator feeding both the radar images and the
-Ray-ISM pipeline.
+Ray-ISM pipeline. A scene's detections are ``Detections`` columns from the
+simulator to ``detections.jsonl`` and back.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
-from evgrid.grid import Grid2D, GridSpec, Pose2D, world_to_cells, wrap_angle, write_grid
+from evgrid.grid import Grid2D, GridSpec, Pose2D, _grid_frame, world_to_cells, wrap_angle, write_grid
 from evgrid.parallel import map_scenes
-from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detection, RadarNoiseModel
+from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detections, RadarNoiseModel
 
 _FREE, _OCC = 1, 2  # status codes; 0 = unknown
 
@@ -219,16 +220,23 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
     t_hit, edge_idx = ray_hits(origins, dirs, edges)
     t_end = np.minimum(t_hit, max_range)
 
-    # free space: dense samples along each ray up to (just before) the hit,
-    # laid out ray by ray with only each ray's own samples
+    # free space: dense samples along each ray up to (just before) the hit, laid
+    # out ray by ray with only each ray's own samples. A ray stops where it leaves
+    # the grid square grown by one cell on every side (the slab exit, in the grid
+    # frame), since every later sample would bin outside the grid.
+    g = np.array(_grid_frame(ego, scan.x - ego.x, scan.y - ego.y))
+    u = np.stack(_grid_frame(ego, dirs[:, 0], dirs[:, 1]), axis=1)
+    box = (spec.side_cells - spec.side_cells // 2 + 1) * spec.cell_size  # the larger half side, plus a cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_exit = np.where(u == 0.0, np.inf, (np.copysign(box, u) - g) / u).min(axis=1)
     step = spec.cell_size / 4.0
     t_samples = (np.arange(int(max_range / step)) + 0.5) * step
-    counts = np.searchsorted(t_samples, t_end - 1e-9)
-    ray = np.repeat(np.arange(len(dirs)), counts)
-    t = t_samples[np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)]
-    pts_x = origins[ray, 0] + dirs[ray, 0] * t
-    pts_y = origins[ray, 1] + dirs[ray, 1] * t
+    counts = np.searchsorted(t_samples, np.minimum(t_end - 1e-9, t_exit))
+    t = t_samples[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)]
+    pts_x = scan.x + np.repeat(dirs[:, 0], counts) * t
+    pts_y = scan.y + np.repeat(dirs[:, 1], counts) * t
     rows, cols, inside = world_to_cells(spec, ego, pts_x, pts_y)
+    inside = np.flatnonzero(inside)  # integer indices gather faster than a boolean mask
     status[rows[inside], cols[inside]] = _FREE
 
     # occupied: the cell containing each hit point, nudged inside the shape;
@@ -236,8 +244,8 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
     # targets (an occluder leaves the shadow behind it hidden)
     hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= max_range))
     hit = hit[include_dynamic | (edge_idx[hit] < n_static)]
-    hx = origins[hit, 0] + dirs[hit, 0] * (t_hit[hit] + 1e-6)
-    hy = origins[hit, 1] + dirs[hit, 1] * (t_hit[hit] + 1e-6)
+    hx = scan.x + dirs[hit, 0] * (t_hit[hit] + 1e-6)
+    hy = scan.y + dirs[hit, 1] * (t_hit[hit] + 1e-6)
     rows, cols, inside = world_to_cells(spec, ego, hx, hy)
     status[rows[inside], cols[inside]] = _OCC
     return status
@@ -303,7 +311,7 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
     """Simulate the four corner radars for one frame.
 
     Returns (radar image Grid2D with static/dynamic hit-count channels,
-    list[Detection], list[bool] dynamic flags aligned with the detections).
+    Detections, bool array of dynamic flags aligned with the detections).
     """
     sensors = corner_sensor_poses(scene.ego)
     # the static shapes move as one body at rest
@@ -317,8 +325,7 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
     pts = np.concatenate(cand_pts)
     vels = np.repeat(np.array([vel for _, vel in bodies], float), [len(c) for c in cand_pts], axis=0)
 
-    detections: list[Detection] = []
-    dyn_flags: list[bool] = []
+    per_sensor = []  # each sensor's (k,) ids, (k, 3) measured (r, phi, v_r) and (k,) dynamic flags
     counts = np.zeros((2, spec.side_cells, spec.side_cells), dtype=np.float64)
     sigmas = [cfg.noise.sigma_r, cfg.noise.sigma_phi, cfg.vr_sigma]
     for sid in sorted(sensors):
@@ -350,56 +357,96 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
         if len(meas) > cfg.max_detections:
             pick = np.sort(rng.choice(len(meas), size=cfg.max_detections, replace=False))
             meas, dyn = meas[pick], dyn[pick]
-        detections += [Detection(r=r, phi=phi, v_r=v_r, sensor_id=sid) for r, phi, v_r in meas.tolist()]
-        dyn_flags += dyn.tolist()
+        per_sensor.append((np.full(len(meas), sid), meas, dyn))
         r, phi = meas[:, 0], pose.heading + meas[:, 1]
         rows, cols, inside = world_to_cells(spec, scene.ego, pose.x + r * np.cos(phi), pose.y + r * np.sin(phi))
         np.add.at(counts, (dyn[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
 
     image = Grid2D(spec, counts, channels=("static", "dynamic"), origin=scene.ego)
-    return image, detections, dyn_flags
+    sids, meas, dyn = (np.concatenate(parts) for parts in zip(*per_sensor))
+    detections = Detections(r=meas[:, 0], phi=meas[:, 1], v_r=meas[:, 2], sensor_id=sids, t=np.zeros(len(meas)))
+    return image, detections, dyn
 
 
 # ---------------------------------------------------------------------------
 # dataset writing
 # ---------------------------------------------------------------------------
 
-def detection_json(det: Detection) -> str:
-    return json.dumps(
-        {"t": det.t, "sensor_id": det.sensor_id, "r": det.r, "phi": det.phi, "v_r": det.v_r},
-        sort_keys=True, separators=(",", ":"),
-    )
+def detections_jsonl(dets: Detections) -> str:
+    """One compact JSON object per detection and line, keys sorted: the bytes of
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, whose floats are
+    their ``repr``."""
+    rows = zip(dets.phi.tolist(), dets.r.tolist(), dets.sensor_id.tolist(), dets.t.tolist(), dets.v_r.tolist())
+    return "".join(f'{{"phi":{phi!r},"r":{r!r},"sensor_id":{sid},"t":{t!r},"v_r":{v_r!r}}}\n'
+                   for phi, r, sid, t, v_r in rows)
 
 
-def detections_from_jsonl(text: str | bytes) -> list[Detection]:
-    """Parse one detection per line of text or UTF-8 bytes; a malformed line
-    raises EvgridError naming the line."""
-    dets = []
+def detections_from_jsonl(text: str | bytes) -> Detections:
+    """Parse one detection per line of text or UTF-8 bytes; blank lines are
+    skipped, and a missing "t" is 0. The first malformed line raises
+    EvgridError naming the line.
+
+    Each line is parsed on its own, so no JSON value can run on into the next
+    line; the fields are then checked and converted column by column.
+    """
+    parse = json.JSONDecoder().raw_decode
+    rows, linenos, bad_line = [], [], None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise EvgridError("not a JSON object")
-            for key in ("r", "phi", "v_r", "sensor_id"):
-                if key not in obj:
-                    raise EvgridError(f"missing key {key!r}")
-            obj.setdefault("t", 0.0)
-            for key in ("r", "phi", "v_r", "t"):
-                if not is_number(obj[key]):
-                    raise EvgridError(f"{key!r} must be a finite number, got {obj[key]!r}")
-            if not is_int(obj["sensor_id"]):
-                raise EvgridError(f"'sensor_id' must be an integer, got {obj['sensor_id']!r}")
-            dets.append(Detection(r=obj["r"], phi=obj["phi"], v_r=obj["v_r"],
-                                  sensor_id=obj["sensor_id"], t=obj["t"]))
+            # bytes decode as json.loads decodes them: UTF-8, a BOM allowed
+            line = line.decode("utf-8-sig", "surrogatepass") if isinstance(line, bytes) else line
+            row, end = parse(line)
+            if end != len(line):
+                raise EvgridError(f"extra data after column {end}")
         except (EvgridError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-            raise EvgridError(f"line {lineno}: {exc}") from exc
+            bad_line = EvgridError(f"line {lineno}: {exc}")
+            break
+        rows.append(row)
+        linenos.append(lineno)
+    try:
+        dets = _detection_columns(rows)
+    except EvgridError:  # name the first line that fails on its own
+        for lineno, row in zip(linenos, rows):
+            try:
+                _detection_columns([row])
+            except EvgridError as exc:
+                raise EvgridError(f"line {lineno}: {exc}") from exc
+        raise
+    if bad_line is not None:  # every line before it is valid
+        raise bad_line
     return dets
 
 
-def read_detections(path) -> list[Detection]:
+def _detection_columns(rows: list) -> Detections:
+    """Parsed detection lines as columns: each must be an object with the
+    numbers "r", "phi", "v_r", an optional number "t" and an integer
+    "sensor_id". A failure raises EvgridError saying which check failed."""
+    if not set(map(type, rows)) <= {dict}:
+        raise EvgridError("not a JSON object")
+    cols = {}
+    for key in ("r", "phi", "v_r", "sensor_id"):
+        try:
+            cols[key] = [row[key] for row in rows]
+        except KeyError:
+            raise EvgridError(f"missing key {key!r}") from None
+    cols["t"] = [row.get("t", 0.0) for row in rows]
+    for key, col in cols.items():
+        kinds, dtype, what = (({int}, np.int64, "an integer") if key == "sensor_id"
+                              else ({int, float}, np.float64, "a finite number"))
+        if not set(map(type, col)) <= kinds:  # a bool is not an int here
+            wrong = next(value for value in col if type(value) not in kinds)
+            raise EvgridError(f"{key!r} must be {what}, got {wrong!r}")
+        try:
+            cols[key] = np.array(col, dtype=dtype)
+        except OverflowError:
+            raise EvgridError(f"{key!r} must be {what}, got an integer out of range") from None
+    return Detections(**cols)  # checks that the numbers are finite and the ranges >= 0
+
+
+def read_detections(path) -> Detections:
     return read_input(path, "detections file", detections_from_jsonl)
 
 
@@ -432,8 +479,7 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
         write_grid(sdir / "radar.grid", image)
         write_grid(sdir / "target.grid", target)
         write_grid(sdir / "mask.grid", mask)
-        write_atomic(sdir / "detections.jsonl", "".join(detection_json(d) + "\n" for d in dets),
-                     "detections file")
+        write_atomic(sdir / "detections.jsonl", detections_jsonl(dets), "detections file")
         return sid
 
     sample_ids = map_scenes(write_sample, range(n_scenes))

@@ -1,7 +1,8 @@
 """Shared pytest plumbing: collects acceptance gate lines and prints them
 after the run, outside of output capture. Also the helpers several suites
 share: a scalar cell lookup, the cut-and-flip damage of the reader fuzz
-tests, and a CPU count for the scene pool."""
+tests, a CPU count for the scene pool, and the conversion between lists of
+scalar detections and the columns the package passes around."""
 
 import os
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from evgrid.errors import EvgridError
 from evgrid.grid import world_to_cells
+from evgrid.rayism import Detection, Detections
 
 _gate_lines: list[str] = []
 
@@ -49,3 +51,15 @@ def reads_or_names_file(read, path) -> None:
 def fake_cpus(monkeypatch, n: int) -> None:
     """Make the process's CPU affinity, which sizes ``map_scenes``'s pool, hold ``n`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def columns(dets: list[Detection]) -> Detections:
+    """The ``Detections`` columns of a list of scalar detections, in list order."""
+    return Detections(r=[d.r for d in dets], phi=[d.phi for d in dets], v_r=[d.v_r for d in dets],
+                      sensor_id=[d.sensor_id for d in dets], t=[d.t for d in dets])
+
+
+def detection_list(dets: Detections) -> list[Detection]:
+    """The scalar detections of ``Detections`` columns, in column order."""
+    return [Detection(r=r, phi=phi, v_r=v_r, sensor_id=sid, t=t) for r, phi, v_r, sid, t in
+            zip(dets.r.tolist(), dets.phi.tolist(), dets.v_r.tolist(), dets.sensor_id.tolist(), dets.t.tolist())]

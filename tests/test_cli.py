@@ -365,6 +365,18 @@ class TestExitCodes:
                      "--out", str(out)] + FAST) == 3
         assert not out.exists()
 
+    def test_checkpoint_whose_network_overflows(self, dataset, runs, tmp_path, capsys):
+        # a finite but huge weight passes the checkpoint reader; the evidence it makes does not
+        params, spec, _header = load_checkpoint(runs[1] / "checkpoint.ckpt")
+        params["stem_w"] = params["stem_w"].copy()
+        params["stem_w"].flat[0] = 3e38
+        ckpt, out = tmp_path / "huge.ckpt", tmp_path / "o"
+        save_checkpoint(ckpt, params, spec)
+        assert main(["infer", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--mode", "ev",
+                     "--out", str(out)] + FAST) == 3
+        assert f"error: {ckpt}: scene 00000: evidence must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "no_newline", "wrong_element_type",
                                         "string_leaky_slope", "slope_out_of_range"])
     def test_bad_checkpoint(self, dataset, tmp_path, capsys, damage):
@@ -630,8 +642,11 @@ class TestOutputDir:
         assert (_tree(out) if existing else out.exists()) == (before if existing else False)
         assert _staging_left(out) == []
 
-    def test_sigint_to_a_running_gen(self, tmp_path):
-        """Ctrl-C reaches the whole process group: the CLI and every scene worker."""
+    @staticmethod
+    def _interrupt_running_gen(tmp_path, send) -> tuple[int, str, float]:
+        """Start a long pooled gen in its own session, call ``send(pid)`` once it
+        writes scenes, and return its exit code, its stderr and the seconds it
+        took to exit after the signal."""
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         argv = [sys.executable, "-m", "evgrid.cli", "gen", "--out", "o"] + FAST + ["--set", "sim.n_scenes=100000"]
@@ -644,13 +659,26 @@ class TestOutputDir:
             while not list(tmp_path.glob(".o.*.new/samples/*")) and time.monotonic() < deadline:
                 time.sleep(0.05)
             time.sleep(0.5)
-            os.killpg(proc.pid, signal.SIGINT)
+            send(proc.pid)
+            sent = time.monotonic()
             err = proc.communicate(timeout=60)[1]
+            return proc.returncode, err, time.monotonic() - sent
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
-        assert (proc.returncode, err) == (130, "interrupted\n")
+
+    def test_sigint_to_a_running_gen(self, tmp_path):
+        """Ctrl-C reaches the whole process group: the CLI and every scene worker."""
+        code, err, _took = self._interrupt_running_gen(tmp_path, lambda pid: os.killpg(pid, signal.SIGINT))
+        assert (code, err) == (130, "interrupted\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_sigint_to_the_cli_process_alone(self, tmp_path):
+        """A SIGINT that reaches the CLI but not its scene workers stops them too."""
+        code, err, took = self._interrupt_running_gen(tmp_path, lambda pid: os.kill(pid, signal.SIGINT))
+        assert (code, err) == (130, "interrupted\n")
+        assert took < 2.0
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_stale_staging_directories_are_reclaimed(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import evgrid
-from conftest import cell_of
+from conftest import cell_of, columns
 from evgrid.errors import DomainError
 from evgrid.grid import (
     Grid2D,
@@ -25,6 +26,7 @@ from evgrid.grid import (
 )
 from evgrid.rayism import (
     Detection,
+    Detections,
     RadarNoiseModel,
     RayIsmConfig,
     _ndtr,
@@ -209,6 +211,21 @@ class TestDetectionValidation:
         with pytest.raises(DomainError):
             Detection(r=1.0, phi=float("nan"))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"r": [1.0, -0.5]}, "range must be >= 0, got -0.5"),
+        ({"phi": [0.0, float("nan")]}, "must be finite"),
+        ({"t": [float("inf"), 0.0]}, "must be finite"),
+        ({"sensor_id": [0.0, 1.0]}, "sensor ids must be integers"),
+        ({"sensor_id": [True, False]}, "sensor ids must be integers"),
+        ({"v_r": [0.0]}, "1-D arrays of one length"),
+        ({"r": [[1.0, 2.0]]}, "1-D arrays of one length"),
+    ])
+    def test_columns_checks(self, change, message):
+        good = {"r": [1.0, 2.0], "phi": [0.0, 0.1], "v_r": [0.0, 0.0], "sensor_id": [0, 1], "t": [0.0, 0.0]}
+        assert len(Detections(**good)) == 2
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Detections(**{**good, **change})
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             RayIsmConfig(eps_free=0.6)
@@ -222,7 +239,7 @@ SPEC = GridSpec(side_cells=32, cell_size=0.5)
 
 
 def rasterize_one(det, pose, grid, cfg):
-    accumulate_idms([det], {det.sensor_id: pose}, grid, cfg)
+    accumulate_idms(columns([det]), {det.sensor_id: pose}, grid, cfg)
 
 
 class TestRasterize:
@@ -275,29 +292,28 @@ class TestScene:
     POSES = {0: Pose2D(), 1: Pose2D(x=1.0, heading=math.pi / 2)}
 
     def test_empty_scene_is_all_unknown(self):
-        out = ray_ism_scene([], self.POSES, SPEC)
+        out = ray_ism_scene(columns([]), self.POSES, SPEC)
         assert np.allclose(out.data[2], 1.0)
         assert np.allclose(out.data[:2], 0.0)
 
     def test_dynamic_detections_skipped(self):
         fast = Detection(r=5.0, phi=0.0, v_r=2.0)
-        out = ray_ism_scene([fast], self.POSES, SPEC, dynamic_velocity_threshold=0.5)
+        out = ray_ism_scene(columns([fast]), self.POSES, SPEC, dynamic_velocity_threshold=0.5)
         assert np.allclose(out.data[2], 1.0)
 
     def test_permutation_invariant_without_saturation(self):
         dets = [Detection(r=4.0, phi=0.1), Detection(r=6.0, phi=-0.2, sensor_id=1),
                 Detection(r=5.0, phi=0.0)]
-        a = ray_ism_scene(dets, self.POSES, SPEC)
-        b = ray_ism_scene(list(reversed(dets)), self.POSES, SPEC)
+        a = ray_ism_scene(columns(dets), self.POSES, SPEC)
+        b = ray_ism_scene(columns(list(reversed(dets))), self.POSES, SPEC)
         assert np.allclose(a.data, b.data, atol=1e-9)
 
     def test_unknown_sensor_rejected(self):
         with pytest.raises(DomainError):
-            ray_ism_scene([Detection(r=5.0, phi=0.0, sensor_id=9)], self.POSES, SPEC)
+            ray_ism_scene(columns([Detection(r=5.0, phi=0.0, sensor_id=9)]), self.POSES, SPEC)
 
     def test_one_sided_beliefs(self):
-        dets = [Detection(r=5.0, phi=0.0)]
-        out = ray_ism_scene(dets, self.POSES, SPEC)
+        out = ray_ism_scene(columns([Detection(r=5.0, phi=0.0)]), self.POSES, SPEC)
         assert np.all(np.minimum(out.data[0], out.data[1]) == 0.0)
         assert np.allclose(out.data.sum(axis=0), 1.0, atol=1e-7)
 
@@ -350,9 +366,9 @@ class TestSceneKernelParity:
         want = _reference_logodds(dets, poses, spec, cfg, ego, self.THRESHOLD)
         static = [det for det in dets if abs(det.v_r) <= self.THRESHOLD]
         got = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
-        accumulate_idms(static, poses, got, cfg)
+        accumulate_idms(columns(static), poses, got, cfg)
         assert np.array_equal(got.data[0], want)
-        out = ray_ism_scene(dets, poses, spec, cfg, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
+        out = ray_ism_scene(columns(dets), poses, spec, cfg, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
         assert np.array_equal(out.data, prob_to_evidential_array(1.0 / (1.0 + np.exp(-want))))
         return want
 
@@ -401,7 +417,7 @@ class TestSceneKernelParity:
         dets, poses, ego = _random_scene(rng, 20)
         dets.insert(5, Detection(r=5.0, phi=0.2, v_r=0.0, sensor_id=9))
         with pytest.raises(DomainError):
-            ray_ism_scene(dets, poses, self.SPEC, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
+            ray_ism_scene(columns(dets), poses, self.SPEC, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
         with pytest.raises(DomainError):
             _reference_logodds(dets, poses, self.SPEC, RayIsmConfig(), ego, self.THRESHOLD)
 

@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_of, cut_and_flip, reads_or_names_file
+from conftest import cell_of, columns, cut_and_flip, detection_list, reads_or_names_file
 from evgrid.errors import EvgridError
 from evgrid.grid import (GridSpec, Pose2D, cell_centers, read_grid, world_to_cells,
                          wrap_angle)
-from evgrid.rayism import Detection, RadarNoiseModel
+from evgrid import sim
+from evgrid.rayism import Detection, Detections, RadarNoiseModel
 from evgrid.sim import (
     Scene,
     SimConfig,
     accumulated_ground_truth,
     augment_arrays,
     corner_sensor_poses,
-    detection_json,
     detections_from_jsonl,
+    detections_jsonl,
     generate_scene,
     l_shape,
     load_manifest,
@@ -278,6 +279,89 @@ class TestLidarGroundTruth:
         assert np.all(target.data[2][known_now] < 0.5)
 
 
+def _reference_status_scan(scene, spec, cfg, scan):
+    """``_status_scan`` as it was before free space stopped at the grid edge, kept
+    as its oracle: every ray is sampled up to its hit, however far outside the
+    grid, and the samples are then binned."""
+    status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
+    ego = scene.ego
+    include_dynamic = cfg.frames >= 2
+    movers = [poly for poly, _ in scene.dynamic_objects] if include_dynamic or cfg.occlude_by_dynamic else []
+    edges = polygon_edges([*scene.static_shapes, *movers])
+    n_static = sum(len(poly) for poly in scene.static_shapes)
+
+    angles = scan.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    origins = np.broadcast_to(np.array([scan.x, scan.y]), dirs.shape)
+    max_range = spec.extent
+    t_hit, edge_idx = ray_hits(origins, dirs, edges)
+    t_end = np.minimum(t_hit, max_range)
+
+    step = spec.cell_size / 4.0
+    t_samples = (np.arange(int(max_range / step)) + 0.5) * step
+    counts = np.searchsorted(t_samples, t_end - 1e-9)
+    ray = np.repeat(np.arange(len(dirs)), counts)
+    t = t_samples[np.arange(len(ray)) - np.repeat(np.cumsum(counts) - counts, counts)]
+    pts_x = origins[ray, 0] + dirs[ray, 0] * t
+    pts_y = origins[ray, 1] + dirs[ray, 1] * t
+    rows, cols, inside = world_to_cells(spec, ego, pts_x, pts_y)
+    status[rows[inside], cols[inside]] = 1
+
+    hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= max_range))
+    hit = hit[include_dynamic | (edge_idx[hit] < n_static)]
+    hx = origins[hit, 0] + dirs[hit, 0] * (t_hit[hit] + 1e-6)
+    hy = origins[hit, 1] + dirs[hit, 1] * (t_hit[hit] + 1e-6)
+    rows, cols, inside = world_to_cells(spec, ego, hx, hy)
+    status[rows[inside], cols[inside]] = 2
+    return status
+
+
+class TestLidarGridExitParity:
+    """Each scan's status grid, with free space cut one cell past the grid edge,
+    equals the one from sampling every ray up to its hit."""
+
+    @staticmethod
+    def _assert_parity(scene, spec, cfg, monkeypatch):
+        scans, scan = [], sim._status_scan
+
+        def checked(frame, spec, cfg, pose):
+            status = scan(frame, spec, cfg, pose)
+            assert np.array_equal(status, _reference_status_scan(frame, spec, cfg, pose))
+            scans.append(pose)
+            return status
+
+        monkeypatch.setattr(sim, "_status_scan", checked)
+        accumulated_ground_truth(scene, spec, cfg)
+        assert len(scans) == cfg.frames
+        return scans
+
+    @pytest.mark.parametrize("side", [16, 32, 33, 64])
+    @pytest.mark.parametrize("occlude", [False, True])
+    def test_seeded_scenes(self, monkeypatch, side, occlude):
+        cfg = SimConfig(occlude_by_dynamic=occlude, p_dynamic=1.0)
+        for seed in range(6):
+            self._assert_parity(generate_scene(seed, cfg), GridSpec(side, 0.5), cfg, monkeypatch)
+
+    @pytest.mark.parametrize("frames, side", [(1, 32), (3, 32), (5, 32), (5, 16), (5, 33)])
+    @pytest.mark.parametrize("occlude", [False, True])
+    def test_frames(self, monkeypatch, frames, side, occlude):
+        spec, cfg = GridSpec(side, 0.5), SimConfig(frames=frames, occlude_by_dynamic=occlude)
+        for seed in range(4):
+            scans = self._assert_parity(generate_scene(20 + seed, cfg), spec, cfg, monkeypatch)
+        if (frames, side) == (5, 16):  # the later scans start outside the grid
+            assert not world_to_cells(spec, generate_scene(23).ego, scans[-1].x, scans[-1].y)[2]
+
+    @pytest.mark.parametrize("heading", [0.0, math.pi / 2, -math.pi / 2, math.pi])
+    @pytest.mark.parametrize("side", [16, 33])
+    def test_axis_aligned_headings(self, monkeypatch, heading, side):
+        # rays along a grid axis have a zero direction component in the other axis
+        cfg = SimConfig(frames=3, lidar_rays=360)
+        for seed in range(3):
+            scene = generate_scene(40 + seed, cfg)
+            scene = Scene(scene.static_shapes, scene.dynamic_objects, Pose2D(0.3, -0.2, heading))
+            self._assert_parity(scene, GridSpec(side, 0.5), cfg, monkeypatch)
+
+
 class TestRadar:
     def test_corner_sensor_geometry(self):
         poses = corner_sensor_poses(Pose2D())
@@ -290,7 +374,7 @@ class TestRadar:
         scene = generate_scene(3)
         cfg = SimConfig(detection_prob=0.0, clutter_rate=0.0)
         _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(3))
-        assert dets == [] and flags == []
+        assert detection_list(dets) == [] and flags.tolist() == []
 
     def test_detection_ranges_match_visibility_oracle(self):
         scene = generate_scene(9, SimConfig(p_dynamic=0.0))
@@ -301,7 +385,7 @@ class TestRadar:
         assert len(dets) > 0
         edges = polygon_edges(list(scene.static_shapes))
         poses = corner_sensor_poses(scene.ego)
-        for det in dets:
+        for det in detection_list(dets):
             pose = poses[det.sensor_id]
             ang = pose.heading + det.phi
             d = np.array([[math.cos(ang), math.sin(ang)]])
@@ -313,7 +397,7 @@ class TestRadar:
         scene = generate_scene(9, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, vr_sigma=1e-6)
         _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
-        assert all(abs(d.v_r) < 1e-3 for d in dets)
+        assert all(abs(d.v_r) < 1e-3 for d in detection_list(dets))
         assert not any(flags)
 
     def test_moving_object_flagged_dynamic(self):
@@ -328,7 +412,7 @@ class TestRadar:
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, max_detections=5)
         _, dets, _ = simulate_radar(scene, SPEC, cfg, np.random.default_rng(4))
         per_sensor = {}
-        for det in dets:
+        for det in detection_list(dets):
             per_sensor[det.sensor_id] = per_sensor.get(det.sensor_id, 0) + 1
         assert all(v <= 5 for v in per_sensor.values())
 
@@ -337,7 +421,8 @@ class TestRadar:
         a = simulate_radar(scene, SPEC, SimConfig(), np.random.default_rng(1))
         b = simulate_radar(scene, SPEC, SimConfig(), np.random.default_rng(1))
         assert np.array_equal(a[0].data, b[0].data)
-        assert a[1] == b[1]
+        assert detection_list(a[1]) == detection_list(b[1])
+        assert np.array_equal(a[2], b[2])
 
 
 def _reference_simulate_radar(scene, spec, cfg, rng):
@@ -406,8 +491,8 @@ class TestRadarBlockParity:
         image, dets, flags = simulate_radar(scene, spec, cfg, np.random.default_rng(seed))
         counts, want_dets, want_flags = _reference_simulate_radar(scene, spec, cfg,
                                                                   np.random.default_rng(seed))
-        assert [detection_json(d) for d in dets] == [detection_json(d) for d in want_dets]
-        assert flags == want_flags and all(type(f) is bool for f in flags)
+        assert detections_jsonl(dets) == detections_jsonl(columns(want_dets))
+        assert flags.dtype == bool and flags.tolist() == want_flags
         assert np.array_equal(image.data, counts)
         return image.data, dets, flags
 
@@ -423,7 +508,7 @@ class TestRadarBlockParity:
     def test_subsampled_below_candidates(self):
         cfg = SimConfig(detection_prob=1.0, max_detections=20, clutter_rate=20.0)
         _, dets, _ = self._assert_parity(generate_scene(8), cfg, seed=4)
-        per_sensor = [sum(d.sensor_id == sid for d in dets) for sid in range(4)]
+        per_sensor = [sum(d.sensor_id == sid for d in detection_list(dets)) for sid in range(4)]
         assert max(per_sensor) == 20
 
     @pytest.mark.parametrize("clutter", [0.0, 20.0])
@@ -450,17 +535,36 @@ class TestRadarBlockParity:
         assert 0 < counts.sum() < len(dets)
 
 
+def _line(det: Detection) -> str:
+    """The line ``gen`` writes for one detection."""
+    return detections_jsonl(columns([det])).rstrip("\n")
+
+
 class TestDetectionsJsonl:
     def test_round_trip(self):
-        from evgrid.rayism import Detection
-
         dets = [Detection(r=5.0, phi=0.1, v_r=-0.3, sensor_id=2, t=1.0),
                 Detection(r=1.5, phi=-0.8, v_r=0.0, sensor_id=0)]
-        text = "".join(detection_json(d) + "\n" for d in dets)
-        assert detections_from_jsonl(text) == dets
+        text = detections_jsonl(columns(dets))
+        assert detection_list(detections_from_jsonl(text)) == dets
+        assert detection_list(detections_from_jsonl(text.encode())) == dets
+        assert len(detections_from_jsonl("")) == 0
+
+    def test_writer_matches_json_dumps(self):
+        # repr floats in sorted-key order, negative zero and non-zero t included
+        values = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, 1e22, 1.7976931348623157e308, 123456789.12345679,
+                  -3.141592653589793, 2.0**53 + 2]
+        rng = np.random.default_rng(5)
+        dets = Detections(r=np.abs(rng.permutation(values)), phi=rng.permutation(values),
+                          v_r=rng.permutation(values), sensor_id=rng.integers(-5, 2**40, len(values)),
+                          t=rng.permutation(values))
+        want = "".join(json.dumps({"r": d.r, "phi": d.phi, "v_r": d.v_r, "sensor_id": d.sensor_id, "t": d.t},
+                                  sort_keys=True, separators=(",", ":")) + "\n" for d in detection_list(dets))
+        assert detections_jsonl(dets) == want
+        assert ":-0.0," in want and dets.t.any()
+        assert detections_jsonl(columns([])) == ""
 
     def test_bad_line_names_source_and_line(self, tmp_path):
-        good = detection_json(Detection(r=1.0, phi=0.0))
+        good = _line(Detection(r=1.0, phi=0.0))
         path = tmp_path / "dets.jsonl"
         for bad in ['{"r": 1.0', '{"r": 1.0, "phi": 0.0, "v_r": 0.0}', '[1, 2]',
                     good.replace('"sensor_id":0', '"sensor_id":"0"'),
@@ -470,10 +574,27 @@ class TestDetectionsJsonl:
             with pytest.raises(EvgridError, match=re.escape(f"{path}: line 3:")):
                 read_detections(path)
 
-    def test_line_is_compact_sorted_json(self):
-        from evgrid.rayism import Detection
+    @pytest.mark.parametrize("bad, message", [
+        ('{"phi":0.0,"r":1.0,"sensor_id":0,"t":0.0,', "Expecting property name"),  # would run into the next line
+        (b'{"phi":0.0,"r":1.0,"sensor_id":0,"t":0.0,"v_r":0.0}} ', "extra data"),
+        ('{"phi":0.0,"r":1.0,"sensor_id":true,"t":0.0,"v_r":0.0}', "'sensor_id' must be an integer, got True"),
+        ('{"phi":0.0,"r":1.0,"sensor_id":' + '9' * 20 + ',"t":0.0,"v_r":0.0}', "'sensor_id' must be an integer"),
+        ('{"phi":0.0,"r":1.0,"sensor_id":0,"t":Infinity,"v_r":0.0}', "must be finite"),
+        ('{"phi":0.0,"r":-2.0,"sensor_id":0,"v_r":0.0}', "range must be >= 0, got -2.0"),
+        (b'{"phi":0.0,"r":1.0,"sensor_id":0,"t":0.0,"v_r":0.0,"note":"\xff"}', "can't decode byte 0xff"),
+    ])
+    def test_bad_line_after_blank_lines(self, bad, message):
+        good = _line(Detection(r=1.0, phi=0.0)).encode()
+        bad = bad if isinstance(bad, bytes) else bad.encode()
+        # good lines, blank and whitespace-only ones among them, then the bad line
+        # (line 7), then a good one and an unparsable one that come too late to be named
+        blob = b"\n".join([good, b"", good, b"  \t", b"", good, bad, good, b"{", b""])
+        for text in (blob, blob.replace(b"\n", b"\r\n")):
+            with pytest.raises(EvgridError, match=re.escape("line 7: ") + ".*" + re.escape(message)):
+                detections_from_jsonl(text)
 
-        line = detection_json(Detection(r=1.0, phi=0.0))
+    def test_line_is_compact_sorted_json(self):
+        line = _line(Detection(r=1.0, phi=0.0))
         assert json.loads(line) == {"t": 0.0, "sensor_id": 0, "r": 1.0, "phi": 0.0, "v_r": 0.0}
         assert " " not in line
 
