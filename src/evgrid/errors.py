@@ -77,17 +77,6 @@ def read_input(path, what: str, parse):
         raise EvgridError(f"{what} {path}: JSON nested too deeply") from exc
 
 
-def _running(pid: int) -> bool:
-    """Whether another process has the pid; one signal 0 may not reach is another user's."""
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):  # no such process, or no pid that large
-        return False
-    except PermissionError:
-        pass
-    return pid != os.getpid()
-
-
 @contextlib.contextmanager
 def output_dir(out, inputs=()):
     """Yield a staging directory, the hidden sibling ``.<name>.<pid>.new``, that
@@ -96,24 +85,36 @@ def output_dir(out, inputs=()):
     failure, KeyboardInterrupt included, ``out`` is left as it was. An ``out``
     that holds an input, or is neither empty nor an earlier output (one with a
     config.json), is refused first: replacing it would delete what it holds.
-    A staging directory of ``out`` that no running process builds, as a run
+    The run holds an exclusive ``flock`` on its staging directory until it
+    ends, and a staging directory of ``out`` whose lock can be taken, as a run
     killed by SIGKILL leaves, is deleted before this run's is made."""
+    import fcntl  # here, so that importing evgrid.cli loads nothing more
+
     out = Path(out).resolve()
     if any(out == path or out in path.parents for path in (Path(p).resolve() for p in inputs)):
         raise ConfigError(f"output directory {out} holds an input of the command")
     if out.exists() and not (out.is_dir() and (not os.listdir(out) or (out / "config.json").is_file())):
         raise ConfigError(f"output directory {out} is not an earlier output; refusing to replace it")
     stage, aside = (out.with_name(f".{out.name}.{os.getpid()}.{end}") for end in ("new", "old"))
-    stale = re.compile(rf"\.{re.escape(out.name)}\.([0-9]+)\.new")
+    stale = re.compile(rf"\.{re.escape(out.name)}\.[0-9]+\.new")
     for path in out.parent.iterdir() if out.parent.is_dir() else ():
-        match = stale.fullmatch(path.name)
-        if match and not _running(int(match[1])):
-            shutil.rmtree(path, ignore_errors=True)
+        if stale.fullmatch(path.name):
+            with contextlib.suppress(OSError):  # gone meanwhile, or locked by the run that builds it
+                fd = os.open(path, os.O_RDONLY)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    shutil.rmtree(path, ignore_errors=True)
+                finally:
+                    os.close(fd)
     try:
         stage.mkdir(parents=True)
+        lock = os.open(stage, os.O_RDONLY)
     except OSError as exc:
         raise EvgridError(f"cannot create output directory {stage}: {exc}") from exc
     try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        if not stage.is_dir():  # a later run took the lock first and deleted it
+            raise EvgridError(f"output directory {stage} was removed by another run")
         yield stage
         try:
             if out.exists():
@@ -125,4 +126,5 @@ def output_dir(out, inputs=()):
             raise EvgridError(f"cannot move output directory {stage} to {out}: {exc}") from exc
     finally:
         shutil.rmtree(stage, ignore_errors=True)  # already gone after a success
+        os.close(lock)
     shutil.rmtree(aside, ignore_errors=True)

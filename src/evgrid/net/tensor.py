@@ -3,17 +3,22 @@
 A Tensor wraps an ndarray and records its parents plus a backward closure;
 calling ``backward()`` on a scalar runs one reverse sweep in anti-topological
 order. Only the primitives the U-Net needs are provided: conv2d, transposed
-conv2d, leaky ReLU, dropout with a fixed mask, channel concat, elementwise
-square, and the two fused loss heads live in losses.py.
+conv2d, leaky ReLU with an optional dropout keep mask, channel concat and
+elementwise square; the two fused loss heads live in losses.py.
 
+The tape keeps only what a backward reads. No taped op writes into a
+tensor's data, so a backward may read its inputs' arrays instead of copies.
 conv2d sums one matmul per kernel tap on a shifted view of the input,
 zero-padded by (k - 1) // 2 for a k x k kernel (split into phase planes when
-strided), so no patch matrix is built or kept on the tape. The transposed
+strided), so no patch matrix is built; its backward rebuilds the phase planes
+from the input's data rather than keeping them on the tape. The transposed
 convolution upsamples by its kernel size, with no overlap, in one
 contraction each way.
 Their math lives in the array kernels conv2d_array and conv_transpose2d_array,
 which the taped ops wrap and untaped inference (``unet.forward(record=False)``)
-calls directly. leaky_relu is max(x, slope*x), valid for 0 <= slope <= 1.
+calls directly. leaky_relu is max(x, slope*x), valid for 0 <= slope <= 1;
+given a boolean keep mask it also applies dropout in the same op, and its
+backward keeps only that mask and reads the input's data.
 
 Arrays keep whatever float dtype they come in with, so gradient checks can
 run the whole graph in float64 while training uses float32.
@@ -110,12 +115,8 @@ def _phase_planes(x: np.ndarray, kh: int, kw: int, stride: int):
     return planes, (ho, wo, hq, wq, pad), taps
 
 
-def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
-    """2-D convolution of plain arrays; w has shape (Cout, Cin, kh, kw), b shape (Cout,).
-
-    Returns the output and the (planes, geometry, taps) of ``_phase_planes``,
-    which the taped conv2d keeps for its backward.
-    """
+def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
+    """2-D convolution of plain arrays; w has shape (Cout, Cin, kh, kw), b shape (Cout,)."""
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ConfigError(f"conv2d channel mismatch: input {x.shape[1]}, kernel expects {cin}")
@@ -124,21 +125,24 @@ def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
     out = np.zeros((x.shape[0], cout, span), dtype=np.result_type(x, w))
     for i, j, q, off in taps:
         out += w[:, :, i, j] @ planes[q][:, :, off:off + span]
-    out = out.reshape(x.shape[0], cout, ho, wq)[..., :wo] + b[None, :, None, None]
-    return out, (planes, (ho, wo, hq, wq, pad), taps)
+    return out.reshape(x.shape[0], cout, ho, wq)[..., :wo] + b[None, :, None, None]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """conv2d_array on the tape; the backward reuses the forward's phase planes."""
-    out, (planes, (ho, wo, hq, wq, pad), taps) = conv2d_array(x.data, w.data, b.data, stride)
-    t = Tensor(out, parents=(x, w, b))
-    (n, cin, h, wdt), cout, span = x.shape, w.shape[0], ho * wq
+    """conv2d_array on the tape; the backward rebuilds the phase planes from x.data."""
+    t = Tensor(conv2d_array(x.data, w.data, b.data, stride), parents=(x, w, b))
 
     def backward(g):
+        (n, cin, h, wdt), (cout, _, kh, kw) = x.shape, w.shape
+        planes, (ho, wo, hq, wq, pad), taps = _phase_planes(x.data, kh, kw, stride)
+        span = ho * wq
         gq = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wq - wo))).reshape(n, cout, span)
-        dw, dplanes = np.empty_like(w.data), np.zeros_like(planes)
+        dw = np.empty_like(w.data)
         for i, j, q, off in taps:
             dw[:, :, i, j] = (gq @ planes[q][:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0)
+        dplanes = planes  # read for the last time: its buffer takes the input's gradient
+        dplanes.fill(0)
+        for i, j, q, off in taps:
             dplanes[q][:, :, off:off + span] += w.data[:, :, i, j].T @ gq
         s = stride
         dxp = dplanes.reshape(s, s, n, cin, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(n, cin, s * hq, s * wq)
@@ -182,23 +186,42 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return t
 
 
-def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    """max(x, slope*x), which is leaky ReLU for 0 <= slope <= 1 (UNetSpec enforces that range)."""
-    t = Tensor(np.maximum(x.data, slope * x.data), parents=(x,))
-    t._backward = lambda g: _accumulate(x, np.where(x.data > 0, g, slope * g))
+def dropout_keep(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean dropout mask: each element is kept with probability 1 - rate."""
+    return rng.random(shape) >= rate
+
+
+def dropout_scale(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """The inverse-scaled float mask of a keep mask: 1 / (1 - rate) where kept, 0 elsewhere."""
+    return keep.astype(dtype) / np.asarray(1.0 - rate, dtype=dtype)
+
+
+def leaky_relu_array(a: np.ndarray, slope: float, keep: np.ndarray | None = None, rate: float = 0.0,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """max(a, slope*a), then times dropout_scale(keep, rate) if a keep mask is given.
+
+    This is leaky ReLU for 0 <= slope <= 1 (UNetSpec enforces that range).
+    ``out=a`` acts in place; the mask multiplies the result in place either way.
+    """
+    y = np.maximum(a, slope * a, out=out)
+    if keep is not None:
+        y *= dropout_scale(keep, rate, y.dtype)
+    return y
+
+
+def leaky_relu(x: Tensor, slope: float, keep: np.ndarray | None = None, rate: float = 0.0) -> Tensor:
+    """leaky_relu_array on the tape: leaky ReLU, then dropout where a keep mask is
+    given, as one op. Values and gradients equal the two ops composed bit for bit;
+    the backward keeps the boolean mask and reads the pre-activation from x.data."""
+    t = Tensor(leaky_relu_array(x.data, slope, keep, rate), parents=(x,))
+
+    def backward(g):
+        if keep is not None:
+            g = g * dropout_scale(keep, rate, x.dtype)
+        _accumulate(x, np.where(x.data > 0, g, slope * g))
+
+    t._backward = backward
     return t
-
-
-def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Multiply by a precomputed (already inverse-scaled) mask."""
-    t = Tensor(x.data * mask, parents=(x,))
-    t._backward = lambda g: _accumulate(x, g * mask)
-    return t
-
-
-def make_dropout_mask(shape, rate: float, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / np.asarray(1.0 - rate, dtype=dtype)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evgrid.errors import ConfigError, EvgridError, TrainingDiverged, write_atomic
+from evgrid.errors import ConfigError, DomainError, EvgridError, TrainingDiverged, write_atomic
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
@@ -201,6 +201,9 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
     mode "ev": mean evidence over samples; "ev-s": nearest-rank percentile of
     the evidence samples; "soft": mean pre-softmax output through the
     softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
+
+    An evidence head whose squared output is not finite in float32 raises
+    DomainError: training squares in float32, so it could not have trained.
     """
     _check_mode(mode, spec)
     if n_samples < 1:
@@ -210,6 +213,10 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
     stack = out.astype(np.float64)  # (N, C, H, W)
     if mode == "soft":
         return softmax(stack.mean(axis=0))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(out, dtype=np.float32)).all():
+            raise DomainError("evidence must be finite and >= 0 in float32, the precision the "
+                              "network trains in; its squared output overflows there")
     evidence = np.square(stack)
     if mode == "ev":
         reduced = evidence.mean(axis=0)

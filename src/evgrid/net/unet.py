@@ -4,10 +4,11 @@ Three resolution levels: a stem convolution, two stride-2 downsampling
 convolutions, and two transposed-convolution upsampling stages each followed
 by a skip concatenation and a 3x3 convolution. All activations are leaky
 ReLU except the last layer, which stays linear; dropout follows every
-encoder/decoder block. The head is chosen by the output channel count:
-3 for the softmax head, 2 for the quadratic evidence head. ``forward`` builds
-the autodiff tape for training, or with ``record=False`` runs the same array
-kernels untaped for inference. The leaky slope must lie in [0, 1].
+encoder/decoder block, in the same op as its activation. The head is
+chosen by the output channel count: 3 for the softmax head, 2 for the
+quadratic evidence head. ``forward`` builds the autodiff tape for
+training, or with ``record=False`` runs the same array kernels untaped for
+inference. The leaky slope must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -85,37 +86,45 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
     dropout rate of 0, disables dropout and draws nothing. With ``record``
     (training) the ops build the tape: the output is a Tensor, and the
     parameter Tensors are the leaves whose .grad a later backward() fills.
-    Without it (inference) the same array kernels run with no tape, leaky
-    ReLU and dropout act in place, and the output is an ndarray
-    bit-identical to the taped one for the same masks.
+    Each block's leaky ReLU and dropout are one taped op, which keeps a
+    boolean keep mask and no copy of its input. Without ``record``
+    (inference) the same array kernels run with no tape, leaky ReLU and
+    dropout act in place, each activation is released after its last
+    reader, and the output is an ndarray bit-identical to the taped one
+    for the same masks.
     """
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigError(f"input shape {x.shape} incompatible with {spec.in_channels} channels")
     _check_sides(x.shape[2:])
-    slope = spec.leaky_slope
+    slope, rate = spec.leaky_slope, spec.dropout
     if record:
         p, h = {name: Tensor(arr) for name, arr in params.items()}, Tensor(x)
-        conv, up, cat, scale = T.conv2d, T.conv_transpose2d, T.concat, T.dropout
-        act = lambda t: T.leaky_relu(t, slope)
+        conv, up, cat = T.conv2d, T.conv_transpose2d, T.concat
+        act = lambda t, keep: T.leaky_relu(t, slope, keep, rate)
     else:
-        p, h, up = params, x, T.conv_transpose2d_array
-        conv = lambda a, w, b, stride: T.conv2d_array(a, w, b, stride)[0]
+        p, h, conv, up = params, x, T.conv2d_array, T.conv_transpose2d_array
         cat = lambda a, b: np.concatenate([a, b], axis=1)
-        scale = lambda a, mask: np.multiply(a, mask, out=a)
-        act = lambda a: np.maximum(a, slope * a, out=a)
+        act = lambda a, keep: T.leaky_relu_array(a, slope, keep, rate, out=a)
 
-    def drop(t):
-        if dropout_rng is None or spec.dropout == 0.0:
-            return t
-        return scale(t, T.make_dropout_mask(t.shape, spec.dropout, dropout_rng, dtype=t.dtype))
+    def block(t):
+        """Leaky ReLU, then dropout when this call draws masks."""
+        if dropout_rng is None or rate == 0.0:
+            return act(t, None)
+        return act(t, T.dropout_keep(t.shape, rate, dropout_rng))
 
-    h0 = drop(act(conv(h, p["stem_w"], p["stem_b"], stride=1)))
-    h1 = drop(act(conv(h0, p["down1_w"], p["down1_b"], stride=2)))
-    h2 = drop(act(conv(h1, p["down2_w"], p["down2_b"], stride=2)))
-    u1 = act(up(h2, p["up1_w"], p["up1_b"]))
-    d1 = drop(act(conv(cat(u1, h1), p["dec1_w"], p["dec1_b"], stride=1)))
-    u2 = act(up(d1, p["up2_w"], p["up2_b"]))
-    return conv(cat(u2, h0), p["dec2_w"], p["dec2_b"], stride=1), p
+    # each activation stays bound only until its last reader, so the untaped
+    # forward frees it there (the tape keeps what its backwards read)
+    h0 = block(conv(h, p["stem_w"], p["stem_b"], stride=1))
+    h1 = block(conv(h0, p["down1_w"], p["down1_b"], stride=2))
+    h = conv(h1, p["down2_w"], p["down2_b"], stride=2)
+    h = up(block(h), p["up1_w"], p["up1_b"])
+    h = cat(act(h, None), h1)
+    del h1
+    h = conv(h, p["dec1_w"], p["dec1_b"], stride=1)
+    h = up(block(h), p["up2_w"], p["up2_b"])
+    h = cat(act(h, None), h0)
+    del h0
+    return conv(h, p["dec2_w"], p["dec2_b"], stride=1), p
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from evgrid.net.tensor import (
     concat,
     conv2d,
     conv_transpose2d,
-    dropout,
+    dropout_keep,
+    dropout_scale,
     leaky_relu,
-    make_dropout_mask,
     square,
 )
 
@@ -36,6 +36,14 @@ def _fd_grad(f, x, h=1e-6):
 def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
     out = Tensor(np.asarray((t.data * w).sum()), parents=(t,))
     out._backward = lambda g: _accumulate(t, g * w)
+    return out
+
+
+def _scaled(t: Tensor, mask: np.ndarray) -> Tensor:
+    """Dropout as its own taped op, t times a fixed float mask: the reference the fused
+    leaky_relu is checked against."""
+    out = Tensor(t.data * mask, parents=(t,))
+    out._backward = lambda g: _accumulate(t, g * mask)
     return out
 
 
@@ -208,17 +216,54 @@ class TestElementwise:
         _check(lambda t: _weighted_sum(square(t["x"]), wsum), {"x": x})
 
     def test_dropout_fixed_mask(self):
+        # with slope 1 the leaky ReLU is the identity, so the op is dropout alone
         x = RNG.normal(size=(1, 2, 4, 4))
-        mask = make_dropout_mask(x.shape, 0.5, np.random.default_rng(0), dtype=np.float64)
-        out = dropout(Tensor(x), mask)
+        keep = dropout_keep(x.shape, 0.5, np.random.default_rng(0))
+        mask = dropout_scale(keep, 0.5, np.float64)
+        out = leaky_relu(Tensor(x), 1.0, keep, 0.5)
         assert np.allclose(out.data, x * mask)
         wsum = RNG.normal(size=x.shape)
-        _check(lambda t: _weighted_sum(dropout(t["x"], mask), wsum), {"x": x})
+        _check(lambda t: _weighted_sum(leaky_relu(t["x"], 1.0, keep, 0.5), wsum), {"x": x})
 
     def test_mask_is_inverse_scaled(self):
-        mask = make_dropout_mask((10000,), 0.25, np.random.default_rng(3), dtype=np.float64)
+        mask = dropout_scale(dropout_keep((10000,), 0.25, np.random.default_rng(3)), 0.25, np.float64)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
         assert mask.mean() == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_leaky_relu_with_dropout_equals_the_two_ops_bitwise(self, slope):
+        """One op for leaky ReLU then dropout gives the bytes of leaky_relu followed by a
+        separate multiply by the float mask, in values and gradients, signed zeros included."""
+        rng = np.random.default_rng(31)
+        special = [0.0, -0.0, 1e-45, -1e-45, 1e38, -1e38]
+        x = np.concatenate([rng.normal(size=250), special]).astype(np.float32).reshape(2, 2, 8, 8)
+        g = np.concatenate([rng.normal(size=250), [-0.0, 0.0, -0.0, 0.0, -0.0, 1.0]]).astype(np.float32)
+        g = g.reshape(x.shape)
+        rate = 0.3
+        keep = dropout_keep(x.shape, rate, rng)
+        assert keep.dtype == bool and 0 < keep.sum() < keep.size
+        mask = dropout_scale(keep, rate, np.float32)
+        grads = []
+        for build in (lambda t: leaky_relu(t, slope, keep, rate),
+                      lambda t: _scaled(leaky_relu(t, slope), mask)):
+            leaf = Tensor(x)
+            out = build(leaf)
+            _weighted_sum(out, g).backward()
+            grads.append((out.data, leaf.grad))
+        (fused, dfused), (composed, dcomposed) = grads
+        assert fused.dtype == composed.dtype == dfused.dtype == np.float32
+        assert np.array_equal(fused.view(np.uint32), composed.view(np.uint32))
+        assert np.array_equal(dfused.view(np.uint32), dcomposed.view(np.uint32))
+        assert np.array_equal(fused.view(np.uint32),
+                              (np.where(x > 0, x, np.float32(slope) * x) * mask).view(np.uint32))
+
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_leaky_relu_with_dropout_gradient(self, slope):
+        x = RNG.normal(size=(2, 3, 4, 4))
+        x[np.abs(x) < 0.1] = 0.5  # off the kink, where the central difference holds
+        keep = dropout_keep(x.shape, 0.4, np.random.default_rng(4))
+        wsum = RNG.normal(size=x.shape)
+        _check(lambda t: _weighted_sum(leaky_relu(t["x"], slope, keep, 0.4), wsum), {"x": x})
 
 
 class TestConcatAndGraph:

@@ -377,6 +377,19 @@ class TestExitCodes:
         assert f"error: {ckpt}: scene 00000: evidence must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["ev", "ev-s"])
+    def test_checkpoint_whose_evidence_overflows_float32(self, dataset, runs, tmp_path, capsys, mode):
+        # out = 1e30 is finite in float32, but the evidence out**2 that training squares there is not
+        params, spec, _header = load_checkpoint(runs[1] / "checkpoint.ckpt")
+        params["dec2_b"] = params["dec2_b"].copy()
+        params["dec2_b"][0] = 1e30
+        ckpt, out = tmp_path / "huge.ckpt", tmp_path / "o"
+        save_checkpoint(ckpt, params, spec)
+        assert main(["infer", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--mode", mode,
+                     "--out", str(out)] + FAST) == 3
+        assert f"error: {ckpt}: scene 00000: evidence must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "no_newline", "wrong_element_type",
                                         "string_leaky_slope", "slope_out_of_range"])
     def test_bad_checkpoint(self, dataset, tmp_path, capsys, damage):
@@ -685,17 +698,30 @@ class TestOutputDir:
         out = tmp_path / "o"
         finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                                   capture_output=True, text=True, check=True)
-        running = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        # a run in progress: it made its staging directory and holds the lock on it
+        hold = ("import fcntl, os, sys, time; d = sys.argv[1] % os.getpid(); os.makedirs(d + '/samples'); "
+                "fd = os.open(d, os.O_RDONLY); fcntl.flock(fd, fcntl.LOCK_EX); print(flush=True); time.sleep(60)")
+        running = subprocess.Popen([sys.executable, "-c", hold, str(tmp_path / ".o.%d.new")],
+                                   stdout=subprocess.PIPE, text=True)
         gone = finished.stdout.strip()
         try:
-            for name in (f".o.{os.getpid()}.new", f".o.{gone}.new", f".o.{running.pid}.new", f".o.{gone}.old"):
+            assert running.stdout.readline() == "\n"
+            for name in (f".o.{os.getpid()}.new", f".o.{gone}.new", f".o.{gone}.old"):
                 (tmp_path / name / "samples").mkdir(parents=True)
             assert main(["gen", "--out", str(out)] + FAST) == 0
         finally:
             running.kill()
             running.wait()
-        # a running process's staging directory and an aside tree stay
+            running.stdout.close()
+        # a locked staging directory and an aside tree stay
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["o", f".o.{running.pid}.new", f".o.{gone}.old"])
+
+    def test_unlocked_staging_directory_of_a_live_process_is_reclaimed(self, tmp_path):
+        """A run owns its staging directory by the lock it holds, not by the pid in its name."""
+        out, live = tmp_path / "o", os.getppid()
+        (tmp_path / f".o.{live}.new" / "samples").mkdir(parents=True)
+        assert main(["gen", "--out", str(out)] + FAST) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,47 @@ class TestUntapedForward:
         assert np.array_equal(xb, np.broadcast_to(image, xb.shape))
         for k in params:
             assert np.array_equal(params[k], before[k])
+
+
+class TestMemory:
+    """The tape keeps only what a backward reads, and the untaped forward holds each
+    activation only until its last reader. Bounds at the train-64 bench shapes
+    (batch 8, 64 cells, base 8), from numpy's allocations as tracemalloc sees them."""
+
+    MB = 1e6
+
+    @staticmethod
+    def _traced(fn):
+        """(bytes still held once fn returns, peak bytes while it ran), net of what was held before."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            kept = fn()
+            current, peak = tracemalloc.get_traced_memory()
+            del kept
+            return current - base, peak - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("out_ch", [2, 3])
+    def test_taped_forward_holds_at_most_13_mb(self, out_ch):
+        spec = UNetSpec(out_channels=out_ch, base_channels=8)
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).random((8, 2, 64, 64), dtype=np.float32)
+        live, _peak = self._traced(lambda: forward(params, spec, x, dropout_rng=np.random.default_rng(2)))
+        assert live <= 13 * self.MB
+
+    @pytest.mark.parametrize("out_ch", [2, 3])
+    def test_untaped_forward_peaks_at_most_11_mb(self, out_ch):
+        spec = UNetSpec(out_channels=out_ch, base_channels=8)
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).random((EVAL_BATCH, 2, 64, 64), dtype=np.float32)
+        _live, peak = self._traced(lambda: forward(params, spec, x, record=False))
+        assert peak <= 11 * self.MB
 
 
 def _taped_mc_predict(params, spec, x, n_samples, mode, rng, percentile=10.0):
