@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from evgrid.errors import DomainError
-from evgrid.grid import Grid2D, GridSpec, Pose2D, cell_centers, prob_to_evidential_array, wrap_angle
+from evgrid.grid import Grid2D, GridSpec, Pose2D, cell_centers, polar, prob_to_evidential_array, wrap_angle
 
 # widens each bearing window past 4 sigma_phi, so a cell whose wrapped offset
 # rounds onto the footprint edge is still a candidate; the footprint test
@@ -238,13 +238,8 @@ def _polar_cells(grid: Grid2D, poses: list[Pose2D]):
     bearings, so a detection's candidate cells are the same set in any order.
     """
     wx, wy = cell_centers(grid.spec, grid.origin)
-    rng, phi = [], []
-    for pose in poses:
-        dx, dy = wx - pose.x, wy - pose.y
-        rng.append(np.hypot(dx, dy).ravel())
-        phi.append(wrap_angle(np.arctan2(dy, dx) - pose.heading).ravel())
-    phi = np.stack(phi)
-    return np.stack(rng), phi, np.argsort(phi, axis=1)
+    rng, phi = np.stack([polar(pose, wx.ravel(), wy.ravel()) for pose in poses], axis=1)
+    return rng, phi, np.argsort(phi, axis=1)
 
 
 def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Grid2D,

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
-from evgrid.grid import Grid2D, GridSpec, Pose2D, _grid_frame, world_to_cells, wrap_angle, write_grid
+from evgrid.grid import (Frame, Grid2D, GridSpec, Pose2D, grid_frame, polar, to_local, to_world, world_to_cells,
+                         wrap_angle, write_grid)
 from evgrid.parallel import map_scenes
 from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detections, RadarNoiseModel
 
@@ -200,9 +201,9 @@ def generate_scene(seed: int, cfg: SimConfig = SimConfig()) -> Scene:
 def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> np.ndarray:
     """Per-cell status grid (0 unknown, 1 free, 2 occupied) from one scan.
 
-    Rays originate at ``scan``; cells are always expressed in the scene's
-    reference ego frame, so scans taken from later positions of a recording
-    land on the same grid.
+    Rays originate at ``scan``; cells are always those of the grid frame of
+    the scene's ego, so scans taken from later positions of a recording land
+    on the same grid.
     """
     status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
     ego = scene.ego
@@ -224,8 +225,9 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
     # out ray by ray with only each ray's own samples. A ray stops where it leaves
     # the grid square grown by one cell on every side (the slab exit, in the grid
     # frame), since every later sample would bin outside the grid.
-    g = np.array(_grid_frame(ego, scan.x - ego.x, scan.y - ego.y))
-    u = np.stack(_grid_frame(ego, dirs[:, 0], dirs[:, 1]), axis=1)
+    frame = grid_frame(ego)
+    g = np.array(to_local(frame, scan.x, scan.y))
+    u = np.stack(to_local(Frame(0.0, 0.0, frame.turn), dirs[:, 0], dirs[:, 1]), axis=1)  # turned, not shifted
     box = (spec.side_cells - spec.side_cells // 2 + 1) * spec.cell_size  # the larger half side, plus a cell
     with np.errstate(divide="ignore", invalid="ignore"):
         t_exit = np.where(u == 0.0, np.inf, (np.copysign(box, u) - g) / u).min(axis=1)
@@ -263,15 +265,8 @@ def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimC
     mapped from another pose is hidden with a known target.
     """
     ego = scene.ego
-    statuses = []
-    for k in range(cfg.frames):
-        frame = scene.at_time(k * 1.0)
-        scan = Pose2D(
-            x=ego.x + k * cfg.ego_step * math.cos(ego.heading),
-            y=ego.y + k * cfg.ego_step * math.sin(ego.heading),
-            heading=ego.heading,
-        )
-        statuses.append(_status_scan(frame, spec, cfg, scan))
+    scans = [Pose2D(*to_world(ego, k * cfg.ego_step, 0.0), ego.heading) for k in range(cfg.frames)]
+    statuses = [_status_scan(scene.at_time(k * 1.0), spec, cfg, scan) for k, scan in enumerate(scans)]
     stack = np.stack(statuses)
     any_free, any_occ = (stack == _FREE).any(axis=0), (stack == _OCC).any(axis=0)
     target = np.stack([any_free & ~any_occ, any_occ & ~any_free, ~(any_free | any_occ)]).astype(np.float64)
@@ -287,13 +282,14 @@ def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimC
 # radar simulation
 # ---------------------------------------------------------------------------
 
+# the four corner radars' poses in the ego frame, each looking diagonally outward
+SENSOR_MOUNTS = (Pose2D(1.8, 0.8, math.pi / 4), Pose2D(1.8, -0.8, -math.pi / 4),
+                 Pose2D(-1.8, 0.8, 3 * math.pi / 4), Pose2D(-1.8, -0.8, -3 * math.pi / 4))
+
+
 def corner_sensor_poses(ego: Pose2D) -> dict[int, Pose2D]:
-    """Four corner radars looking diagonally outward."""
-    offsets = [(1.8, 0.8, math.pi / 4), (1.8, -0.8, -math.pi / 4),
-               (-1.8, 0.8, 3 * math.pi / 4), (-1.8, -0.8, -3 * math.pi / 4)]
-    c, s = math.cos(ego.heading), math.sin(ego.heading)
-    return {i: Pose2D(x=ego.x + c * ox - s * oy, y=ego.y + s * ox + c * oy, heading=ego.heading + oh)
-            for i, (ox, oy, oh) in enumerate(offsets)}
+    """The world poses of the four corner radars: each mount composed with the ego."""
+    return {i: Pose2D(*to_world(ego, m.x, m.y), ego.heading + m.heading) for i, m in enumerate(SENSOR_MOUNTS)}
 
 
 def _boundary_points(edges: np.ndarray, spacing: float) -> np.ndarray:
@@ -328,12 +324,10 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
     per_sensor = []  # each sensor's (k,) ids, (k, 3) measured (r, phi, v_r) and (k,) dynamic flags
     counts = np.zeros((2, spec.side_cells, spec.side_cells), dtype=np.float64)
     sigmas = [cfg.noise.sigma_r, cfg.noise.sigma_phi, cfg.vr_sigma]
-    for sid in sorted(sensors):
-        pose = sensors[sid]
+    for sid, pose in sorted(sensors.items()):
         origin = np.array([pose.x, pose.y])
         rel = pts - origin[None]
-        r_true = np.hypot(rel[:, 0], rel[:, 1])
-        phi_true = wrap_angle(np.arctan2(rel[:, 1], rel[:, 0]) - pose.heading)
+        r_true, phi_true = polar(pose, pts[:, 0], pts[:, 1])
         sel = np.flatnonzero((np.abs(phi_true) <= cfg.sensor_fov / 2.0) & (r_true > 0.3) & (r_true <= r_max))
         t_near, _ = ray_hits(np.broadcast_to(origin, (len(sel), 2)), rel[sel] / r_true[sel, None], edges)
         sel = sel[t_near >= r_true[sel] - 1e-6]
