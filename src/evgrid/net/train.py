@@ -114,14 +114,19 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
     return value
 
 
-EVAL_BATCH = 16  # samples per untaped forward in eval_loss
+EVAL_BATCH = 16  # samples per loss term in eval_loss
+# samples per untaped forward in eval_loss: at the train batch's shapes the forward's
+# arrays fit in what train_step freed, while 16 samples' grew the heap past the step's peak
+EVAL_FORWARD = 8
 
 
 def eval_loss(params, spec: UNetSpec, x, target, model: str) -> float:
-    """Mean loss without dropout, from untaped forwards of EVAL_BATCH samples."""
+    """Mean loss without dropout over terms of EVAL_BATCH samples, from forwards of EVAL_FORWARD."""
     total = 0.0
     for i in range(0, len(x), EVAL_BATCH):
-        out, _ = forward(params, spec, x[i:i + EVAL_BATCH], record=False)
+        xs = x[i:i + EVAL_BATCH]
+        out = np.concatenate([forward(params, spec, xs[j:j + EVAL_FORWARD], record=False)[0]
+                              for j in range(0, len(xs), EVAL_FORWARD)])
         total += float(_loss(Tensor(out), target[i:i + EVAL_BATCH], model).data) * len(out)
     return total / max(len(x), 1)
 

@@ -2,9 +2,10 @@
 
 Three resolution levels: a stem convolution, two stride-2 downsampling
 convolutions, and two transposed-convolution upsampling stages each followed
-by a skip concatenation and a 3x3 convolution. All activations are leaky
-ReLU except the last layer, which stays linear; dropout follows every
-encoder/decoder block, in the same op as its activation. The head is
+by a 3x3 convolution that takes the upsampled map and the skip as two
+parts. All activations are leaky ReLU except the last layer, which stays
+linear; dropout follows every encoder/decoder block, and both are the
+epilogue of the convolution that feeds them. The head is
 chosen by the output channel count: 3 for the softmax head, 2 for the
 quadratic evidence head. ``forward`` builds the autodiff tape for
 training, or with ``record=False`` runs the same array kernels untaped for
@@ -82,16 +83,15 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
             record: bool = True) -> tuple[Tensor | np.ndarray, dict]:
     """Run the network; returns the pre-head output and the parameters.
 
-    ``dropout_rng`` draws fresh dropout masks for this call; None, or a
-    dropout rate of 0, disables dropout and draws nothing. With ``record``
-    (training) the ops build the tape: the output is a Tensor, and the
-    parameter Tensors are the leaves whose .grad a later backward() fills.
-    Each block's leaky ReLU and dropout are one taped op, which keeps a
-    boolean keep mask and no copy of its input. Without ``record``
-    (inference) the same array kernels run with no tape, leaky ReLU and
-    dropout act in place, each activation is released after its last
-    reader, and the output is an ndarray bit-identical to the taped one
-    for the same masks.
+    ``dropout_rng`` draws fresh dropout masks for this call, in block order;
+    None, or a dropout rate of 0, disables dropout and draws nothing. With
+    ``record`` (training) the ops build the tape: the output is a Tensor, and
+    the parameter Tensors are the leaves whose .grad a later backward()
+    fills. Each convolution's output is its block's activation, so the tape
+    holds each activation once, plus a boolean keep mask per block. Without
+    ``record`` (inference) the same array kernels run with no tape, each
+    activation is released after its last reader, and the output is an
+    ndarray bit-identical to the taped one for the same masks.
     """
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ConfigError(f"input shape {x.shape} incompatible with {spec.in_channels} channels")
@@ -99,32 +99,25 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
     slope, rate = spec.leaky_slope, spec.dropout
     if record:
         p, h = {name: Tensor(arr) for name, arr in params.items()}, Tensor(x)
-        conv, up, cat = T.conv2d, T.conv_transpose2d, T.concat
-        act = lambda t, keep: T.leaky_relu(t, slope, keep, rate)
+        conv, up = T.conv2d, T.conv_transpose2d
     else:
         p, h, conv, up = params, x, T.conv2d_array, T.conv_transpose2d_array
-        cat = lambda a, b: np.concatenate([a, b], axis=1)
-        act = lambda a, keep: T.leaky_relu_array(a, slope, keep, rate, out=a)
-
-    def block(t):
-        """Leaky ReLU, then dropout when this call draws masks."""
-        if dropout_rng is None or rate == 0.0:
-            return act(t, None)
-        return act(t, T.dropout_keep(t.shape, rate, dropout_rng))
-
+    # the keep masks of the four blocks' outputs, drawn in block order before any
+    # activation exists, so that the draws' float64 temporaries meet none
+    n, _, rows, cols = x.shape
+    keep = [None] * 4 if dropout_rng is None or rate == 0.0 else [
+        T.dropout_keep((n, params[f"{layer}_w"].shape[0], rows // down, cols // down), rate, dropout_rng)
+        for layer, down in (("stem", 1), ("down1", 2), ("down2", 4), ("dec1", 2))]
     # each activation stays bound only until its last reader, so the untaped
     # forward frees it there (the tape keeps what its backwards read)
-    h0 = block(conv(h, p["stem_w"], p["stem_b"], stride=1))
-    h1 = block(conv(h0, p["down1_w"], p["down1_b"], stride=2))
-    h = conv(h1, p["down2_w"], p["down2_b"], stride=2)
-    h = up(block(h), p["up1_w"], p["up1_b"])
-    h = cat(act(h, None), h1)
+    h0 = conv(h, p["stem_w"], p["stem_b"], 1, slope, keep[0], rate)
+    h1 = conv(h0, p["down1_w"], p["down1_b"], 2, slope, keep[1], rate)
+    h = conv(h1, p["down2_w"], p["down2_b"], 2, slope, keep[2], rate)
+    h = up(h, p["up1_w"], p["up1_b"], slope)
+    h = conv((h, h1), p["dec1_w"], p["dec1_b"], 1, slope, keep[3], rate)
     del h1
-    h = conv(h, p["dec1_w"], p["dec1_b"], stride=1)
-    h = up(block(h), p["up2_w"], p["up2_b"])
-    h = cat(act(h, None), h0)
-    del h0
-    return conv(h, p["dec2_w"], p["dec2_b"], stride=1), p
+    h = up(h, p["up2_w"], p["up2_b"], slope)
+    return conv((h, h0), p["dec2_w"], p["dec2_b"], 1), p
 
 
 # ---------------------------------------------------------------------------

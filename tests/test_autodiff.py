@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import concat_op, leaky_relu_op
 from evgrid.errors import ConfigError
 from evgrid.net.losses import evidential_bayes_risk, softmax_cross_entropy
 from evgrid.net.tensor import (
     Tensor,
     _accumulate,
-    concat,
     conv2d,
+    conv2d_array,
     conv_transpose2d,
     dropout_keep,
     dropout_scale,
-    leaky_relu,
     square,
 )
 
@@ -40,11 +40,23 @@ def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
 
 
 def _scaled(t: Tensor, mask: np.ndarray) -> Tensor:
-    """Dropout as its own taped op, t times a fixed float mask: the reference the fused
-    leaky_relu is checked against."""
+    """Dropout as its own taped op, t times a fixed float mask: with leaky_relu_op, the
+    reference the fused activation is checked against."""
     out = Tensor(t.data * mask, parents=(t,))
     out._backward = lambda g: _accumulate(t, g * mask)
     return out
+
+
+def _act(x: Tensor, slope=None, keep=None, rate=0.0) -> Tensor:
+    """The activation epilogue on a one-channel 1x1 identity conv2d, which passes every
+    pre-activation through as x * 1 + 0: exactly, except that -0.0 arrives as +0.0."""
+    one, zero = np.ones((1, 1, 1, 1), dtype=x.dtype), np.zeros(1, dtype=x.dtype)
+    return conv2d(x, Tensor(one), Tensor(zero), 1, slope, keep, rate)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float array, so that -0.0 != +0.0 and NaN payloads count."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
 
 
 def _check(build, arrays, rtol=1e-5, atol=1e-8):
@@ -113,6 +125,13 @@ class TestConv2d:
         with pytest.raises(ConfigError):
             conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
                    Tensor(np.zeros(1)))
+
+    def test_two_part_channel_mismatch_names_the_summed_channels(self):
+        parts = (np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 4, 4)))
+        with pytest.raises(ConfigError, match="input 5, kernel expects 4"):
+            conv2d_array(parts, np.zeros((1, 4, 3, 3)), np.zeros(1))
+        with pytest.raises(ConfigError, match="input 5, kernel expects 4"):
+            conv2d(tuple(map(Tensor, parts)), Tensor(np.zeros((1, 4, 3, 3))), Tensor(np.zeros(1)))
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_gradients(self, stride):
@@ -191,24 +210,29 @@ class TestConvTranspose2d:
 
 
 class TestElementwise:
+    """The leaky ReLU and dropout epilogue of the convolutions, on _act's identity conv."""
+
     def test_leaky_relu_values(self):
-        out = leaky_relu(Tensor(np.array([-2.0, 0.0, 3.0])), slope=0.1)
-        assert np.allclose(out.data, [-0.2, 0.0, 3.0])
+        out = _act(Tensor(np.array([-2.0, 0.0, 3.0]).reshape(1, 1, 1, 3)), slope=0.1)
+        assert np.allclose(out.data.ravel(), [-0.2, 0.0, 3.0])
 
     @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
     def test_leaky_relu_bitwise_equals_where_form(self, slope):
         # max(x, slope*x) is the select form bit for bit on [0, 1], signed zeros included
         x = np.concatenate([RNG.normal(size=200), [0.0, -0.0, 1e-45, -1e-45]]).astype(np.float32)
-        got = leaky_relu(Tensor(x), slope=slope).data
-        want = np.where(x > 0, x, slope * x)
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        x = x.reshape(1, 1, 1, -1)
+        pre = _act(Tensor(x)).data
+        assert np.array_equal(_bits(pre), _bits(x + np.float32(0.0)))
+        got = _act(Tensor(x), slope=slope).data
+        want = np.where(pre > 0, pre, slope * pre)
+        assert np.array_equal(_bits(got), _bits(want))
 
     def test_leaky_relu_gradient_away_from_kink(self):
         # keep inputs off zero so the central difference stays valid
-        x = RNG.normal(size=(2, 3, 4, 4))
+        x = RNG.normal(size=(2, 1, 4, 4))
         x[np.abs(x) < 0.1] = 0.5
         wsum = RNG.normal(size=x.shape)
-        _check(lambda t: _weighted_sum(leaky_relu(t["x"], 0.1), wsum), {"x": x})
+        _check(lambda t: _weighted_sum(_act(t["x"], 0.1), wsum), {"x": x})
 
     def test_square_gradient(self):
         x = RNG.normal(size=(3, 3))
@@ -216,14 +240,14 @@ class TestElementwise:
         _check(lambda t: _weighted_sum(square(t["x"]), wsum), {"x": x})
 
     def test_dropout_fixed_mask(self):
-        # with slope 1 the leaky ReLU is the identity, so the op is dropout alone
-        x = RNG.normal(size=(1, 2, 4, 4))
+        # with slope 1 the leaky ReLU is the identity, so the epilogue is dropout alone
+        x = RNG.normal(size=(1, 1, 4, 4))
         keep = dropout_keep(x.shape, 0.5, np.random.default_rng(0))
         mask = dropout_scale(keep, 0.5, np.float64)
-        out = leaky_relu(Tensor(x), 1.0, keep, 0.5)
+        out = _act(Tensor(x), 1.0, keep, 0.5)
         assert np.allclose(out.data, x * mask)
         wsum = RNG.normal(size=x.shape)
-        _check(lambda t: _weighted_sum(leaky_relu(t["x"], 1.0, keep, 0.5), wsum), {"x": x})
+        _check(lambda t: _weighted_sum(_act(t["x"], 1.0, keep, 0.5), wsum), {"x": x})
 
     def test_mask_is_inverse_scaled(self):
         mask = dropout_scale(dropout_keep((10000,), 0.25, np.random.default_rng(3)), 0.25, np.float64)
@@ -232,45 +256,58 @@ class TestElementwise:
 
     @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
     def test_leaky_relu_with_dropout_equals_the_two_ops_bitwise(self, slope):
-        """One op for leaky ReLU then dropout gives the bytes of leaky_relu followed by a
-        separate multiply by the float mask, in values and gradients, signed zeros included."""
+        """The epilogue gives the bytes of a linear conv, leaky_relu_op and a separate
+        multiply by the float mask, in values and in every gradient, in float32 and float64.
+        The edge values come twice, once kept and once dropped, and infinite upstream
+        gradients meet dropped elements, positive ones among them, where the output's sign
+        and the input's differ."""
         rng = np.random.default_rng(31)
-        special = [0.0, -0.0, 1e-45, -1e-45, 1e38, -1e38]
-        x = np.concatenate([rng.normal(size=250), special]).astype(np.float32).reshape(2, 2, 8, 8)
-        g = np.concatenate([rng.normal(size=250), [-0.0, 0.0, -0.0, 0.0, -0.0, 1.0]]).astype(np.float32)
-        g = g.reshape(x.shape)
+        special = [0.0, -0.0, 1e-45, -1e-45, 1e38, -1e38, np.nan, np.inf, -np.inf, 1.0]
+        x = np.concatenate([rng.normal(size=236), special, special]).reshape(2, 1, 8, 16)
+        g = np.concatenate([rng.normal(size=236), [-0.0, 0.0] * 5,
+                            [-0.0, 0.0, np.inf, -np.inf, np.inf, 0.0, -0.0, np.inf, -np.inf, -np.inf]])
         rate = 0.3
         keep = dropout_keep(x.shape, rate, rng)
-        assert keep.dtype == bool and 0 < keep.sum() < keep.size
-        mask = dropout_scale(keep, rate, np.float32)
-        grads = []
-        for build in (lambda t: leaky_relu(t, slope, keep, rate),
-                      lambda t: _scaled(leaky_relu(t, slope), mask)):
-            leaf = Tensor(x)
-            out = build(leaf)
-            _weighted_sum(out, g).backward()
-            grads.append((out.data, leaf.grad))
-        (fused, dfused), (composed, dcomposed) = grads
-        assert fused.dtype == composed.dtype == dfused.dtype == np.float32
-        assert np.array_equal(fused.view(np.uint32), composed.view(np.uint32))
-        assert np.array_equal(dfused.view(np.uint32), dcomposed.view(np.uint32))
-        assert np.array_equal(fused.view(np.uint32),
-                              (np.where(x > 0, x, np.float32(slope) * x) * mask).view(np.uint32))
+        keep.reshape(-1)[236:246], keep.reshape(-1)[246:] = True, False
+        assert 0 < keep.sum() < keep.size
+        for dtype in (np.float32, np.float64):
+            xd, gd, mask = x.astype(dtype), g.astype(dtype).reshape(x.shape), dropout_scale(keep, rate, dtype)
+            results = []
+            with np.errstate(invalid="ignore", over="ignore"):
+                for fused in (True, False):
+                    leaf, one, zero = Tensor(xd), Tensor(np.ones((1, 1, 1, 1), dtype)), Tensor(np.zeros(1, dtype))
+                    if fused:
+                        out = conv2d(leaf, one, zero, 1, slope, keep, rate)
+                    else:
+                        out = _scaled(leaky_relu_op(conv2d(leaf, one, zero), slope), mask)
+                    _weighted_sum(out, gd).backward()
+                    results.append((out.data, leaf.grad, one.grad, zero.grad))
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(_bits(got), _bits(want))
+            assert np.isnan(results[0][1].reshape(-1)[-8:]).sum() == 6  # inf times a dropped element's zero
 
     @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
     def test_leaky_relu_with_dropout_gradient(self, slope):
-        x = RNG.normal(size=(2, 3, 4, 4))
+        x = RNG.normal(size=(2, 1, 4, 4))
         x[np.abs(x) < 0.1] = 0.5  # off the kink, where the central difference holds
         keep = dropout_keep(x.shape, 0.4, np.random.default_rng(4))
         wsum = RNG.normal(size=x.shape)
-        _check(lambda t: _weighted_sum(leaky_relu(t["x"], slope, keep, 0.4), wsum), {"x": x})
+        _check(lambda t: _weighted_sum(_act(t["x"], slope, keep, 0.4), wsum), {"x": x})
 
 
 class TestConcatAndGraph:
+    """A conv2d input given as channel-ordered parts is their concatenation."""
+
     def test_concat_values_and_gradient(self):
-        arrays = {"a": RNG.normal(size=(1, 2, 3, 3)), "b": RNG.normal(size=(1, 4, 3, 3))}
-        wsum = RNG.normal(size=(1, 6, 3, 3))
-        _check(lambda t: _weighted_sum(concat(t["a"], t["b"]), wsum), arrays)
+        arrays = {"a": RNG.normal(size=(1, 2, 3, 3)), "b": RNG.normal(size=(1, 4, 3, 3)),
+                  "w": RNG.normal(size=(5, 6, 3, 3)), "bias": RNG.normal(size=(5,))}
+        joined = np.concatenate([arrays["a"], arrays["b"]], axis=1)
+        whole = conv2d(Tensor(joined), Tensor(arrays["w"]), Tensor(arrays["bias"]))
+        parts = conv2d((Tensor(arrays["a"]), Tensor(arrays["b"])), Tensor(arrays["w"]), Tensor(arrays["bias"]))
+        assert np.array_equal(_bits(parts.data), _bits(whole.data))
+        wsum = RNG.normal(size=(1, 5, 3, 3))
+        _check(lambda t: _weighted_sum(conv2d((t["a"], t["b"]), t["w"], t["bias"]), wsum), arrays)
 
     def test_shared_node_gradients_accumulate(self):
         x = Tensor(np.array([1.0, 2.0]))
@@ -280,9 +317,23 @@ class TestConcatAndGraph:
             t._backward = lambda g: _accumulate(x, g[0, :, 0, 0])
             return t
 
-        loss = _weighted_sum(concat(lift(), lift()), np.ones((1, 4, 1, 1)))
+        eye = Tensor(np.eye(4)[:, :, None, None])  # a 1x1 conv that passes its input through
+        loss = _weighted_sum(conv2d((lift(), lift()), eye, Tensor(np.zeros(4))), np.ones((1, 4, 1, 1)))
         loss.backward()
         assert np.allclose(x.grad, [2.0, 2.0])
+        same = lift()  # one node given as both parts; the sweep zero-fills the leaf again
+        _weighted_sum(conv2d((same, same), eye, Tensor(np.zeros(4))), np.ones((1, 4, 1, 1))).backward()
+        assert np.allclose(x.grad, [2.0, 2.0])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_two_part_gradients_with_epilogue(self, stride):
+        arrays = {"a": RNG.normal(size=(2, 2, 6, 6)), "b": RNG.normal(size=(2, 3, 6, 6)),
+                  "w": RNG.normal(size=(4, 5, 3, 3)) * 0.5, "bias": RNG.normal(size=(4,))}
+        side = 6 // stride
+        keep = dropout_keep((2, 4, side, side), 0.3, np.random.default_rng(6))
+        wsum = RNG.normal(size=(2, 4, side, side))
+        _check(lambda t: _weighted_sum(
+            conv2d((t["a"], t["b"]), t["w"], t["bias"], stride, 0.1, keep, 0.3), wsum), arrays)
 
     def test_backward_consumes_the_tape(self):
         arrays = {"x": RNG.normal(size=(1, 2, 4, 4)), "w": RNG.normal(size=(3, 2, 3, 3)),
@@ -291,7 +342,7 @@ class TestConcatAndGraph:
         hidden = []  # the interior node of every graph built; _check sweeps the first
 
         def build(t):
-            hidden.append(leaky_relu(conv2d(t["x"], t["w"], t["b"]), 0.1))
+            hidden.append(conv2d(t["x"], t["w"], t["b"], slope=0.1))
             return _weighted_sum(hidden[-1], wsum)
 
         _check(build, arrays)  # the leaves' gradients still match finite differences
@@ -300,6 +351,49 @@ class TestConcatAndGraph:
     def test_backward_requires_scalar(self):
         with pytest.raises(ConfigError):
             Tensor(np.zeros(3)).backward()
+
+
+class TestFusedDecoderChain:
+    """A decoder stage with fused activations and a two-part input gives the bytes of
+    the separate taped ops: linear conv2d, leaky_relu_op with a keep mask, transposed
+    conv, leaky_relu_op, concat_op with the skip, linear conv2d."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_equals_composition_bitwise(self, slope, dropout, batch, dtype):
+        rng = np.random.default_rng(41)
+        arrays = {"x": rng.normal(size=(batch, 2, 8, 8)), "skip": rng.normal(size=(batch, 3, 8, 8)),
+                  "w1": rng.normal(size=(4, 2, 3, 3)), "b1": rng.normal(size=(4,)),
+                  "wt": rng.normal(size=(4, 2, 2, 2)), "bt": rng.normal(size=(2,)),
+                  "w2": rng.normal(size=(3, 5, 3, 3)), "b2": rng.normal(size=(3,))}
+        arrays = {k: v.astype(dtype) for k, v in arrays.items()}
+        arrays["x"].reshape(-1)[:4] = [-0.0, 1e-45, -1e-45, 0.0]  # edge inputs reach the convs
+        rate = 0.3
+        keep = dropout_keep((batch, 4, 4, 4), rate, rng) if dropout else None
+        g = rng.normal(size=(batch, 3, 8, 8)).astype(dtype)
+
+        def fused(t):
+            a = conv2d(t["x"], t["w1"], t["b1"], 2, slope, keep, rate)
+            u = conv_transpose2d(a, t["wt"], t["bt"], slope)
+            return conv2d((u, t["skip"]), t["w2"], t["b2"])
+
+        def composed(t):
+            a = leaky_relu_op(conv2d(t["x"], t["w1"], t["b1"], stride=2), slope, keep, rate)
+            u = leaky_relu_op(conv_transpose2d(a, t["wt"], t["bt"]), slope)
+            return conv2d(concat_op(u, t["skip"]), t["w2"], t["b2"])
+
+        results = []
+        for build in (fused, composed):
+            leaves = {k: Tensor(v) for k, v in arrays.items()}
+            out = build(leaves)
+            loss = _weighted_sum(out, g)
+            loss.backward()
+            results.append([out.data, loss.data] + [leaves[k].grad for k in arrays])
+        for name, got, want in zip(["out", "loss", *arrays], *results):
+            assert got.dtype == want.dtype == dtype, name
+            assert np.array_equal(_bits(got), _bits(want)), name
 
 
 class TestSoftmaxCrossEntropy:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cut_and_flip, reads_or_names_file
+from conftest import composed_forward, cut_and_flip, reads_or_names_file
 from evgrid.errors import ConfigError, EvgridError, TrainingDiverged
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import GridSpec
@@ -135,6 +135,33 @@ class TestUntapedForward:
             assert np.array_equal(params[k], before[k])
 
 
+class TestFusedForward:
+    """forward's fused activations and two-part decoder inputs against composed_forward,
+    the same network built from separate taped ops, compared by raw bits."""
+
+    @pytest.mark.parametrize("out_ch", [2, 3])
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_composed_reference(self, out_ch, batch, dropout, dtype):
+        spec = UNetSpec(out_channels=out_ch, base_channels=4, dropout=0.3)
+        params = {k: v.astype(dtype) for k, v in init_params(spec, np.random.default_rng(0)).items()}
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(batch, 2, 8, 8)).astype(np.float32)
+        target = rng.dirichlet(np.ones(3), size=(batch, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
+        results = []
+        for run in (forward, composed_forward):
+            out, leaves = run(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None)
+            loss = (softmax_cross_entropy(out, target) if out_ch == 3
+                    else evidential_bayes_risk(square(out), target))
+            loss.backward()
+            results.append([out.data, loss.data] + [leaves[k].grad for k in sorted(params)])
+        bits = lambda a: a.view(np.uint32 if a.dtype == np.float32 else np.uint64)  # -0.0 != +0.0
+        for name, got, want in zip(["out", "loss", *sorted(params)], *results):
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(bits(got), bits(want)), name
+
+
 class TestMemory:
     """The tape keeps only what a backward reads, and the untaped forward holds each
     activation only until its last reader. Bounds at the train-64 bench shapes
@@ -160,12 +187,36 @@ class TestMemory:
                 tracemalloc.stop()
 
     @pytest.mark.parametrize("out_ch", [2, 3])
-    def test_taped_forward_holds_at_most_13_mb(self, out_ch):
+    def test_taped_forward_holds_at_most_6_mb(self, out_ch):
+        # each activation once: no pre-activation and no concatenated skip on the tape
         spec = UNetSpec(out_channels=out_ch, base_channels=8)
         params = init_params(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).random((8, 2, 64, 64), dtype=np.float32)
         live, _peak = self._traced(lambda: forward(params, spec, x, dropout_rng=np.random.default_rng(2)))
-        assert live <= 13 * self.MB
+        assert live <= 6 * self.MB
+
+    @pytest.mark.parametrize("model", ["ev", "soft"])
+    def test_train_step_peaks_at_most_12_mb(self, model):
+        spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=8)
+        params = init_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((8, 2, 64, 64), dtype=np.float32)
+        target = rng.dirichlet(np.ones(3), size=(8, 64, 64)).transpose(0, 3, 1, 2).astype(np.float32)
+        opt = Adam(params, 1e-3)
+        _live, peak = self._traced(
+            lambda: train_step(params, spec, x, target, model, opt, dropout_rng=np.random.default_rng(2)))
+        assert peak <= 12 * self.MB
+
+    @pytest.mark.parametrize("model", ["ev", "soft"])
+    def test_eval_loss_peaks_at_most_8_mb(self, model):
+        # its forwards run EVAL_FORWARD samples at a time, below the step's peak
+        spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=8)
+        params = init_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.random((3 * EVAL_BATCH, 2, 64, 64), dtype=np.float32)
+        target = rng.dirichlet(np.ones(3), size=(len(x), 64, 64)).transpose(0, 3, 1, 2).astype(np.float32)
+        _live, peak = self._traced(lambda: eval_loss(params, spec, x, target, model))
+        assert peak <= 8 * self.MB
 
     @pytest.mark.parametrize("out_ch", [2, 3])
     def test_untaped_forward_peaks_at_most_11_mb(self, out_ch):
