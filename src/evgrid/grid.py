@@ -4,16 +4,16 @@ Ego-centered square grids, the pose algebra that every change of frame goes
 through, Dempster-Shafer combination of two cells' belief masses, the
 probability-to-belief map, and the grid file format plus PGM/PPM rendering.
 
-Grids are stored row-major with shape (channels, side, side); row index
-follows the y axis of ``grid_frame(ego)`` and column index its x axis, so the
-cell at (side//2, side//2) contains the ego position.
+Grids are stored row-major with shape (channels, side, side) in the ego's
+own frame: row index follows its y axis (to the left) and column index its x
+axis (straight ahead), so the cell at (side//2, side//2) contains the ego
+position.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +23,20 @@ from evgrid.evidential import EvidentialState
 
 
 def wrap_angle(theta: float | np.ndarray):
-    """Normalize an angle to (-pi, pi]; idempotent, but an angle already in range can move by up to
-    one ulp of pi: ``Pose2D(heading=h).heading == h`` for only about 9 % of h from U(-0.3, 0.3)."""
-    wrapped = -((-np.asarray(theta) + np.pi) % (2.0 * np.pi) - np.pi)
-    return float(wrapped) if wrapped.ndim == 0 else wrapped
+    """Normalize an angle to (-pi, pi]; an angle already in that range comes back unchanged."""
+    flat = np.ravel(theta).astype(np.float64)
+    # the others take the shift by pi and back, which would move an angle in range by up to an ulp,
+    # and which lands on -pi where the remainder rounds up to 2 pi
+    out = np.flatnonzero(np.abs(flat) >= np.pi)
+    shifted = np.pi - (np.pi - flat[out]) % (2.0 * np.pi)
+    flat[out] = np.where(shifted == -np.pi, np.pi, shifted)
+    return float(flat[0]) if np.ndim(theta) == 0 else flat.reshape(np.shape(theta))
 
 
 @dataclass(frozen=True)
 class Pose2D:
-    """World-frame planar pose; heading normalized to (-pi, pi]."""
+    """World-frame planar pose, the one type of the pose algebra: an ego, a LiDAR scan position or a
+    radar, and the frame of each; heading normalized to (-pi, pi], kept as given when already in it."""
 
     x: float = 0.0
     y: float = 0.0
@@ -44,11 +49,6 @@ class Pose2D:
     def turn(self) -> tuple[float, float]:
         """(cos, sin) of the heading: the rotation from this pose's frame to the world's."""
         return math.cos(self.heading), math.sin(self.heading)
-
-
-# a planar frame in the world: its origin (x, y) and the (cos, sin) of its axes' turn, like
-# Pose2D's but held as is, so a turn by -heading is exact where wrap_angle(-heading) is not
-Frame = namedtuple("Frame", "x y turn")
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class Grid2D:
     """A multi-channel field over an ego-centered square.
 
     ``data`` has shape (len(channels), side, side). ``origin`` is the ego
-    pose the grid is centered on; its axes are those of ``grid_frame(origin)``.
+    pose the grid is centered on, and its frame is the grid's: columns run
+    along the ego's heading and rows to its left.
     """
 
     spec: GridSpec
@@ -90,13 +91,13 @@ class Grid2D:
             raise DomainError(f"grid data shape {self.data.shape} != expected {expected}")
 
 
-def to_world(pose: Pose2D | Frame, x, y):
+def to_world(pose: Pose2D, x, y):
     """World coordinates of points given in the frame of ``pose``."""
     c, s = pose.turn
     return pose.x + c * x - s * y, pose.y + s * x + c * y
 
 
-def to_local(pose: Pose2D | Frame, x, y):
+def to_local(pose: Pose2D, x, y):
     """Coordinates in the frame of ``pose`` of world points; the inverse of ``to_world``."""
     c, s = pose.turn
     dx, dy = x - pose.x, y - pose.y
@@ -109,21 +110,14 @@ def polar(pose: Pose2D, x, y):
     return np.hypot(dx, dy), wrap_angle(np.arctan2(dy, dx) - pose.heading)
 
 
-def grid_frame(ego: Pose2D) -> Frame:
-    """The frame of a grid centred on ``ego``, whose columns run along its x axis and rows along its y."""
-    c, s = ego.turn
-    # the grid's turn: -heading in the world, so -2 * heading against the ego; (c, s) would align the two
-    return Frame(ego.x, ego.y, (c, -s))
-
-
 def world_to_cells(spec: GridSpec, ego: Pose2D, px, py):
     """Map world points into grid cells: (row, col, inside) arrays.
 
-    The points in ``grid_frame(ego)``, floor-divided by the cell size; points exactly on a
+    The points in the ego's frame, floor-divided by the cell size; points exactly on a
     cell boundary go to the cell whose lower edge they sit on. ``row`` and ``col`` are int64
     and lie outside [0, side) where ``inside`` is False.
     """
-    xr, yr = to_local(grid_frame(ego), px, py)
+    xr, yr = to_local(ego, px, py)
     half = spec.side_cells // 2
     col = np.floor(xr / spec.cell_size).astype(np.int64) + half
     row = np.floor(yr / spec.cell_size).astype(np.int64) + half
@@ -135,7 +129,7 @@ def cell_centers(spec: GridSpec, ego: Pose2D) -> tuple[np.ndarray, np.ndarray]:
     """World coordinates of every cell center; two (side, side) arrays."""
     idx = (np.arange(spec.side_cells) - spec.side_cells // 2 + 0.5) * spec.cell_size
     xr, yr = np.meshgrid(idx, idx)  # xr varies along columns, yr along rows
-    return to_world(grid_frame(ego), xr, yr)
+    return to_world(ego, xr, yr)
 
 
 def prob_to_evidential_array(p_o: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
-from evgrid.grid import (Frame, Grid2D, GridSpec, Pose2D, grid_frame, polar, to_local, to_world, world_to_cells,
-                         wrap_angle, write_grid)
+from evgrid.grid import Grid2D, GridSpec, Pose2D, polar, to_local, to_world, world_to_cells, wrap_angle, write_grid
 from evgrid.parallel import map_scenes
 from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detections, RadarNoiseModel
 
@@ -201,9 +200,9 @@ def generate_scene(seed: int, cfg: SimConfig = SimConfig()) -> Scene:
 def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> np.ndarray:
     """Per-cell status grid (0 unknown, 1 free, 2 occupied) from one scan.
 
-    Rays originate at ``scan``; cells are always those of the grid frame of
-    the scene's ego, so scans taken from later positions of a recording land
-    on the same grid.
+    Rays originate at ``scan``; cells are always those of the scene's ego,
+    whose frame is the grid's, so scans taken from later positions of a
+    recording land on the same grid.
     """
     status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
     ego = scene.ego
@@ -223,11 +222,10 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
 
     # free space: dense samples along each ray up to (just before) the hit, laid
     # out ray by ray with only each ray's own samples. A ray stops where it leaves
-    # the grid square grown by one cell on every side (the slab exit, in the grid
+    # the grid square grown by one cell on every side (the slab exit, in the ego's
     # frame), since every later sample would bin outside the grid.
-    frame = grid_frame(ego)
-    g = np.array(to_local(frame, scan.x, scan.y))
-    u = np.stack(to_local(Frame(0.0, 0.0, frame.turn), dirs[:, 0], dirs[:, 1]), axis=1)  # turned, not shifted
+    g = np.array(to_local(ego, scan.x, scan.y))
+    u = np.stack(to_local(Pose2D(heading=ego.heading), dirs[:, 0], dirs[:, 1]), axis=1)  # turned, not shifted
     box = (spec.side_cells - spec.side_cells // 2 + 1) * spec.cell_size  # the larger half side, plus a cell
     with np.errstate(divide="ignore", invalid="ignore"):
         t_exit = np.where(u == 0.0, np.inf, (np.copysign(box, u) - g) / u).min(axis=1)

@@ -12,13 +12,11 @@ from evgrid.errors import DomainError, EvgridError, write_atomic
 from evgrid.evidential import EvidentialState, evidential_to_probability
 from evgrid import sim
 from evgrid.grid import (
-    Frame,
     Grid2D,
     GridSpec,
     Pose2D,
     cell_centers,
     dempster_combine,
-    grid_frame,
     grid_from_bytes,
     grid_to_bytes,
     polar,
@@ -70,11 +68,12 @@ class TestCoordinates:
     def test_rotated_ego_matches_rotation_matrix_oracle(self):
         ego = Pose2D(heading=math.pi / 2)
         point = (1.0, 0.0)
-        # oracle: rotation matrix applied to the ego-relative point
-        ox = math.cos(ego.heading) * point[0] - math.sin(ego.heading) * point[1]
-        oy = math.sin(ego.heading) * point[0] + math.cos(ego.heading) * point[1]
+        # oracle: the rotation by -heading applied to the ego-relative point, which puts it in the ego's frame
+        ox = math.cos(ego.heading) * point[0] + math.sin(ego.heading) * point[1]
+        oy = -math.sin(ego.heading) * point[0] + math.cos(ego.heading) * point[1]
         assert cell_of(SPEC, point, ego) == cell_of(SPEC, (ox, oy), Pose2D())
-        assert cell_of(SPEC, point, ego) == cell_of(SPEC, (0.0, 1.0), Pose2D(heading=0.0))
+        # a point on the world's x axis is on the right of an ego heading along the world's y axis
+        assert cell_of(SPEC, point, ego) == cell_of(SPEC, (0.0, -1.0), Pose2D(heading=0.0))
 
     def test_out_of_bounds_signaled(self):
         assert cell_of(SPEC, (100.0, 0.0), Pose2D()) is None
@@ -91,10 +90,10 @@ class TestCoordinates:
         assert inside.any() and not inside.all()
         c, s = math.cos(ego.heading), math.sin(ego.heading)
         for x, y, row, col, ok in zip(px.tolist(), py.tolist(), rows, cols, inside):
-            # scalar oracle: rotate into the ego frame, floor by the cell size, shift to the center
+            # scalar oracle: rotate by -heading into the ego frame, floor by the cell size, shift to the center
             dx, dy = x - ego.x, y - ego.y
-            want_col = math.floor((c * dx - s * dy) / SPEC.cell_size) + 16
-            want_row = math.floor((s * dx + c * dy) / SPEC.cell_size) + 16
+            want_col = math.floor((c * dx + s * dy) / SPEC.cell_size) + 16
+            want_row = math.floor((c * dy - s * dx) / SPEC.cell_size) + 16
             assert (row, col) == (want_row, want_col)
             assert ok == (0 <= want_row < 32 and 0 <= want_col < 32)
 
@@ -105,19 +104,23 @@ class TestCoordinates:
             assert cell_of(SPEC, (wx[row, col], wy[row, col]), ego) == (row, col)
 
     def test_wrap_angle(self):
-        assert wrap_angle(math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+        assert wrap_angle(math.pi) == math.pi
+        assert wrap_angle(-math.pi) == math.pi
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
 
-    def test_wrap_angle_is_idempotent_but_moves_angles_in_range(self):
-        h = np.random.default_rng(5).uniform(-0.3, 0.3, 1000)
-        wrapped = wrap_angle(h)
+    def test_wrap_angle_keeps_angles_in_range_and_wraps_the_rest(self):
+        rng = np.random.default_rng(5)
+        h = rng.uniform(-math.pi, math.pi, 1000)
+        h[0], h[1] = math.pi, np.nextafter(-math.pi, 0.0)
+        assert np.array_equal(wrap_angle(h), h) and all(Pose2D(heading=x).heading == x for x in h.tolist())
+        # out of range, including just past pi, where the remainder of the shift rounds up to 2 pi
+        out = np.concatenate([rng.uniform(math.pi, 50.0, 500) * rng.choice([-1.0, 1.0], 500),
+                              [np.nextafter(math.pi, 4.0), -math.pi, 3 * math.pi, -3 * math.pi]])
+        wrapped = wrap_angle(out)
+        assert ((-math.pi < wrapped) & (wrapped <= math.pi)).all()
+        assert np.allclose(np.cos(wrapped), np.cos(out)) and np.allclose(np.sin(wrapped), np.sin(out))
         assert np.array_equal(wrap_angle(wrapped), wrapped)
-        assert np.abs(wrapped - h).max() <= np.spacing(math.pi)
-        assert 0.05 < np.mean(wrapped == h) < 0.15  # the shift by pi and back rounds the rest
 
-    @pytest.mark.xfail(strict=True,
-                       reason="ROADMAP item 4: the grid is turned by -heading, not aligned with the ego")
     def test_point_straight_ahead_lands_straight_ahead(self):
         # 5 m along heading 0.3 lies on the edge between rows 15 and 16 and between columns 25 and 26;
         # in the ego's frame it rounds to (4.999999999999999, 1.1e-15), so into row 16, column 25
@@ -126,26 +129,28 @@ class TestCoordinates:
 
 
 class TestFrames:
-    """The pose algebra against the formulas it replaced in grid, sim and rayism, kept here
-    bit for bit; a grid frame is built by hand with the turn those formulas had, (cos, -sin)."""
+    """The pose algebra against written-out rotations and the formulas it replaced in grid,
+    sim and rayism, kept here bit for bit; the grid's frame is the ego's own."""
 
     def test_to_local_of_a_grid_frame_matches_the_world_to_cells_rotation(self):
         px, py = np.random.default_rng(1).uniform(-20.0, 20.0, (2, 64))
         for h in HEADINGS:
             ego = Pose2D(1.3, -0.4, h)
-            c, s = math.cos(ego.heading), math.sin(ego.heading)
+            c, s = math.cos(h), math.sin(h)
             dx, dy = px - ego.x, py - ego.y
-            xr, yr = to_local(Frame(ego.x, ego.y, (c, -s)), px, py)
-            assert np.array_equal(xr, c * dx - s * dy) and np.array_equal(yr, s * dx + c * dy)
+            xr, yr = to_local(ego, px, py)
+            # R(-h) applied to the ego-relative point
+            assert np.array_equal(xr, c * dx + s * dy) and np.array_equal(yr, -s * dx + c * dy)
 
     def test_to_world_of_a_grid_frame_matches_the_cell_centers_formula(self):
         idx = (np.arange(32) - 16 + 0.5) * 0.5
         xr, yr = np.meshgrid(idx, idx)
         for h in HEADINGS:
             ego = Pose2D(-2.1, 0.7, h)
-            c, s = math.cos(ego.heading), math.sin(ego.heading)
-            wx, wy = to_world(Frame(ego.x, ego.y, (c, -s)), xr, yr)
-            assert np.array_equal(wx, ego.x + c * xr + s * yr) and np.array_equal(wy, ego.y - s * xr + c * yr)
+            c, s = math.cos(h), math.sin(h)
+            wx, wy = to_world(ego, xr, yr)
+            # R(+h) applied to the cell's offset, then the shift to the ego
+            assert np.array_equal(wx, ego.x + c * xr - s * yr) and np.array_equal(wy, ego.y + s * xr + c * yr)
 
     def test_corner_sensor_poses_match_their_formula(self):
         offsets = [(1.8, 0.8, math.pi / 4), (1.8, -0.8, -math.pi / 4),
@@ -195,13 +200,24 @@ class TestFrames:
                 assert np.array_equal(rng[k], np.hypot(dx, dy).ravel())
                 assert np.array_equal(phi[k], wrap_angle(np.arctan2(dy, dx) - pose.heading).ravel())
 
+    def test_polar_cells_are_the_same_in_every_scene(self):
+        # the grid and the corner radars both turn with the ego, so each cell's range and bearing from
+        # each radar do not depend on the ego pose: one table could serve every scene, up to rounding
+        spec = GridSpec(64, 0.5)
+        tables = []
+        for seed in range(20):
+            ego = sim.generate_scene(seed).ego
+            tables.append(_polar_cells(_unknown_grid(spec, ego), list(corner_sensor_poses(ego).values()))[:2])
+        for rng, phi in tables[1:]:
+            assert np.abs(rng - tables[0][0]).max() <= 1e-12
+            assert np.abs(wrap_angle(phi - tables[0][1])).max() <= 1e-12
+
     def test_to_local_inverts_to_world(self):
         x, y = np.random.default_rng(3).uniform(-50.0, 50.0, (2, 100))
         for h in HEADINGS:
             ego = Pose2D(3.0, -4.0, h)
-            for frame in (ego, grid_frame(ego)):
-                back = to_local(frame, *to_world(frame, x, y))
-                assert np.abs(back[0] - x).max() <= 1e-12 and np.abs(back[1] - y).max() <= 1e-12
+            back = to_local(ego, *to_world(ego, x, y))
+            assert np.abs(back[0] - x).max() <= 1e-12 and np.abs(back[1] - y).max() <= 1e-12
 
 
 class TestProbToEvidential:

@@ -397,14 +397,16 @@ class TestSceneKernelParity:
     def test_saturation_then_opposite_sign(self):
         ego = Pose2D()
         poses = corner_sensor_poses(ego)
-        far, near = Detection(r=8.0, phi=0.05), Detection(r=3.0, phi=0.05)
+        far, near = Detection(r=8.0, phi=0.0), Detection(r=4.0, phi=0.0)
         clamp = RayIsmConfig().logodds_clamp
         # six far detections drive the free cells before them to the lower
-        # clamp; the near one then raises its target cells from the clamp
+        # clamp; the near one then raises its target cells from the clamp.
+        # Given first, its rise is lost under the clamp, so the two orders
+        # differ by far more than a sum rounded in another order would
         after = self._assert_parity([far] * 6 + [near], poses, ego, RayIsmConfig())
         before = self._assert_parity([near] + [far] * 6, poses, ego, RayIsmConfig())
         assert after.min() == -clamp
-        assert not np.array_equal(after, before)
+        assert np.abs(after - before).max() > 0.5
 
     def test_dynamic_detections_and_their_unknown_sensors_are_ignored(self):
         rng = np.random.default_rng(3)
