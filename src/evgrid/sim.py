@@ -24,6 +24,7 @@ from evgrid.parallel import map_scenes
 from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detections, RadarNoiseModel
 
 _FREE, _OCC = 1, 2  # status codes; 0 = unknown
+_RAY_BLOCK = 180  # consecutive LiDAR rays whose free-space samples are binned at once
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,10 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
 
     Rays originate at ``scan``; cells are always those of the scene's ego,
     whose frame is the grid's, so scans taken from later positions of a
-    recording land on the same grid.
+    recording land on the same grid. Free space is sampled, binned and marked
+    one block of ``_RAY_BLOCK`` consecutive rays at a time, so only one block's
+    samples (not the whole scan's) are alive at once; occupied cells are
+    marked after every free one and override it.
     """
     status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
     ego = scene.ego
@@ -232,12 +236,17 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
     step = spec.cell_size / 4.0
     t_samples = (np.arange(int(max_range / step)) + 0.5) * step
     counts = np.searchsorted(t_samples, np.minimum(t_end - 1e-9, t_exit))
-    t = t_samples[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)]
-    pts_x = scan.x + np.repeat(dirs[:, 0], counts) * t
-    pts_y = scan.y + np.repeat(dirs[:, 1], counts) * t
-    rows, cols, inside = world_to_cells(spec, ego, pts_x, pts_y)
-    inside = np.flatnonzero(inside)  # integer indices gather faster than a boolean mask
-    status[rows[inside], cols[inside]] = _FREE
+    # marking a cell free is idempotent, so a block at a time gives the grid of
+    # all rays at once; a fixed block, not a sample budget, keeps the peak lowest
+    for lo in range(0, len(counts), _RAY_BLOCK):
+        block = slice(lo, lo + _RAY_BLOCK)
+        n = counts[block]
+        t = t_samples[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)]
+        pts_x = scan.x + np.repeat(dirs[block, 0], n) * t
+        pts_y = scan.y + np.repeat(dirs[block, 1], n) * t
+        rows, cols, inside = world_to_cells(spec, ego, pts_x, pts_y)
+        inside = np.flatnonzero(inside)  # integer indices gather faster than a boolean mask
+        status[rows[inside], cols[inside]] = _FREE
 
     # occupied: the cell containing each hit point, nudged inside the shape;
     # a moving object's hit marks its cell only when moving objects are
