@@ -15,10 +15,9 @@ sensor, and the cells sorted by bearing. The sorted bearings are repeated at
 -2 pi, 0 and +2 pi, a ring on which each detection's candidates, the cells
 within phi_meas +- 4 sigma_phi, are one slice found by binary search, even
 where the window crosses +-pi. The footprint test and the IDM run on all
-candidate (detection, cell) pairs at once. The logits are then summed per
-cell as if added in detection order with a clamp after each detection: one
-bincount for the cells that can never reach the clamp, and a few rounds for
-the others, so cells that saturate end up exactly as in a
+candidate (detection, cell) pairs at once. The logits are then added in
+detection order and clamped after each detection, touching only that
+detection's cells, so cells that saturate end up exactly as in a
 one-detection-at-a-time loop.
 """
 
@@ -254,15 +253,9 @@ def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Gri
     lies in phi_meas +- 4 sigma_phi: one slice, found by binary search, of
     the sensor's cells sorted by bearing and repeated at -2 pi, 0 and +2 pi;
     a slice position modulo the cell count is a sorted cell. The IDMs of all
-    (detection, cell) pairs that pass are evaluated as one block.
-
-    The grid ends as if the logits were added detection by detection,
-    clamping after each, bit for bit, so saturated cells depend on the order
-    of ``dets``. A float64 cell whose |start| plus the sum of its |logit|s
-    stays within ``logodds_clamp`` never clamps, and takes its sum from one
-    ``np.bincount`` in detection order, fed its non-zero start first. The
-    other cells run in rounds: round k adds the k-th logit of each and
-    clamps. Cells no detection touches are left as they are, -0.0 included.
+    (detection, cell) pairs that pass are evaluated as one block; the logits
+    are then added detection by detection, clamping after each, so
+    saturated cells depend on the order of ``dets``.
     """
     unknown = np.flatnonzero(~np.isin(dets.sensor_id, list(sensor_poses)))
     if len(unknown):
@@ -273,9 +266,8 @@ def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Gri
     rng, phi, order = _polar_cells(grid, [sensor_poses[sid] for sid in sensors.tolist()])
     r4, phi4 = 4.0 * cfg.noise.sigma_r, 4.0 * cfg.noise.sigma_phi
 
-    # half stops at pi, one full turn, and a slice at the cell count: a full turn's
-    # slice can hold both ends of the ring, and a cell listed twice would get a
-    # detection's logit twice
+    # half stops at pi, one full turn: a wider slice would only list a cell twice,
+    # which is harmless (both copies are set to the same old + logit) but is work
     centre, half = wrap_angle(dets.phi), min(phi4 + _BEARING_SLACK, math.pi)
     start, end = np.empty(len(dets), np.int64), np.empty(len(dets), np.int64)
     for k in range(len(sensors)):
@@ -284,7 +276,7 @@ def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Gri
         start[sel] = np.searchsorted(ring, centre[sel] - half, "left")
         end[sel] = np.searchsorted(ring, centre[sel] + half, "right")
     # expand the slices into (detection, cell) pairs, grouped by detection
-    lengths = np.minimum(end - start, phi.shape[1])
+    lengths = end - start
     pair_det = np.repeat(np.arange(len(dets)), lengths)
     pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
     pair_row = row[pair_det]
@@ -297,31 +289,13 @@ def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Gri
     p = _idm(pair_rng[idx], pair_phi[idx], pair_r[idx], pair_phi_meas[idx], cfg)
     p = np.clip(p, cfg.prob_clamp, 1.0 - cfg.prob_clamp)
     logit = np.log(p / (1.0 - p))
-    cell = cell[idx]
+    cell, bounds = cell[idx], np.searchsorted(pair_det[idx], np.arange(len(dets) + 1))
 
     logodds = grid.data[0].ravel()  # a copy when the grid is not contiguous
-    clamp, n_cells = cfg.logodds_clamp, logodds.size
-    # bincount adds in input order, the loop's order, from 0.0: the non-zero starts go
-    # in first (a -0.0 start is left out, and an untouched cell is not written back)
-    seed = np.flatnonzero(logodds)
-    at, w = np.concatenate([seed, cell]), np.concatenate([logodds[seed], logit])
-    total, reach = np.bincount(at, w, n_cells), np.bincount(at, np.abs(w), n_cells)
-    # rounding is monotone, so no partial sum of a cell exceeds its reach in magnitude:
-    # a cell whose reach is within the clamp never clamps, and its total is the loop's
-    # sum (in float64; a narrower grid rounds every step, so all its cells take rounds).
-    # Round k adds the k-th logit of each other cell and clamps: the loop's steps for
-    # that cell, in the loop's order.
-    fits = (reach <= clamp) & (logodds.dtype == np.float64)
-    done = np.flatnonzero(fits & (np.bincount(cell, minlength=n_cells) > 0))
-    logodds[done] = total[done]
-    rest = np.flatnonzero(~fits[cell])
-    rest = rest[np.argsort(cell[rest], kind="stable")]  # by cell, in detection order within a cell
-    rank = np.arange(len(rest)) - np.searchsorted(cell[rest], cell[rest])  # k: the k-th logit of its cell
-    rest = rest[np.argsort(rank, kind="stable")]
-    rounds = np.cumsum(np.r_[0, np.bincount(rank)]).tolist()
-    for a, b in zip(rounds[:-1], rounds[1:]):
-        c = cell[rest[a:b]]
-        v = logodds[c] + logit[rest[a:b]]
+    clamp = cfg.logodds_clamp
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        c = cell[a:b]
+        v = logodds[c] + logit[a:b]
         logodds[c] = np.minimum(np.maximum(v, -clamp, out=v), clamp, out=v)
     grid.data[0] = logodds.reshape(grid.data.shape[1:])
 

@@ -25,21 +25,18 @@ from evgrid.grid import (
     wrap_angle,
 )
 from evgrid.rayism import (
-    _BEARING_SLACK,
     Detection,
     Detections,
     RadarNoiseModel,
     RayIsmConfig,
-    _idm,
     _ndtr,
-    _polar_cells,
     accumulate_idms,
     angular_kernel,
     idm,
     range_model,
     ray_ism_scene,
 )
-from evgrid.sim import SimConfig, _scene_seed, corner_sensor_poses, generate_scene, simulate_radar
+from evgrid.sim import corner_sensor_poses
 
 CFG = RayIsmConfig(noise=RadarNoiseModel(sigma_r=0.5, sigma_phi=0.02))
 
@@ -433,120 +430,3 @@ class TestSceneKernelParity:
         rng = np.random.default_rng(11)
         dets, poses, ego = _random_scene(rng, 200, max_range=25.0)
         self._assert_parity(dets, poses, ego, RayIsmConfig(), spec=GridSpec(64, 0.5))
-
-
-def _loop_accumulate_idms(dets, sensor_poses, grid, cfg):
-    """``accumulate_idms`` as it was with a Python loop over detections, kept as its
-    oracle: the candidate slices and the footprint test are the kernel's, and the
-    logits are added one detection at a time, clamping after each."""
-    if not len(dets):
-        return
-    sensors, row = np.unique(dets.sensor_id, return_inverse=True)
-    rng, phi, order = _polar_cells(grid, [sensor_poses[sid] for sid in sensors.tolist()])
-    r4, phi4 = 4.0 * cfg.noise.sigma_r, 4.0 * cfg.noise.sigma_phi
-    centre, half = wrap_angle(dets.phi), min(phi4 + _BEARING_SLACK, math.pi)
-    start, end = np.empty(len(dets), np.int64), np.empty(len(dets), np.int64)
-    for k in range(len(sensors)):
-        ring = np.concatenate([phi[k, order[k]] + turn for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)])
-        sel = row == k
-        start[sel] = np.searchsorted(ring, centre[sel] - half, "left")
-        end[sel] = np.searchsorted(ring, centre[sel] + half, "right")
-    lengths = end - start  # a full turn's slice may list a cell twice; the loop sets it once
-    pair_det = np.repeat(np.arange(len(dets)), lengths)
-    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
-    pair_row = row[pair_det]
-    cell = order[pair_row, pos % phi.shape[1]]
-    pair_rng, pair_phi = rng[pair_row, cell], phi[pair_row, cell]
-    pair_r, pair_phi_meas = dets.r[pair_det], dets.phi[pair_det]
-    idx = np.flatnonzero((pair_rng <= pair_r + r4) & (np.abs(wrap_angle(pair_phi - pair_phi_meas)) <= phi4))
-    p = np.clip(_idm(pair_rng[idx], pair_phi[idx], pair_r[idx], pair_phi_meas[idx], cfg),
-                cfg.prob_clamp, 1.0 - cfg.prob_clamp)
-    logit = np.log(p / (1.0 - p))
-    cell, bounds = cell[idx], np.searchsorted(pair_det[idx], np.arange(len(dets) + 1))
-    logodds = grid.data[0].ravel()
-    clamp = cfg.logodds_clamp
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        c = cell[a:b]
-        v = logodds[c] + logit[a:b]
-        logodds[c] = np.minimum(np.maximum(v, -clamp, out=v), clamp, out=v)
-    grid.data[0] = logodds.reshape(grid.data.shape[1:])
-
-
-def _assert_same_bits(got, want):
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-class TestAccumulationLoopParity:
-    """accumulate_idms, a bincount for the cells that never clamp and rounds for the
-    rest, leaves every bit, the sign of a zero included, as the per-detection loop."""
-
-    @staticmethod
-    def _assert_parity(dets, poses, grid, cfg):
-        want = Grid2D(grid.spec, grid.data.copy(), channels=grid.channels, origin=grid.origin)
-        _loop_accumulate_idms(dets, poses, want, cfg)
-        accumulate_idms(dets, poses, grid, cfg)
-        _assert_same_bits(grid.data, want.data)
-        return want.data[0]
-
-    @pytest.mark.parametrize("side, extra", [
-        (64, {"detection_prob": 0.7, "max_detections": 128, "clutter_rate": 8.0}),  # ism-64
-        (32, {}),  # pipeline-32
-    ])
-    def test_ray_ism_scene_on_workload_scenes(self, side, extra):
-        spec, cfg, ray_cfg = GridSpec(side, 0.5), SimConfig(**extra), RayIsmConfig()
-        saturated = 0
-        for i in range(100):
-            seed = _scene_seed(12, i)
-            scene = generate_scene(seed, cfg)
-            _, dets, _ = simulate_radar(scene, spec, cfg, np.random.default_rng([seed, 1]))
-            poses = corner_sensor_poses(scene.ego)
-            static = dets[np.flatnonzero(np.abs(dets.v_r) <= cfg.dynamic_velocity_threshold)]
-            zeros = np.zeros((1, side, side))
-            logodds = self._assert_parity(static, poses, Grid2D(spec, zeros, ("logodds",), scene.ego), ray_cfg)
-            saturated += np.abs(logodds).max() == ray_cfg.logodds_clamp
-            got = ray_ism_scene(dets, poses, spec, ray_cfg, ego=scene.ego,
-                                dynamic_velocity_threshold=cfg.dynamic_velocity_threshold)
-            _assert_same_bits(got.data, prob_to_evidential_array(1.0 / (1.0 + np.exp(-logodds))))
-        assert saturated > 0  # the rounds run, not the bincount alone
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_nonzero_start(self, seed, dtype):
-        rng = np.random.default_rng(200 + seed)
-        cfg = RayIsmConfig()
-        clamp = cfg.logodds_clamp
-        dets, poses, ego = _random_scene(rng, 80)
-        # small values, values near and at the clamp, beyond it, and zeros of both signs
-        start = rng.choice([-0.0, 0.0, -clamp, clamp, 9.999, -9.5, 12.0, -15.0, 0.3, -2.0],
-                           size=(1, 24, 24)).astype(dtype)
-        start[0, ::5] = rng.uniform(-clamp, clamp, size=start[0, ::5].shape)
-        grid = Grid2D(GridSpec(24, 0.5), start.copy(), channels=("logodds",), origin=ego)
-        static = columns([det for det in dets if abs(det.v_r) <= 0.5])
-        after, start = self._assert_parity(static, poses, grid, cfg), start[0]
-        same = after == start
-        assert np.array_equal(np.signbit(after[same]), np.signbit(start[same]))
-        assert np.signbit(after[(start == 0.0) & same]).any()  # an untouched -0.0 stays -0.0
-        assert np.any((np.abs(start) == clamp) & ~same)  # a cell leaves the clamp it started at
-
-    @pytest.mark.parametrize("sigma_phi", [math.pi / 4.0, 0.8, 2.0])
-    def test_full_turn_window_with_a_cell_at_both_ends(self, sigma_phi):
-        # the cells straight behind the sensor sit at bearing pi, both ends of a full
-        # turn around phi = 0, so the ring lists them twice for that detection
-        spec = GridSpec(24, 0.5)
-        pose = Pose2D(0.25, 0.25, 0.0)
-        cfg = RayIsmConfig(noise=RadarNoiseModel(sigma_r=0.25, sigma_phi=sigma_phi))
-        wx, wy = cell_centers(spec, Pose2D())
-        behind = (wy == 0.25) & (wx < 0.25)
-        assert behind.any()
-        assert np.all(np.arctan2(wy[behind] - 0.25, wx[behind] - 0.25) == math.pi)
-        dets = columns([Detection(r=20.0, phi=0.0), Detection(r=3.0, phi=math.pi / 2), Detection(r=20.0, phi=0.0)])
-        grid = Grid2D(spec, np.zeros((1, 24, 24)), ("logodds",))
-        self._assert_parity(dets, {0: pose}, grid, cfg)
-        # one detection adds its logit to such a cell once, not twice
-        one = Grid2D(spec, np.zeros((1, 24, 24)), ("logodds",))
-        accumulate_idms(dets[np.array([0])], {0: pose}, one, cfg)
-        p = np.clip(idm(0.25 - wx[behind], math.pi, Detection(r=20.0, phi=0.0), cfg),
-                    cfg.prob_clamp, 1.0 - cfg.prob_clamp)
-        assert one.data[0][behind] == pytest.approx(np.log(p / (1.0 - p)), rel=1e-12)
