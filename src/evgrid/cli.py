@@ -29,7 +29,7 @@ EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INTERRUPTED = 0, 1, 2, 3, 1
 
 
 def _keep_freed_heap() -> bool:
-    """Keep freed heap memory in this process; True when the policy is set.
+    """Keep freed heap memory in this process, in one arena; True when the policy is set.
 
     By default glibc serves numpy's 0.1-4 MB temporaries with mmap and trims
     the heap top on free, so every new array page-faults its memory back in.
@@ -37,18 +37,52 @@ def _keep_freed_heap() -> bool:
     threshold above any evgrid heap (256 MiB), freed arrays reuse memory that
     is already mapped. Setting either threshold alone turns off glibc's
     dynamic tuning and is slower than the default, so a refused first call
-    stops here. Where the C library has no mallopt this does nothing. Workers
-    that map_scenes forks later inherit the policy.
+    stops here. A second thread (train's second half batch) would get an
+    arena of its own, and the policy would keep the pages of both, so glibc
+    keeps one arena for every thread. Where the C library has no mallopt this
+    does nothing. Workers that map_scenes forks later inherit the policy.
     """
     import ctypes  # here, so that importing evgrid.cli sets nothing
 
-    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's parameter numbers
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # glibc's parameter numbers
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):  # a C library without mallopt, or no handle on it
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(m_mmap_threshold, 32 << 20) == 1 and mallopt(m_trim_threshold, 256 << 20) == 1
+    return (mallopt(m_mmap_threshold, 32 << 20) == 1 and mallopt(m_trim_threshold, 256 << 20) == 1
+            and mallopt(m_arena_max, 1) == 1)
+
+
+def _one_blas_thread() -> int | None:
+    """Run OpenBLAS on one thread; the count it reports afterwards, or None without OpenBLAS.
+
+    train's two half-batch threads are the parallelism: OpenBLAS's own
+    threads would compete with them for the two CPUs and make each step
+    slower. OPENBLAS_NUM_THREADS is read only when numpy loads the library,
+    so the count is set in the library that /proc/self/maps names.
+    """
+    import ctypes  # here, so that importing evgrid.cli sets nothing
+
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter(1)
+                return int(getter())
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,6 +245,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

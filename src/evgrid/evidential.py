@@ -111,7 +111,7 @@ def percentile_reduce_array(samples: np.ndarray, n: float) -> np.ndarray:
     if not (0.0 < n <= 100.0):
         raise DomainError(f"percentile must be in (0, 100], got {n}")
     rank = math.ceil(n / 100.0 * count)  # 1-based
-    return np.sort(samples, axis=0)[rank - 1]
+    return np.partition(samples, rank - 1, axis=0)[rank - 1]
 
 
 def evidence_to_belief_array(e: np.ndarray) -> np.ndarray:

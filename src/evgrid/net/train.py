@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
 from evgrid.net.tensor import Tensor, square
-from evgrid.net.unet import UNetSpec, forward, init_params, save_checkpoint
+from evgrid.net.unet import UNetSpec, dropout_masks, forward, init_params, save_checkpoint
 from evgrid.sim import augment_arrays, load_manifest
 
 
@@ -103,30 +105,86 @@ def _loss(out: Tensor, target, model: str) -> Tensor:
     return evidential_bayes_risk(square(out), target)
 
 
+@functools.cache
+def _two_threads():
+    """The two threads that train_step's half batches and eval_loss's forwards run on.
+
+    numpy lets go of the GIL inside its kernels, so the two use both CPUs of a
+    2-CPU host; cli.main holds OpenBLAS to one thread, whose own threads would
+    fight them. A forked scene worker has none of its parent's threads, so it
+    makes a pool of its own.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # not on the import path of the CLI
+
+    return ThreadPoolExecutor(2, thread_name_prefix="evgrid-half")
+
+
+os.register_at_fork(after_in_child=_two_threads.cache_clear)
+
+
+def _in_order(fn, items, threaded: bool) -> list:
+    """[fn(item) for item in items], on the two threads when ``threaded``."""
+    return list(_two_threads().map(fn, items)) if threaded else [fn(item) for item in items]
+
+
+# The smallest sample, in cells, whose batches train_step and eval_loss split over the
+# two threads. Below it the halves' per-call overhead, which holds the GIL, outweighs
+# what the second thread computes: at batch 8 on a 2-CPU Xeon, a split step took
+# 1.2-1.3x the whole step's time at 32x32 cells, 1.0x at 40x40, 0.94x at 48x48 and
+# 0.7x at 64x64.
+SPLIT_MIN_CELLS = 48 * 48
+
+
 def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout_rng) -> float:
-    out, leaves = forward(params, spec, x, dropout_rng=dropout_rng)
-    loss = _loss(out, target, model)
-    loss.backward()
-    value = float(loss.data)
+    """One Adam step on a batch; returns its loss.
+
+    Forward, loss and backward run on the fixed halves x[:n//2] and x[n//2:]
+    on two threads when a sample holds at least SPLIT_MIN_CELLS cells; a batch
+    of one, or of smaller samples, runs whole. The keep masks are drawn for
+    the whole batch first, as one forward would draw them, and each half
+    takes its rows. The halves' losses and gradients are combined a then b,
+    each weighted by its share of the batch's cells, whichever finishes first.
+    """
+    n, _, rows, cols = x.shape
+    keep = dropout_masks(params, spec, x.shape, dropout_rng)
+    split = n > 1 and rows * cols >= SPLIT_MIN_CELLS
+    halves = [slice(0, n // 2), slice(n // 2, n)] if split else [slice(0, n)]
+
+    def half(part: slice):
+        out, leaves = forward(params, spec, x[part], keep=[k if k is None else k[part] for k in keep])
+        loss = _loss(out, target[part], model)
+        loss.backward()
+        return float(loss.data), {k: leaves[k].grad for k in params}
+
+    value, grads = 0.0, dict.fromkeys(params, 0.0)
+    for part, (loss, half_grads) in zip(halves, _in_order(half, halves, split)):
+        share = (part.stop - part.start) / n  # every sample has the same number of cells
+        value += share * loss
+        grads = {k: grads[k] + share * half_grads[k] for k in params}
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite training loss: {value}")
-    opt.step(params, {k: leaves[k].grad for k in params})
+    opt.step(params, grads)
     return value
 
 
 EVAL_BATCH = 16  # samples per loss term in eval_loss
 # samples per untaped forward in eval_loss: at the train batch's shapes the forward's
-# arrays fit in what train_step freed, while 16 samples' grew the heap past the step's peak
+# arrays fit in what train_step freed, while 16 samples' grew the heap past the step's
+# peak. Where train_step splits, two forwards of half as many run at once instead.
 EVAL_FORWARD = 8
 
 
 def eval_loss(params, spec: UNetSpec, x, target, model: str) -> float:
-    """Mean loss without dropout over terms of EVAL_BATCH samples, from forwards of EVAL_FORWARD."""
+    """Mean loss without dropout over terms of EVAL_BATCH samples, from forwards of
+    EVAL_FORWARD samples, or of half as many two at a time on the training step's
+    threads where the samples hold at least SPLIT_MIN_CELLS cells."""
+    split = x.shape[2] * x.shape[3] >= SPLIT_MIN_CELLS
+    size = EVAL_FORWARD // 2 if split else EVAL_FORWARD  # samples per forward
     total = 0.0
     for i in range(0, len(x), EVAL_BATCH):
         xs = x[i:i + EVAL_BATCH]
-        out = np.concatenate([forward(params, spec, xs[j:j + EVAL_FORWARD], record=False)[0]
-                              for j in range(0, len(xs), EVAL_FORWARD)])
+        out = np.concatenate(_in_order(lambda j: forward(params, spec, xs[j:j + size], record=False)[0],
+                                       range(0, len(xs), size), split))
         total += float(_loss(Tensor(out), target[i:i + EVAL_BATCH], model).data) * len(out)
     return total / max(len(x), 1)
 

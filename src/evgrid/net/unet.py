@@ -78,13 +78,29 @@ def _check_sides(sides: tuple[int, ...]) -> None:
         raise ConfigError(f"input side must be divisible by {_DOWN_FACTOR}, got {sides}")
 
 
+def dropout_masks(params: dict[str, np.ndarray], spec: UNetSpec, shape: tuple[int, ...],
+                  dropout_rng: np.random.Generator | None) -> list[np.ndarray | None]:
+    """The boolean keep masks of the four dropout blocks' outputs for an input of
+    ``shape``, drawn from ``dropout_rng`` in block order; four Nones, and no draw,
+    when it is None or the dropout rate is 0."""
+    n, _, rows, cols = shape
+    if dropout_rng is None or spec.dropout == 0.0:
+        return [None] * 4
+    return [T.dropout_keep((n, params[f"{layer}_w"].shape[0], rows // down, cols // down),
+                           spec.dropout, dropout_rng)
+            for layer, down in (("stem", 1), ("down1", 2), ("down2", 4), ("dec1", 2))]
+
+
 def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
             dropout_rng: np.random.Generator | None = None,
-            record: bool = True) -> tuple[Tensor | np.ndarray, dict]:
+            record: bool = True, keep: list | None = None) -> tuple[Tensor | np.ndarray, dict]:
     """Run the network; returns the pre-head output and the parameters.
 
-    ``dropout_rng`` draws fresh dropout masks for this call, in block order;
-    None, or a dropout rate of 0, disables dropout and draws nothing. With
+    ``dropout_rng`` draws fresh dropout masks for this call with
+    ``dropout_masks``; None, or a dropout rate of 0, disables dropout and
+    draws nothing. ``keep``, when given, holds masks drawn beforehand in
+    place of that draw: rows of a larger batch's, for a training step's half
+    batch. With
     ``record`` (training) the ops build the tape: the output is a Tensor, and
     the parameter Tensors are the leaves whose .grad a later backward()
     fills. Each convolution's output is its block's activation, so the tape
@@ -102,12 +118,10 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
         conv, up = T.conv2d, T.conv_transpose2d
     else:
         p, h, conv, up = params, x, T.conv2d_array, T.conv_transpose2d_array
-    # the keep masks of the four blocks' outputs, drawn in block order before any
-    # activation exists, so that the draws' float64 temporaries meet none
-    n, _, rows, cols = x.shape
-    keep = [None] * 4 if dropout_rng is None or rate == 0.0 else [
-        T.dropout_keep((n, params[f"{layer}_w"].shape[0], rows // down, cols // down), rate, dropout_rng)
-        for layer, down in (("stem", 1), ("down1", 2), ("down2", 4), ("dec1", 2))]
+    # the keep masks are drawn before any activation exists, so that the draws'
+    # float64 temporaries meet none
+    if keep is None:
+        keep = dropout_masks(params, spec, x.shape, dropout_rng)
     # each activation stays bound only until its last reader, so the untaped
     # forward frees it there (the tape keeps what its backwards read)
     h0 = conv(h, p["stem_w"], p["stem_b"], 1, slope, keep[0], rate)

@@ -1,4 +1,5 @@
 import ctypes
+import io
 import json
 import os
 import platform
@@ -249,6 +250,20 @@ class TestHeapPolicy:
         assert cli._keep_freed_heap() is False
         assert calls == [-3]
 
+    def test_one_arena_for_every_thread(self, monkeypatch):
+        # a second thread's own arena would keep pages of its own under the policy
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        assert cli._keep_freed_heap() is True
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_glibc_takes_both_thresholds(self):
         assert cli._keep_freed_heap() is True
@@ -265,6 +280,59 @@ class TestHeapPolicy:
                 "evgrid.cli._keep_freed_heap()\n"
                 "sys.exit(opened.count(None) != 1)")
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def _openblas_threads():
+    """(getter, setter) of the OpenBLAS numpy mapped, or None when it mapped none."""
+    with open("/proc/self/maps") as f:
+        libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
+                return get, put
+    return None
+
+
+class TestBlasThreads:
+    """cli.main runs OpenBLAS on one thread: train's two half-batch threads are the parallelism."""
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists() or _openblas_threads() is None,
+                        reason="no OpenBLAS is mapped")
+    def test_main_leaves_openblas_at_one_thread(self, tmp_path, monkeypatch):
+        get, put = _openblas_threads()
+        before = get()
+        put(max(2, before))
+        try:
+            monkeypatch.setitem(cli._COMMANDS, "gen", lambda args, cfg, out: 0)
+            assert main(["gen", "--out", str(tmp_path / "x")]) == 0
+            assert get() == 1
+            assert cli._one_blas_thread() == 1
+        finally:
+            put(before)
+
+    @pytest.mark.parametrize("maps", ["7f00-7f01 r-xp 00000000 08:01 1 /usr/lib/libc.so.6\n", None],
+                             ids=["no_openblas", "unreadable"])
+    def test_no_openblas_mapped_is_a_silent_no_op(self, maps, monkeypatch, capsys):
+        import builtins
+
+        real_open, opened = builtins.open, []
+
+        def fake_maps(path, *args, **kwargs):
+            if path != "/proc/self/maps":
+                return real_open(path, *args, **kwargs)
+            if maps is None:
+                raise PermissionError(path)
+            return io.StringIO(maps)
+
+        monkeypatch.setattr(builtins, "open", fake_maps)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **k: opened.append(name))
+        assert cli._one_blas_thread() is None
+        assert opened == []
+        assert capsys.readouterr() == ("", "")
 
 
 class TestExitCodes:
@@ -656,20 +724,22 @@ class TestOutputDir:
         assert _staging_left(out) == []
 
     @staticmethod
-    def _interrupt_running_gen(tmp_path, send) -> tuple[int, str, float]:
-        """Start a long pooled gen in its own session, call ``send(pid)`` once it
-        writes scenes, and return its exit code, its stderr and the seconds it
-        took to exit after the signal."""
+    def _interrupt_running_gen(tmp_path, send, command=("gen",), started=".o.*.new/samples/*",
+                               sets=("sim.n_scenes=100000",)) -> tuple[int, str, float]:
+        """Start a long pooled gen (or another long ``command``) in its own session,
+        call ``send(pid)`` once it writes what ``started`` matches, and return its
+        exit code, its stderr and the seconds it took to exit after the signal."""
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-m", "evgrid.cli", "gen", "--out", "o"] + FAST + ["--set", "sim.n_scenes=100000"]
+        argv = ([sys.executable, "-m", "evgrid.cli", *command, "--out", "o"] + FAST
+                + [arg for item in sets for arg in ("--set", item)])
         # a shell's background job starts with SIGINT ignored; the CLI must see it as a terminal would
         proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True,
                                 start_new_session=True,
                                 preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
             deadline = time.monotonic() + 60
-            while not list(tmp_path.glob(".o.*.new/samples/*")) and time.monotonic() < deadline:
+            while not list(tmp_path.glob(started)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             time.sleep(0.5)
             send(proc.pid)
@@ -690,6 +760,17 @@ class TestOutputDir:
     def test_sigint_to_the_cli_process_alone(self, tmp_path):
         """A SIGINT that reaches the CLI but not its scene workers stops them too."""
         code, err, took = self._interrupt_running_gen(tmp_path, lambda pid: os.kill(pid, signal.SIGINT))
+        assert (code, err) == (130, "interrupted\n")
+        assert took < 2.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_sigint_to_a_running_train(self, tmp_path, tmp_path_factory):
+        """A SIGINT while train's two half-batch threads run stops it with exit 130."""
+        data = tmp_path_factory.mktemp("ds64")  # 64x64 samples, so each batch is split
+        assert main(["gen", "--out", str(data)] + FAST + ["--set", "sim.side_cells=64"]) == 0
+        code, err, took = self._interrupt_running_gen(
+            tmp_path, lambda pid: os.kill(pid, signal.SIGINT), command=("train", "--dataset", str(data)),
+            started=".o.*.new/checkpoint.ckpt", sets=("train.epochs=100000", "train.batch_size=2"))
         assert (code, err) == (130, "interrupted\n")
         assert took < 2.0
         assert sorted(p.name for p in tmp_path.iterdir()) == []

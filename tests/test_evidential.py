@@ -134,6 +134,16 @@ class TestReductions:
         with pytest.raises(DomainError):
             percentile_reduce_array(np.zeros((0, 2)), 50)
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 30])
+    def test_every_rank_matches_a_full_sort(self, count):
+        # whole-number evidence squares: most columns hold ties, and some are all zero
+        draws = np.random.default_rng(count).integers(0, 4, size=(count, 2, 9, 9))
+        samples = np.square(draws).astype(np.float64)
+        for rank in range(1, count + 1):  # rank 1 and rank count included
+            n = 100.0 * (rank - 0.5) / count
+            got = percentile_reduce_array(samples, n)
+            assert got.tobytes() == np.sort(samples, axis=0)[rank - 1].tobytes(), rank
+
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(0, 100)), min_size=1, max_size=20),
            st.randoms(use_true_random=False))
     def test_permutation_invariant(self, values, rnd):

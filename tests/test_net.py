@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from evgrid.errors import ConfigError, EvgridError, TrainingDiverged
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
 from evgrid.grid import GridSpec
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
+from evgrid.net import tensor as T
 from evgrid.net.tensor import Tensor, square
 from evgrid.net.train import (
     EVAL_BATCH,
+    SPLIT_MIN_CELLS,
     Adam,
     TrainConfig,
     eval_loss,
@@ -209,7 +212,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("model", ["ev", "soft"])
     def test_eval_loss_peaks_at_most_8_mb(self, model):
-        # its forwards run EVAL_FORWARD samples at a time, below the step's peak
+        # its forwards run EVAL_FORWARD // 2 samples two at a time, below the step's peak
         spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=8)
         params = init_params(spec, np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -321,6 +324,137 @@ class TestOptimization:
         params["stem_w"][0, 0, 0, 0] = np.nan
         with pytest.raises(TrainingDiverged):
             train_step(params, spec, x, target, "ev", Adam(params, 1e-3), dropout_rng=None)
+
+
+class _GradRecorder:
+    """Takes the optimizer's place in train_step and keeps the gradients it is given."""
+
+    def step(self, params, grads):
+        self.grads = grads
+
+
+class _SecondHalfFirst:
+    """A stand-in for train's thread pool that runs the items last to first."""
+
+    @staticmethod
+    def map(fn, items):
+        items = list(items)
+        return reversed([fn(item) for item in reversed(items)])
+
+
+def _split_batch(model, n, dropout=0.3):
+    rng = np.random.default_rng(11)
+    spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=4, dropout=dropout)
+    params = init_params(spec, rng)
+    x = rng.normal(size=(n, 2, 8, 8)).astype(np.float32)
+    target = rng.dirichlet(np.ones(3), size=(n, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
+    return params, spec, x, target
+
+
+def _loss_of(out, target, model):
+    if model == "soft":
+        return softmax_cross_entropy(out, target)
+    return evidential_bayes_risk(square(out), target)
+
+
+class TestSplitStep:
+    """train_step runs forward, loss and backward on two fixed half batches on two threads;
+    the small samples here are split because SPLIT_MIN_CELLS is lowered to one cell."""
+
+    @pytest.fixture(autouse=True)
+    def split_every_sample(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("evgrid.net.train"), "SPLIT_MIN_CELLS", 1)
+
+    @pytest.mark.parametrize("side, halves", [(32, [8]), (64, [4, 4])])
+    def test_only_samples_of_enough_cells_are_split(self, side, halves, monkeypatch):
+        # the paper's 32-cell grids train whole, the 64-cell ones in halves
+        module = importlib.import_module("evgrid.net.train")
+        monkeypatch.setattr(module, "SPLIT_MIN_CELLS", SPLIT_MIN_CELLS)
+        seen = []
+
+        def spy(params, spec, x, **kwargs):
+            seen.append(len(x))
+            return forward(params, spec, x, **kwargs)
+
+        monkeypatch.setattr(module, "forward", spy)
+        spec = UNetSpec(base_channels=1, dropout=0.0)
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.zeros((8, 2, side, side), np.float32)
+        target = np.full((8, 3, side, side), 1.0 / 3.0, np.float32)
+        train_step(params, spec, x, target, "ev", _GradRecorder(), dropout_rng=None)
+        assert seen == halves
+
+    @pytest.mark.parametrize("model", ["ev", "soft"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_gradients_equal_the_whole_batch_step(self, model, n):
+        params, spec, x, target = _split_batch(model, n)
+        out, leaves = forward(params, spec, x, dropout_rng=np.random.default_rng(5))
+        whole = _loss_of(out, target, model)
+        whole.backward()
+        recorder = _GradRecorder()
+        loss = train_step(params, spec, x, target, model, recorder, dropout_rng=np.random.default_rng(5))
+        assert loss == pytest.approx(float(whole.data), rel=1e-6)
+        for k in params:
+            got, want = recorder.grads[k], leaves[k].grad
+            assert got.dtype == want.dtype == np.float32, k
+            if n == 1:  # not split: the whole-batch step's bytes
+                assert got.tobytes() == want.tobytes(), k
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6 * np.abs(want).max(), err_msg=k)
+
+    @pytest.mark.parametrize("model", ["ev", "soft"])
+    def test_second_half_finishing_first_gives_the_same_bytes(self, model, monkeypatch):
+        runs = []
+        for pool in (None, _SecondHalfFirst()):
+            if pool is not None:
+                monkeypatch.setattr(importlib.import_module("evgrid.net.train"), "_two_threads", lambda: pool)
+            params, spec, x, target = _split_batch(model, 7)
+            opt, rng = Adam(params, 1e-3), np.random.default_rng(5)
+            losses = [train_step(params, spec, x, target, model, opt, dropout_rng=rng) for _ in range(3)]
+            runs.append((losses, [params[k].tobytes() for k in sorted(params)], rng.random()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_no_generator_or_no_rate_draws_nothing(self, dropout, monkeypatch):
+        params, spec, x, target = _split_batch("ev", 8, dropout)
+        out, leaves = forward(params, spec, x)  # no dropout
+        _loss_of(out, target, "ev").backward()
+        monkeypatch.setattr(T, "dropout_keep", lambda *a: pytest.fail("a keep mask was drawn"))
+        rng = np.random.default_rng(5) if dropout == 0.0 else None
+        recorder = _GradRecorder()
+        train_step(params, spec, x, target, "ev", recorder, dropout_rng=rng)
+        if rng is not None:
+            assert rng.random() == np.random.default_rng(5).random()
+        for k in params:
+            np.testing.assert_allclose(recorder.grads[k], leaves[k].grad, rtol=1e-5,
+                                       atol=1e-6 * np.abs(leaves[k].grad).max(), err_msg=k)
+
+    def test_a_forked_child_runs_on_threads_of_its_own(self):
+        # the parent's pool threads are not in the child; a pool that waits for them never returns
+        params, spec, x, target = _split_batch("ev", 8)
+        want = eval_loss(params, spec, x, target, "ev")  # the pool's threads now exist
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                signal.alarm(20)
+                os.write(write, repr(eval_loss(params, spec, x, target, "ev")).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as f:
+            got = f.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        assert got == repr(want)
+
+    @pytest.mark.parametrize("model", ["ev", "soft"])
+    def test_eval_loss_is_the_same_on_two_threads(self, model, monkeypatch):
+        # forwards are per sample, so forwards of half as many, two at once, change no bit
+        params, spec, x, target = _split_batch(model, EVAL_BATCH + 5)
+        split = eval_loss(params, spec, x, target, model)
+        monkeypatch.setattr(importlib.import_module("evgrid.net.train"), "SPLIT_MIN_CELLS", SPLIT_MIN_CELLS)
+        assert split == eval_loss(params, spec, x, target, model)
+
 
 
 class TestTrainLoop:
