@@ -194,7 +194,7 @@ def cmd_eval(args, cfg: dict, out: Path) -> int:
     split = cfg["eval"]["split"]
     ids = _sample_ids(load_manifest(args.dataset), split)
     pdirs = [Path(pred_dir) for pred_dir in args.pred_dirs]
-    accs = [ScoreAccumulator(conflict_guard=cfg["eval"]["conflict_guard"]) for _ in pdirs]
+    accs = [ScoreAccumulator() for _ in pdirs]
     for sid in ids:
         sdir = Path(args.dataset) / "samples" / sid
         target = read_grid(sdir / "target.grid").data

@@ -17,7 +17,6 @@ from evgrid.errors import ConfigError, DomainError, is_number, write_atomic
 from evgrid.grid import GridSpec
 from evgrid.net.train import TrainConfig
 from evgrid.rayism import RayIsmConfig
-from evgrid.scores import CONFLICT_GUARD
 from evgrid.sim import SimConfig, flat_fields
 
 _TRAIN = TrainConfig()
@@ -34,7 +33,7 @@ DEFAULTS = {
     "net": {key: getattr(_TRAIN, key) for key in _NET_KEYS},
     "train": {f.name: getattr(_TRAIN, f.name) for f in fields(TrainConfig)
               if f.name not in (*_NET_KEYS, "seed")},
-    "eval": {"conflict_guard": CONFLICT_GUARD, "split": "test"},
+    "eval": {"split": "test"},
 }
 
 
@@ -56,10 +55,6 @@ def _merge(defaults, overrides, path=""):
 
 
 def _coerce(default, value, path):
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be a boolean, got {value!r}")
-        return value
     if isinstance(default, int):
         if not is_number(value) or value != int(value):
             raise ConfigError(f"{path} must be an integer, got {value!r}")

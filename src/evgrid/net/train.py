@@ -31,7 +31,6 @@ class TrainConfig:
     seed: int = 0
     mc_samples: int = 30
     percentile: float = 10.0
-    augment: bool = True
 
     def __post_init__(self) -> None:
         if self.model not in ("ev", "soft"):
@@ -122,9 +121,9 @@ def _two_threads():
 os.register_at_fork(after_in_child=_two_threads.cache_clear)
 
 
-def _in_order(fn, items, threaded: bool) -> list:
-    """[fn(item) for item in items], on the two threads when ``threaded``."""
-    return list(_two_threads().map(fn, items)) if threaded else [fn(item) for item in items]
+def _in_order(fn, parts: list) -> list:
+    """[fn(part) for part in parts], on the two threads when there is more than one part."""
+    return list(_two_threads().map(fn, parts)) if len(parts) > 1 else [fn(part) for part in parts]
 
 
 # The smallest sample, in cells, whose batches train_step and eval_loss split over the
@@ -133,6 +132,14 @@ def _in_order(fn, items, threaded: bool) -> list:
 # 1.2-1.3x the whole step's time at 32x32 cells, 1.0x at 40x40, 0.94x at 48x48 and
 # 0.7x at 64x64.
 SPLIT_MIN_CELLS = 48 * 48
+
+
+def _halves(n: int, cells: int) -> list[slice]:
+    """The fixed halves [:n//2] and [n//2:] of n samples of ``cells`` cells each, or the
+    whole n when there is one sample or fewer than SPLIT_MIN_CELLS cells in each."""
+    if n > 1 and cells >= SPLIT_MIN_CELLS:
+        return [slice(0, n // 2), slice(n // 2, n)]
+    return [slice(0, n)]
 
 
 def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout_rng) -> float:
@@ -147,8 +154,7 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
     """
     n, _, rows, cols = x.shape
     keep = dropout_masks(params, spec, x.shape, dropout_rng)
-    split = n > 1 and rows * cols >= SPLIT_MIN_CELLS
-    halves = [slice(0, n // 2), slice(n // 2, n)] if split else [slice(0, n)]
+    halves = _halves(n, rows * cols)
 
     def half(part: slice):
         out, leaves = forward(params, spec, x[part], keep=[k if k is None else k[part] for k in keep])
@@ -157,7 +163,7 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
         return float(loss.data), {k: leaves[k].grad for k in params}
 
     value, grads = 0.0, dict.fromkeys(params, 0.0)
-    for part, (loss, half_grads) in zip(halves, _in_order(half, halves, split)):
+    for part, (loss, half_grads) in zip(halves, _in_order(half, halves)):
         share = (part.stop - part.start) / n  # every sample has the same number of cells
         value += share * loss
         grads = {k: grads[k] + share * half_grads[k] for k in params}
@@ -170,21 +176,22 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
 EVAL_BATCH = 16  # samples per loss term in eval_loss
 # samples per untaped forward in eval_loss: at the train batch's shapes the forward's
 # arrays fit in what train_step freed, while 16 samples' grew the heap past the step's
-# peak. Where train_step splits, two forwards of half as many run at once instead.
+# peak. Where train_step splits, each chunk's two halves run at once instead.
 EVAL_FORWARD = 8
 
 
 def eval_loss(params, spec: UNetSpec, x, target, model: str) -> float:
     """Mean loss without dropout over terms of EVAL_BATCH samples, from forwards of
-    EVAL_FORWARD samples, or of half as many two at a time on the training step's
-    threads where the samples hold at least SPLIT_MIN_CELLS cells."""
-    split = x.shape[2] * x.shape[3] >= SPLIT_MIN_CELLS
-    size = EVAL_FORWARD // 2 if split else EVAL_FORWARD  # samples per forward
+    chunks of EVAL_FORWARD samples, each split into the training step's halves."""
+    cells = x.shape[2] * x.shape[3]
     total = 0.0
     for i in range(0, len(x), EVAL_BATCH):
-        xs = x[i:i + EVAL_BATCH]
-        out = np.concatenate(_in_order(lambda j: forward(params, spec, xs[j:j + size], record=False)[0],
-                                       range(0, len(xs), size), split))
+        xs, outs = x[i:i + EVAL_BATCH], []
+        for j in range(0, len(xs), EVAL_FORWARD):
+            chunk = xs[j:j + EVAL_FORWARD]
+            outs += _in_order(lambda part: forward(params, spec, chunk[part], record=False)[0],
+                              _halves(len(chunk), cells))
+        out = np.concatenate(outs)
         total += float(_loss(Tensor(out), target[i:i + EVAL_BATCH], model).data) * len(out)
     return total / max(len(x), 1)
 
@@ -214,11 +221,10 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
         for i in range(0, len(order), cfg.batch_size):
             idx = order[i:i + cfg.batch_size]
             xb, tb = x_train[idx], t_train[idx]
-            if cfg.augment:  # xb and tb are copies, so each sample is transformed in place
-                for j in range(len(idx)):
-                    k_rot = int(rng.integers(0, 4))
-                    flips = rng.integers(0, 2, size=2)
-                    xb[j], tb[j] = augment_arrays([xb[j], tb[j]], k_rot, bool(flips[0]), bool(flips[1]))
+            for j in range(len(idx)):  # xb and tb are copies, so each sample is transformed in place
+                k_rot = int(rng.integers(0, 4))
+                flips = rng.integers(0, 2, size=2)
+                xb[j], tb[j] = augment_arrays([xb[j], tb[j]], k_rot, bool(flips[0]), bool(flips[1]))
             try:
                 train_step(params, spec, xb, tb, cfg.model, opt, dropout_rng=rng)
             except TrainingDiverged as exc:

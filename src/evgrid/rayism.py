@@ -61,17 +61,14 @@ _SQRT1_2 = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class Detection:
-    """One radar return in the sensor frame: the scalar form ``idm`` takes. A
-    scene's returns travel as ``Detections``."""
+    """One radar return's range and bearing in the sensor frame: the scalar form
+    ``idm`` takes. A scene's returns travel as ``Detections``."""
 
     r: float
     phi: float
-    v_r: float = 0.0
-    sensor_id: int = 0
-    t: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.r, self.phi, self.v_r)):
+        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
             raise DomainError("detection fields must be finite")
         if self.r < 0.0:
             raise DomainError(f"range must be >= 0, got {self.r}")

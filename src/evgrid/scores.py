@@ -3,8 +3,8 @@
 For each visibility region (visible / hidden) and each target class
 (free / occupied) the table reports the frequency of the predicted argmax
 label being free, occupied, or unknown, plus an independently reported
-conflict rate (|b_f - b_o| <= 0.2). Vacuous predictions are excluded from
-the conflict count by a u <= 0.5 guard unless the literal form is requested.
+conflict rate (|b_f - b_o| <= 0.2 with u <= 0.5: a vacuous prediction, such
+as Ray-ISM's where no detection reaches, is not counted as conflict).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from evgrid.errors import DomainError
 
 CONFLICT_BAND = 0.2
-CONFLICT_GUARD = True  # the default of eval.conflict_guard
 REGIONS = ("visible", "hidden")
 TARGETS = ("free", "occupied")
 _PRED_KEYS = ("p_f", "p_o", "p_u", "p_c")
@@ -41,8 +40,7 @@ class ScoreTable:
 class ScoreAccumulator:
     """Streaming accumulation of score counts over many samples."""
 
-    def __init__(self, conflict_guard: bool = CONFLICT_GUARD):
-        self.conflict_guard = conflict_guard
+    def __init__(self):
         # counts[(region, target)] = [n_pred_f, n_pred_o, n_pred_u, n_conflict, n_total]
         self.counts = {(r, t): np.zeros(5, dtype=np.int64) for r in REGIONS for t in TARGETS}
 
@@ -60,9 +58,7 @@ class ScoreAccumulator:
         label_f = (b_f >= peak) & (u < peak) & (b_f > b_o)
         label_o = (b_o >= peak) & (u < peak) & (b_o > b_f)
         label_u = ~label_f & ~label_o
-        conflict = np.abs(b_f - b_o) <= CONFLICT_BAND
-        if self.conflict_guard:
-            conflict &= u <= 0.5
+        conflict = (np.abs(b_f - b_o) <= CONFLICT_BAND) & (u <= 0.5)
         tgt_free = target[0] >= 0.999
         tgt_occ = target[1] >= 0.999
         for region, region_mask in (("visible", visible), ("hidden", ~visible)):

@@ -65,11 +65,10 @@ def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray):
     """First hit of each ray against a set of segments.
 
     origins/dirs are (R, 2); edges (E, 2, 2). Returns the (R,) distances, inf
-    where a ray hits nothing, and the (R,) index of the edge hit first (the
-    lowest index on a tie, 0 where nothing is hit).
+    where a ray hits nothing.
     """
     if len(edges) == 0:
-        return np.full(len(origins), np.inf), np.zeros(len(origins), dtype=np.intp)
+        return np.full(len(origins), np.inf)
     a = edges[:, 0]  # (E,2)
     e = edges[:, 1] - edges[:, 0]
     dx, dy = dirs[:, 0:1], dirs[:, 1:2]  # (R,1)
@@ -81,9 +80,7 @@ def ray_hits(origins: np.ndarray, dirs: np.ndarray, edges: np.ndarray):
         t = (aox * ey - aoy * ex) / denom
         s = (aox * dy - aoy * dx) / denom
     valid = (np.abs(denom) > 1e-12) & (s >= 0.0) & (s <= 1.0) & (t > 1e-9)
-    t = np.where(valid, t, np.inf)
-    first = t.argmin(axis=1)
-    return t[np.arange(len(t)), first], first
+    return np.where(valid, t, np.inf).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +119,14 @@ class SimConfig:
     boundary_spacing: float = 0.3
     frames: int = 1
     ego_step: float = 2.0  # ego advance per accumulated frame, meters
-    occlude_by_dynamic: bool = False
     scene_extent: float = 16.0  # meters; walls run 1.5 * scene_extent long
     p_dynamic: float = 0.5  # chance that a scene holds one moving object
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.detection_prob <= 1.0):
             raise DomainError("detection_prob must be in [0,1]")
-        if self.clutter_rate < 0 or self.max_detections < 0 or self.lidar_rays < 1:
-            raise DomainError("rates and counts must be nonnegative")
+        if self.clutter_rate < 0 or self.max_detections < 0 or self.lidar_rays < 1 or self.frames < 1:
+            raise DomainError("rates and counts must be nonnegative, and lidar_rays and frames positive")
         if not (self.boundary_spacing > 0.0 and self.vr_sigma >= 0.0
                 and 0.0 < self.sensor_fov <= 2.0 * math.pi):
             raise DomainError("need boundary_spacing > 0, vr_sigma >= 0 and 0 < sensor_fov <= 2*pi")
@@ -210,18 +206,16 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
     """
     status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
     ego = scene.ego
-    # a moving object is a target only when several frames show it moving
-    include_dynamic = cfg.frames >= 2
-    # the static edges come first; moving objects join them as targets or occluders
-    movers = [poly for poly, _ in scene.dynamic_objects] if include_dynamic or cfg.occlude_by_dynamic else []
+    # a moving object is a target only when several frames show it moving, and it
+    # occludes only where it is a target: a single scan sees through it
+    movers = [poly for poly, _ in scene.dynamic_objects] if cfg.frames >= 2 else []
     edges = polygon_edges([*scene.static_shapes, *movers])
-    n_static = sum(len(poly) for poly in scene.static_shapes)
 
     angles = scan.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     origins = np.broadcast_to(np.array([scan.x, scan.y]), dirs.shape)
     max_range = spec.extent  # covers the grid diagonal from the center
-    t_hit, edge_idx = ray_hits(origins, dirs, edges)
+    t_hit = ray_hits(origins, dirs, edges)
     t_end = np.minimum(t_hit, max_range)
 
     # free space: dense samples along each ray up to (just before) the hit, laid
@@ -248,11 +242,8 @@ def _status_scan(scene: Scene, spec: GridSpec, cfg: SimConfig, scan: Pose2D) -> 
         inside = np.flatnonzero(inside)  # integer indices gather faster than a boolean mask
         status[rows[inside], cols[inside]] = _FREE
 
-    # occupied: the cell containing each hit point, nudged inside the shape;
-    # a moving object's hit marks its cell only when moving objects are
-    # targets (an occluder leaves the shadow behind it hidden)
+    # occupied: the cell containing each hit point, nudged inside the shape
     hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= max_range))
-    hit = hit[include_dynamic | (edge_idx[hit] < n_static)]
     hx = scan.x + dirs[hit, 0] * (t_hit[hit] + 1e-6)
     hy = scan.y + dirs[hit, 1] * (t_hit[hit] + 1e-6)
     rows, cols, inside = world_to_cells(spec, ego, hx, hy)
@@ -336,7 +327,7 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
         rel = pts - origin[None]
         r_true, phi_true = polar(pose, pts[:, 0], pts[:, 1])
         sel = np.flatnonzero((np.abs(phi_true) <= cfg.sensor_fov / 2.0) & (r_true > 0.3) & (r_true <= r_max))
-        t_near, _ = ray_hits(np.broadcast_to(origin, (len(sel), 2)), rel[sel] / r_true[sel, None], edges)
+        t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), rel[sel] / r_true[sel, None], edges)
         sel = sel[t_near >= r_true[sel] - 1e-6]
         sel = sel[rng.uniform(size=len(sel)) < cfg.detection_prob]
         # one (r, phi, v_r) noise row per detection: the same stream as three

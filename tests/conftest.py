@@ -2,12 +2,13 @@
 after the run, outside of output capture. Also the helpers several suites
 share: a scalar cell lookup, the cut-and-flip damage of the reader fuzz
 tests, a CPU count for the scene pool, the conversion between lists of
-scalar detections and the columns the package passes around, and the U-Net
+detection rows and the columns the package passes around, and the U-Net
 composed of separate taped ops (linear convolutions, leaky ReLU with dropout
 as an op of its own, channel concatenation): the reference the convolutions'
 fused activations and two-part inputs are checked against bit for bit."""
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from evgrid.errors import EvgridError
 from evgrid.grid import world_to_cells
 from evgrid.net.tensor import Tensor, _accumulate, conv2d, conv_transpose2d, dropout_keep, dropout_scale
-from evgrid.rayism import Detection, Detections
+from evgrid.rayism import Detections
 
 _gate_lines: list[str] = []
 
@@ -58,15 +59,26 @@ def fake_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def columns(dets: list[Detection]) -> Detections:
-    """The ``Detections`` columns of a list of scalar detections, in list order."""
-    return Detections(r=[d.r for d in dets], phi=[d.phi for d in dets], v_r=[d.v_r for d in dets],
-                      sensor_id=[d.sensor_id for d in dets], t=[d.t for d in dets])
+@dataclass(frozen=True)
+class Row:
+    """One detection as a row of the ``Detections`` columns, every field included."""
+
+    r: float
+    phi: float
+    v_r: float = 0.0
+    sensor_id: int = 0
+    t: float = 0.0
 
 
-def detection_list(dets: Detections) -> list[Detection]:
-    """The scalar detections of ``Detections`` columns, in column order."""
-    return [Detection(r=r, phi=phi, v_r=v_r, sensor_id=sid, t=t) for r, phi, v_r, sid, t in
+def columns(rows: list[Row]) -> Detections:
+    """The ``Detections`` columns of a list of rows, in list order."""
+    return Detections(r=[d.r for d in rows], phi=[d.phi for d in rows], v_r=[d.v_r for d in rows],
+                      sensor_id=[d.sensor_id for d in rows], t=[d.t for d in rows])
+
+
+def detection_list(dets: Detections) -> list[Row]:
+    """The rows of ``Detections`` columns, in column order."""
+    return [Row(r=r, phi=phi, v_r=v_r, sensor_id=sid, t=t) for r, phi, v_r, sid, t in
             zip(dets.r.tolist(), dets.phi.tolist(), dets.v_r.tolist(), dets.sensor_id.tolist(), dets.t.tolist())]
 
 

@@ -349,7 +349,8 @@ class TestExitCodes:
         "net.base_channels=0", "sim.detection_prob=2", "sim.side_cells=4", "sim.n_scenes=-3",
         "sim.n_scenes=0", "sim.scene_extent=2.0", "sim.scene_extent=0", "sim.p_dynamic=1.5",
         "sim.boundary_spacing=0", "sim.vr_sigma=-1", "sim.sensor_fov=-1", "train.percentile=0",
-        "train.percentile=150", "ray_ism.logodds_clamp=-1", "train.epochs=0",
+        "train.percentile=150", "ray_ism.logodds_clamp=-1", "train.epochs=0", "sim.frames=0",
+        "sim.frames=-3",
         # JSON numbers a config value cannot be: too large, not a number, infinite
         "sim.n_scenes=1e999", "sim.n_scenes=NaN", "master_seed=NaN", "sim.cell_size=NaN",
         "train.lr=NaN", "train.lr=Infinity",
@@ -359,6 +360,13 @@ class TestExitCodes:
         assert main(["gen", "--out", str(out), "--set", override]) == 2
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sim.occlude_by_dynamic", "train.augment", "eval.conflict_guard"])
+    def test_dropped_switch_is_an_unknown_key(self, tmp_path, capsys, key):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--set", f"{key}=false"]) == 2
+        assert not out.exists()
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
     def test_negative_seed_flag(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2

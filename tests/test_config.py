@@ -22,8 +22,6 @@ def test_defaults_are_the_dataclass_defaults():
 
 
 def _changed(value):
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, int):
         return value + 1
     if isinstance(value, float):
@@ -32,7 +30,7 @@ def _changed(value):
 
 
 # every key but these reaches a dataclass field; n_scenes and eval are read by the commands
-_COMMAND_KEYS = {"sim.n_scenes", "eval.conflict_guard", "eval.split"}
+_COMMAND_KEYS = {"sim.n_scenes", "eval.split"}
 
 
 @pytest.mark.parametrize("key", ["master_seed"] + [

@@ -14,7 +14,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 import evgrid
-from conftest import cell_of, columns
+from conftest import Row, cell_of, columns
 from evgrid.errors import DomainError
 from evgrid.grid import (
     Grid2D,
@@ -250,7 +250,7 @@ class TestRasterize:
 
     def test_target_cell_positive_free_cell_negative(self):
         g = self._logodds()
-        det = Detection(r=5.0, phi=0.0)
+        det = Row(r=5.0, phi=0.0)
         rasterize_one(det, Pose2D(), g, CFG)
         # cell centers sit 0.25 off the beam axis; pick a free cell far
         # enough out that its angular offset stays inside the footprint
@@ -261,7 +261,7 @@ class TestRasterize:
 
     def test_outside_footprint_untouched(self):
         g = self._logodds()
-        rasterize_one(Detection(r=5.0, phi=0.0), Pose2D(), g, CFG)
+        rasterize_one(Row(r=5.0, phi=0.0), Pose2D(), g, CFG)
         off_axis = cell_of(SPEC, (0.0, 5.0), Pose2D())
         behind = cell_of(SPEC, (7.5, 0.0), Pose2D())
         assert g.data[0][off_axis] == 0.0
@@ -269,7 +269,7 @@ class TestRasterize:
 
     def test_two_identical_detections_double_the_logit(self):
         once, twice = self._logodds(), self._logodds()
-        det = Detection(r=5.0, phi=0.0)
+        det = Row(r=5.0, phi=0.0)
         rasterize_one(det, Pose2D(), once, CFG)
         rasterize_one(det, Pose2D(), twice, CFG)
         rasterize_one(det, Pose2D(), twice, CFG)
@@ -277,7 +277,7 @@ class TestRasterize:
 
     def test_matches_pointwise_idm(self):
         g = self._logodds()
-        det = Detection(r=5.0, phi=0.0)
+        det = Row(r=5.0, phi=0.0)
         rasterize_one(det, Pose2D(), g, CFG)
         hit = cell_of(SPEC, (5.0, 0.0), Pose2D())
         # recompute the IDM at this cell's center by hand
@@ -297,23 +297,22 @@ class TestScene:
         assert np.allclose(out.data[:2], 0.0)
 
     def test_dynamic_detections_skipped(self):
-        fast = Detection(r=5.0, phi=0.0, v_r=2.0)
+        fast = Row(r=5.0, phi=0.0, v_r=2.0)
         out = ray_ism_scene(columns([fast]), self.POSES, SPEC, dynamic_velocity_threshold=0.5)
         assert np.allclose(out.data[2], 1.0)
 
     def test_permutation_invariant_without_saturation(self):
-        dets = [Detection(r=4.0, phi=0.1), Detection(r=6.0, phi=-0.2, sensor_id=1),
-                Detection(r=5.0, phi=0.0)]
+        dets = [Row(r=4.0, phi=0.1), Row(r=6.0, phi=-0.2, sensor_id=1), Row(r=5.0, phi=0.0)]
         a = ray_ism_scene(columns(dets), self.POSES, SPEC)
         b = ray_ism_scene(columns(list(reversed(dets))), self.POSES, SPEC)
         assert np.allclose(a.data, b.data, atol=1e-9)
 
     def test_unknown_sensor_rejected(self):
         with pytest.raises(DomainError):
-            ray_ism_scene(columns([Detection(r=5.0, phi=0.0, sensor_id=9)]), self.POSES, SPEC)
+            ray_ism_scene(columns([Row(r=5.0, phi=0.0, sensor_id=9)]), self.POSES, SPEC)
 
     def test_one_sided_beliefs(self):
-        out = ray_ism_scene(columns([Detection(r=5.0, phi=0.0)]), self.POSES, SPEC)
+        out = ray_ism_scene(columns([Row(r=5.0, phi=0.0)]), self.POSES, SPEC)
         assert np.all(np.minimum(out.data[0], out.data[1]) == 0.0)
         assert np.allclose(out.data.sum(axis=0), 1.0, atol=1e-7)
 
@@ -349,9 +348,9 @@ def _reference_logodds(detections, sensor_poses, spec, cfg, ego, threshold):
 def _random_scene(rng, n, bearings=None, max_range=12.0):
     ego = Pose2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-math.pi, math.pi))
     phis = rng.uniform(-math.pi, math.pi, n) if bearings is None else rng.choice(bearings, n)
-    dets = [Detection(r=float(rng.uniform(0.0, max_range)), phi=float(phi),
-                      v_r=float(rng.choice([0.0, 0.2, -0.3, 1.5, -2.0])),
-                      sensor_id=int(rng.integers(0, 4))) for phi in phis]
+    dets = [Row(r=float(rng.uniform(0.0, max_range)), phi=float(phi),
+                v_r=float(rng.choice([0.0, 0.2, -0.3, 1.5, -2.0])),
+                sensor_id=int(rng.integers(0, 4))) for phi in phis]
     return dets, corner_sensor_poses(ego), ego
 
 
@@ -397,7 +396,7 @@ class TestSceneKernelParity:
     def test_saturation_then_opposite_sign(self):
         ego = Pose2D()
         poses = corner_sensor_poses(ego)
-        far, near = Detection(r=8.0, phi=0.0), Detection(r=4.0, phi=0.0)
+        far, near = Row(r=8.0, phi=0.0), Row(r=4.0, phi=0.0)
         clamp = RayIsmConfig().logodds_clamp
         # six far detections drive the free cells before them to the lower
         # clamp; the near one then raises its target cells from the clamp.
@@ -411,13 +410,13 @@ class TestSceneKernelParity:
     def test_dynamic_detections_and_their_unknown_sensors_are_ignored(self):
         rng = np.random.default_rng(3)
         dets, poses, ego = _random_scene(rng, 50)
-        dets += [Detection(r=5.0, phi=0.2, v_r=3.0, sensor_id=9)]
+        dets += [Row(r=5.0, phi=0.2, v_r=3.0, sensor_id=9)]
         self._assert_parity(dets, poses, ego, RayIsmConfig())
 
     def test_unknown_sensor_on_static_detection_raises(self):
         rng = np.random.default_rng(4)
         dets, poses, ego = _random_scene(rng, 20)
-        dets.insert(5, Detection(r=5.0, phi=0.2, v_r=0.0, sensor_id=9))
+        dets.insert(5, Row(r=5.0, phi=0.2, v_r=0.0, sensor_id=9))
         with pytest.raises(DomainError):
             ray_ism_scene(columns(dets), poses, self.SPEC, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
         with pytest.raises(DomainError):

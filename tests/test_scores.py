@@ -5,9 +5,9 @@ from evgrid.errors import DomainError
 from evgrid.scores import ScoreAccumulator, render_table
 
 
-def compute_scores(pred, target, visible, conflict_guard=True):
+def compute_scores(pred, target, visible):
     """Score table of a single prediction."""
-    acc = ScoreAccumulator(conflict_guard=conflict_guard)
+    acc = ScoreAccumulator()
     acc.add(pred, target, visible)
     return acc.table()
 
@@ -37,12 +37,6 @@ class TestLabels:
             assert t.get("visible", tgt)["p_u"] == 100.0
             # the vacuous prediction is not counted as conflict under the guard
             assert t.get("visible", tgt)["p_c"] == 0.0
-
-    def test_guard_off_counts_vacuous_as_conflict(self):
-        pred = _stack([(0, 0, 1)])
-        target = _stack([(1, 0, 0)])
-        t = compute_scores(pred, target, np.ones((1, 1)), conflict_guard=False)
-        assert t.get("visible", "free")["p_c"] == 100.0
 
     def test_ties_resolve_to_unknown(self):
         pred = _stack([(0.4, 0.4, 0.2), (0.5, 0.0, 0.5)])

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_of, columns, cut_and_flip, detection_list, reads_or_names_file
+from conftest import Row, cell_of, columns, cut_and_flip, detection_list, reads_or_names_file
 from evgrid.errors import EvgridError
 from evgrid.grid import (GridSpec, Pose2D, cell_centers, read_grid, world_to_cells,
                          wrap_angle)
 from evgrid import sim
-from evgrid.rayism import Detection, Detections, RadarNoiseModel
+from evgrid.rayism import Detections, RadarNoiseModel
 from evgrid.sim import (
     Scene,
     SimConfig,
@@ -66,9 +66,9 @@ def occupied_fraction(scene, spec):
 
 
 def _brute_first_hit(origin, d, edges):
-    """Segment-by-segment oracle of ray_hits: the lowest distance, the first segment on a tie."""
-    best_t, best_i = math.inf, 0
-    for i, ((ax, ay), (bx, by)) in enumerate(edges):
+    """Segment-by-segment oracle of ray_hits: the lowest distance."""
+    best_t = math.inf
+    for (ax, ay), (bx, by) in edges:
         ex, ey = bx - ax, by - ay
         denom = d[0] * ey - d[1] * ex
         if abs(denom) <= 1e-12:
@@ -77,8 +77,8 @@ def _brute_first_hit(origin, d, edges):
         t = (aox * ey - aoy * ex) / denom
         s = (aox * d[1] - aoy * d[0]) / denom
         if 0.0 <= s <= 1.0 and 1e-9 < t < best_t:
-            best_t, best_i = t, i
-    return best_t, best_i
+            best_t = t
+    return best_t
 
 
 class TestGeometry:
@@ -104,13 +104,13 @@ class TestGeometry:
         edges = polygon_edges([rect(3, -1, 4, 1)])
         origins = np.array([[0.0, 0.0], [0.0, 0.0]])
         dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        t, idx = ray_hits(origins, dirs, edges)
-        assert t[0] == pytest.approx(3.0) and idx[0] == 3  # the box's left side
+        t = ray_hits(origins, dirs, edges)
+        assert t[0] == pytest.approx(3.0)  # the box's left side
         assert t[1] == math.inf
 
     def test_ray_from_inside_hits_far_side(self):
         edges = polygon_edges([rect(-1, -1, 1, 1)])
-        t, _ = ray_hits(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), edges)
+        t = ray_hits(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), edges)
         assert t[0] == pytest.approx(1.0)
 
     def test_ray_hit_edge_matches_brute_force(self):
@@ -119,17 +119,17 @@ class TestGeometry:
         origins = rng.uniform(-3.0, 3.0, size=(200, 2))
         ang = rng.uniform(-math.pi, math.pi, size=200)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        t, idx = ray_hits(origins, dirs, edges)
+        t = ray_hits(origins, dirs, edges)
         assert np.isinf(t).any() and np.isfinite(t).any()
         for k in range(len(origins)):
-            assert (t[k], idx[k]) == _brute_first_hit(origins[k], dirs[k], edges)
+            assert t[k] == _brute_first_hit(origins[k], dirs[k], edges)
 
     def test_ray_through_shared_corner(self):
         edges = polygon_edges([rect(1, 1, 3, 3)])  # edges 0 and 3 meet at (1, 1)
         d = np.array([[math.sqrt(0.5), math.sqrt(0.5)]])
-        t, idx = ray_hits(np.zeros((1, 2)), d, edges)
-        assert t[0] == pytest.approx(math.sqrt(2.0)) and idx[0] in (0, 3)
-        assert (t[0], idx[0]) == _brute_first_hit(np.zeros(2), d[0], edges)
+        t = ray_hits(np.zeros((1, 2)), d, edges)
+        assert t[0] == pytest.approx(math.sqrt(2.0))
+        assert t[0] == _brute_first_hit(np.zeros(2), d[0], edges)
 
 
 class TestSceneGeneration:
@@ -197,27 +197,26 @@ class TestLidarGroundTruth:
         rng = np.random.default_rng(0)
         for ang in rng.uniform(-math.pi, math.pi, size=30):
             d = np.array([[math.cos(ang), math.sin(ang)]])
-            t = ray_hits(np.array([[ego.x, ego.y]]), d, edges)[0][0]
+            t = ray_hits(np.array([[ego.x, ego.y]]), d, edges)[0]
             probe = min(t, SPEC.extent) * 0.5
             cell = cell_of(SPEC, (ego.x + d[0, 0] * probe, ego.y + d[0, 1] * probe), ego)
             if cell is not None:
                 # the midpoint of the ray up to its first hit is never occupied
                 assert target.data[(1,) + cell] == 0.0
 
-    @pytest.mark.parametrize("occlude", [False, True])
-    def test_free_cells_match_dense_sampling(self, occlude):
+    def test_free_cells_match_dense_sampling(self):
         # reference: sample every ray at cell_size/4 over the full range, then
-        # keep the samples short of the hit
-        cfg = SimConfig(occlude_by_dynamic=occlude)
+        # keep the samples short of the hit; a single scan sees through moving objects
+        cfg = SimConfig()
         for seed in range(12):
             scene = generate_scene(seed)
             target, visible = accumulated_ground_truth(scene, SPEC, cfg)
-            shapes = list(scene.static_shapes) + ([p for p, _ in scene.dynamic_objects] if occlude else [])
+            shapes = list(scene.static_shapes)
             ego = scene.ego
             angles = ego.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
             dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
             origins = np.broadcast_to(np.array([ego.x, ego.y]), dirs.shape)
-            t_end = np.minimum(ray_hits(origins, dirs, polygon_edges(shapes))[0], SPEC.extent)
+            t_end = np.minimum(ray_hits(origins, dirs, polygon_edges(shapes)), SPEC.extent)
             step = SPEC.cell_size / 4.0
             t = (np.arange(int(SPEC.extent / step)) + 0.5) * step
             keep = t[None] < t_end[:, None] - 1e-9
@@ -236,16 +235,13 @@ class TestLidarGroundTruth:
         target, _ = accumulated_ground_truth(scene, SPEC)
         assert np.all(target.data[1] == 0.0)
 
-    def test_dynamic_object_occludes_without_being_a_target(self):
+    def test_single_scan_sees_through_a_moving_object(self):
         scene = Scene([rect(6.0, -4.0, 6.6, 4.0)], [(rect(3.0, -0.5, 4.0, 0.5), np.array([1.0, 0.0]))],
                       Pose2D())
-        face, shadowed, lit = (cell_of(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0), (6.1, 3.0)))
-        target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=True))
-        occupied, unknown = target.data[1], target.data[2]
-        assert occupied[face] == 0.0  # the hit on the moving box is not occupied truth
-        assert unknown[shadowed] == 1.0 and occupied[lit] == 1.0
-        target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(occlude_by_dynamic=False))
-        assert target.data[1][shadowed] == 1.0
+        face, behind = (cell_of(SPEC, p, Pose2D()) for p in ((3.05, 0.0), (6.1, 0.0)))
+        target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(frames=1))
+        # the moving box is neither a target nor an occluder: the wall behind it is mapped
+        assert target.data[1][face] == 0.0 and target.data[1][behind] == 1.0
 
     def test_accumulated_frames_produce_conflict(self):
         scene = Scene([], [(rect(3.0, -0.5, 5.0, 0.5), np.array([3.0, 0.0]))],
@@ -253,16 +249,6 @@ class TestLidarGroundTruth:
         target, _ = accumulated_ground_truth(scene, SPEC, SimConfig(frames=3))
         conflict = (target.data[0] == 0.5) & (target.data[1] == 0.5)
         assert conflict.any()
-
-    def test_accumulated_truth_ignores_occlude_flag(self):
-        # moving objects are targets in every accumulated frame, so they occlude anyway
-        for seed in range(6):
-            scene = generate_scene(seed, SimConfig(p_dynamic=1.0))
-            assert scene.dynamic_objects
-            plain, occluding = (accumulated_ground_truth(scene, SPEC, SimConfig(frames=3, occlude_by_dynamic=flag))
-                                for flag in (False, True))
-            for a, b in zip(plain, occluding):
-                assert np.array_equal(a.data, b.data)
 
     def test_accumulated_mask_is_frame_zero_scan(self):
         scene = Scene([rect(3.0, -1.0, 3.6, 1.0), rect(7.0, -4.0, 7.6, 4.0)], [],
@@ -286,16 +272,14 @@ def _reference_status_scan(scene, spec, cfg, scan):
     grid, and the samples are then binned."""
     status = np.zeros((spec.side_cells, spec.side_cells), dtype=np.int8)
     ego = scene.ego
-    include_dynamic = cfg.frames >= 2
-    movers = [poly for poly, _ in scene.dynamic_objects] if include_dynamic or cfg.occlude_by_dynamic else []
+    movers = [poly for poly, _ in scene.dynamic_objects] if cfg.frames >= 2 else []
     edges = polygon_edges([*scene.static_shapes, *movers])
-    n_static = sum(len(poly) for poly in scene.static_shapes)
 
     angles = scan.heading + 2.0 * np.pi * np.arange(cfg.lidar_rays) / cfg.lidar_rays
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     origins = np.broadcast_to(np.array([scan.x, scan.y]), dirs.shape)
     max_range = spec.extent
-    t_hit, edge_idx = ray_hits(origins, dirs, edges)
+    t_hit = ray_hits(origins, dirs, edges)
     t_end = np.minimum(t_hit, max_range)
 
     step = spec.cell_size / 4.0
@@ -309,7 +293,6 @@ def _reference_status_scan(scene, spec, cfg, scan):
     status[rows[inside], cols[inside]] = 1
 
     hit = np.flatnonzero(np.isfinite(t_hit) & (t_hit <= max_range))
-    hit = hit[include_dynamic | (edge_idx[hit] < n_static)]
     hx = origins[hit, 0] + dirs[hit, 0] * (t_hit[hit] + 1e-6)
     hy = origins[hit, 1] + dirs[hit, 1] * (t_hit[hit] + 1e-6)
     rows, cols, inside = world_to_cells(spec, ego, hx, hy)
@@ -338,16 +321,14 @@ class TestLidarGridExitParity:
         return scans
 
     @pytest.mark.parametrize("side", [16, 32, 33, 64])
-    @pytest.mark.parametrize("occlude", [False, True])
-    def test_seeded_scenes(self, monkeypatch, side, occlude):
-        cfg = SimConfig(occlude_by_dynamic=occlude, p_dynamic=1.0)
+    def test_seeded_scenes(self, monkeypatch, side):
+        cfg = SimConfig(p_dynamic=1.0)
         for seed in range(6):
             self._assert_parity(generate_scene(seed, cfg), GridSpec(side, 0.5), cfg, monkeypatch)
 
     @pytest.mark.parametrize("frames, side", [(1, 32), (3, 32), (5, 32), (5, 16), (5, 33), (5, 128)])
-    @pytest.mark.parametrize("occlude", [False, True])
-    def test_frames(self, monkeypatch, frames, side, occlude):
-        spec, cfg = GridSpec(side, 0.5), SimConfig(frames=frames, occlude_by_dynamic=occlude)
+    def test_frames(self, monkeypatch, frames, side):
+        spec, cfg = GridSpec(side, 0.5), SimConfig(frames=frames)
         for seed in range(4):
             scans = self._assert_parity(generate_scene(20 + seed, cfg), spec, cfg, monkeypatch)
         if (frames, side) == (5, 16):  # the later scans start outside the grid
@@ -419,7 +400,7 @@ class TestRadar:
             pose = poses[det.sensor_id]
             ang = pose.heading + det.phi
             d = np.array([[math.cos(ang), math.sin(ang)]])
-            t = ray_hits(np.array([[pose.x, pose.y]]), d, edges)[0][0]
+            t = ray_hits(np.array([[pose.x, pose.y]]), d, edges)[0]
             # every echo comes from the first surface along its bearing
             assert det.r == pytest.approx(t, abs=1e-3)
 
@@ -486,7 +467,7 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
             if in_fov.any():
                 sel = np.flatnonzero(in_fov)
                 dirs = rel[sel] / r_true[sel, None]
-                t_near, _ = ray_hits(np.broadcast_to(origin, (len(sel), 2)), dirs, edges)
+                t_near = ray_hits(np.broadcast_to(origin, (len(sel), 2)), dirs, edges)
                 sel = sel[t_near >= r_true[sel] - 1e-6]
                 sel = sel[rng.uniform(size=len(sel)) < cfg.detection_prob]
                 for idx in sel:
@@ -504,7 +485,7 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
             pick = rng.choice(len(recs), size=cfg.max_detections, replace=False)
             recs = [recs[i] for i in np.sort(pick)]
         for r_meas, phi_meas, v_r, dyn in recs:
-            detections.append(Detection(r=r_meas, phi=phi_meas, v_r=v_r, sensor_id=sid))
+            detections.append(Row(r=r_meas, phi=phi_meas, v_r=v_r, sensor_id=sid))
             dyn_flags.append(dyn)
             wx = pose.x + r_meas * math.cos(pose.heading + phi_meas)
             wy = pose.y + r_meas * math.sin(pose.heading + phi_meas)
@@ -565,15 +546,15 @@ class TestRadarBlockParity:
         assert 0 < counts.sum() < len(dets)
 
 
-def _line(det: Detection) -> str:
+def _line(det: Row) -> str:
     """The line ``gen`` writes for one detection."""
     return detections_jsonl(columns([det])).rstrip("\n")
 
 
 class TestDetectionsJsonl:
     def test_round_trip(self):
-        dets = [Detection(r=5.0, phi=0.1, v_r=-0.3, sensor_id=2, t=1.0),
-                Detection(r=1.5, phi=-0.8, v_r=0.0, sensor_id=0)]
+        dets = [Row(r=5.0, phi=0.1, v_r=-0.3, sensor_id=2, t=1.0),
+                Row(r=1.5, phi=-0.8, v_r=0.0, sensor_id=0)]
         text = detections_jsonl(columns(dets))
         assert detection_list(detections_from_jsonl(text)) == dets
         assert detection_list(detections_from_jsonl(text.encode())) == dets
@@ -594,7 +575,7 @@ class TestDetectionsJsonl:
         assert detections_jsonl(columns([])) == ""
 
     def test_bad_line_names_source_and_line(self, tmp_path):
-        good = _line(Detection(r=1.0, phi=0.0))
+        good = _line(Row(r=1.0, phi=0.0))
         path = tmp_path / "dets.jsonl"
         for bad in ['{"r": 1.0', '{"r": 1.0, "phi": 0.0, "v_r": 0.0}', '[1, 2]',
                     good.replace('"sensor_id":0', '"sensor_id":"0"'),
@@ -614,7 +595,7 @@ class TestDetectionsJsonl:
         (b'{"phi":0.0,"r":1.0,"sensor_id":0,"t":0.0,"v_r":0.0,"note":"\xff"}', "can't decode byte 0xff"),
     ])
     def test_bad_line_after_blank_lines(self, bad, message):
-        good = _line(Detection(r=1.0, phi=0.0)).encode()
+        good = _line(Row(r=1.0, phi=0.0)).encode()
         bad = bad if isinstance(bad, bytes) else bad.encode()
         # good lines, blank and whitespace-only ones among them, then the bad line
         # (line 7), then a good one and an unparsable one that come too late to be named
@@ -624,7 +605,7 @@ class TestDetectionsJsonl:
                 detections_from_jsonl(text)
 
     def test_line_is_compact_sorted_json(self):
-        line = _line(Detection(r=1.0, phi=0.0))
+        line = _line(Row(r=1.0, phi=0.0))
         assert json.loads(line) == {"t": 0.0, "sensor_id": 0, "r": 1.0, "phi": 0.0, "v_r": 0.0}
         assert " " not in line
 
