@@ -146,18 +146,12 @@ def cmd_gen(args, cfg: dict, out: Path) -> int:
 def cmd_rayism(args, cfg: dict, out: Path) -> int:
     manifest = load_manifest(args.dataset)
     rcfg = cfgmod.rayism_config(cfg)
-    threshold = cfg["sim"]["dynamic_velocity_threshold"]
 
     def write_scene(sid: str) -> None:
         sdir = Path(args.dataset) / "samples" / sid
         radar = read_grid(sdir / "radar.grid")
-        det_path = sdir / "detections.jsonl"
-        dets = read_detections(det_path)
-        try:
-            pred = ray_ism_scene(dets, corner_sensor_poses(radar.origin), radar.spec, rcfg,
-                                 ego=radar.origin, dynamic_velocity_threshold=threshold)
-        except DomainError as exc:  # a detection the scene cannot place, e.g. an unknown sensor_id
-            raise EvgridError(f"{det_path}: {exc}") from exc
+        dets = read_detections(sdir / "detections.jsonl")  # every sensor id names a corner radar
+        pred = ray_ism_scene(dets, corner_sensor_poses(radar.origin), radar.spec, rcfg, ego=radar.origin)
         write_grid(out / f"{sid}.grid", pred)
 
     map_scenes(write_scene, _sample_ids(manifest, "all"))

@@ -10,11 +10,13 @@ module needs numpy alone.
 
 A scene's detections travel as ``Detections``, one array per field, from
 the simulator through the file reader to the kernel, which accumulates the
-static ones. The range and bearing of every cell are computed once per
-sensor, and the cells sorted by bearing. The sorted bearings are repeated at
--2 pi, 0 and +2 pi, a ring on which each detection's candidates, the cells
-within phi_meas +- 4 sigma_phi, are one slice found by binary search, even
-where the window crosses +-pi. The footprint test and the IDM run on all
+static ones: those whose measured |v_r| is at most 0.5 m/s
+(``Detections.dynamic``), the rule the radar image's channels follow too.
+The range and bearing of every cell are computed once per sensor, and the
+cells sorted by bearing. The sorted bearings are repeated at -2 pi, 0 and
++2 pi, a ring on which each detection's candidates, the cells within
+phi_meas +- 4 sigma_phi, are one slice found by binary search, even where
+the window crosses +-pi. The footprint test and the IDM run on all
 candidate (detection, cell) pairs at once. The logits are then added in
 detection order and clamped after each detection, touching only that
 detection's cells, so cells that saturate end up exactly as in a
@@ -36,7 +38,7 @@ from evgrid.grid import Grid2D, GridSpec, Pose2D, cell_centers, polar, prob_to_e
 # itself is exact
 _BEARING_SLACK = 1e-9
 
-DYNAMIC_VELOCITY_THRESHOLD = 0.5  # |v_r| above which a detection is dynamic; SimConfig's default too
+DYNAMIC_VELOCITY_THRESHOLD = 0.5  # measured |v_r|, m/s, above which a detection is dynamic
 
 # Cephes ndtr.c coefficients: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
 # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond;
@@ -110,6 +112,11 @@ class Detections:
     def __getitem__(self, index) -> "Detections":
         """The detections at an index array, in its order."""
         return Detections(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @property
+    def dynamic(self) -> np.ndarray:
+        """The static/dynamic rule of the radar image and of Ray-ISM alike."""
+        return np.abs(self.v_r) > DYNAMIC_VELOCITY_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -303,16 +310,15 @@ def ray_ism_scene(
     spec: GridSpec,
     cfg: RayIsmConfig = RayIsmConfig(),
     ego: Pose2D = Pose2D(),
-    dynamic_velocity_threshold: float = DYNAMIC_VELOCITY_THRESHOLD,
 ) -> Grid2D:
     """Accumulate all static detections of one scene into an evidential grid.
 
-    Detections whose |radial velocity| exceeds the threshold are treated as
-    dynamic and skipped; the remaining IDMs are summed in log-odds and the
-    per-cell probability is mapped linearly onto (b_f, b_o, u).
+    Dynamic detections (``Detections.dynamic``) are skipped; the remaining
+    IDMs are summed in log-odds and the per-cell probability is mapped
+    linearly onto (b_f, b_o, u).
     """
     logodds = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
-    static = detections[np.flatnonzero(np.abs(detections.v_r) <= dynamic_velocity_threshold)]
+    static = detections[np.flatnonzero(~detections.dynamic)]
     accumulate_idms(static, sensor_poses, logodds, cfg)
     p_o = 1.0 / (1.0 + np.exp(-logodds.data[0]))
     return Grid2D(spec, prob_to_evidential_array(p_o), channels=("b_f", "b_o", "u"), origin=ego)

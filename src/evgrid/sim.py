@@ -5,7 +5,8 @@ L-shaped parked cars plus optional moving rectangles, a LiDAR raycaster that
 produces ground-truth occupancy patches and visibility masks, and a sparse,
 noisy radar detection simulator feeding both the radar images and the
 Ray-ISM pipeline. A scene's detections are ``Detections`` columns from the
-simulator to ``detections.jsonl`` and back.
+simulator to ``detections.jsonl`` and back; the radar image counts them in
+its static or dynamic channel by measured |v_r|, the rule Ray-ISM splits by.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
 from evgrid.grid import Grid2D, GridSpec, Pose2D, polar, to_local, to_world, world_to_cells, wrap_angle, write_grid
 from evgrid.parallel import map_scenes
-from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD, Detections, RadarNoiseModel
+from evgrid.rayism import Detections, RadarNoiseModel
 
 _FREE, _OCC = 1, 2  # status codes; 0 = unknown
 _RAY_BLOCK = 180  # consecutive LiDAR rays whose free-space samples are binned at once
@@ -114,7 +115,6 @@ class SimConfig:
     clutter_rate: float = 2.0
     noise: RadarNoiseModel = field(default_factory=RadarNoiseModel)
     vr_sigma: float = 0.05
-    dynamic_velocity_threshold: float = DYNAMIC_VELOCITY_THRESHOLD
     sensor_fov: float = 2.0 * math.pi / 3.0
     boundary_spacing: float = 0.3
     frames: int = 1
@@ -304,8 +304,8 @@ def _boundary_points(edges: np.ndarray, spacing: float) -> np.ndarray:
 def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.Generator):
     """Simulate the four corner radars for one frame.
 
-    Returns (radar image Grid2D with static/dynamic hit-count channels,
-    Detections, bool array of dynamic flags aligned with the detections).
+    Returns (radar image Grid2D, Detections). The image counts the in-grid
+    detections in a static and a dynamic channel by ``Detections.dynamic``.
     """
     sensors = corner_sensor_poses(scene.ego)
     # the static shapes move as one body at rest
@@ -319,8 +319,7 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
     pts = np.concatenate(cand_pts)
     vels = np.repeat(np.array([vel for _, vel in bodies], float), [len(c) for c in cand_pts], axis=0)
 
-    per_sensor = []  # each sensor's (k,) ids, (k, 3) measured (r, phi, v_r) and (k,) dynamic flags
-    counts = np.zeros((2, spec.side_cells, spec.side_cells), dtype=np.float64)
+    per_sensor = []  # each sensor's (k,) ids, (k, 3) measured (r, phi, v_r) and (k,) world x and y
     sigmas = [cfg.noise.sigma_r, cfg.noise.sigma_phi, cfg.vr_sigma]
     for sid, pose in sorted(sensors.items()):
         origin = np.array([pose.x, pose.y])
@@ -340,24 +339,21 @@ def simulate_radar(scene: Scene, spec: GridSpec, cfg: SimConfig, rng: np.random.
         meas = np.stack([np.maximum(r_true[sel] + noise[:, 0], 0.0),
                          wrap_angle(phi_true[sel] + noise[:, 1]),
                          v_los + noise[:, 2]], axis=1)
-        dyn = np.hypot(vels[sel, 0], vels[sel, 1]) > cfg.dynamic_velocity_threshold
         n_clutter = rng.poisson(cfg.clutter_rate)
         clutter = [(rng.uniform(0.5, r_max), rng.uniform(-cfg.sensor_fov / 2.0, cfg.sensor_fov / 2.0),
                     rng.normal(0.0, cfg.vr_sigma)) for _ in range(n_clutter)]
         meas = np.concatenate([meas, np.reshape(clutter, (n_clutter, 3))])
-        dyn = np.concatenate([dyn, np.zeros(n_clutter, dtype=bool)])
         if len(meas) > cfg.max_detections:
-            pick = np.sort(rng.choice(len(meas), size=cfg.max_detections, replace=False))
-            meas, dyn = meas[pick], dyn[pick]
-        per_sensor.append((np.full(len(meas), sid), meas, dyn))
+            meas = meas[np.sort(rng.choice(len(meas), size=cfg.max_detections, replace=False))]
         r, phi = meas[:, 0], pose.heading + meas[:, 1]
-        rows, cols, inside = world_to_cells(spec, scene.ego, pose.x + r * np.cos(phi), pose.y + r * np.sin(phi))
-        np.add.at(counts, (dyn[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
+        per_sensor.append((np.full(len(meas), sid), meas, pose.x + r * np.cos(phi), pose.y + r * np.sin(phi)))
 
-    image = Grid2D(spec, counts, channels=("static", "dynamic"), origin=scene.ego)
-    sids, meas, dyn = (np.concatenate(parts) for parts in zip(*per_sensor))
-    detections = Detections(r=meas[:, 0], phi=meas[:, 1], v_r=meas[:, 2], sensor_id=sids, t=np.zeros(len(meas)))
-    return image, detections, dyn
+    sids, meas, wx, wy = (np.concatenate(parts) for parts in zip(*per_sensor))
+    dets = Detections(r=meas[:, 0], phi=meas[:, 1], v_r=meas[:, 2], sensor_id=sids, t=np.zeros(len(meas)))
+    rows, cols, inside = world_to_cells(spec, scene.ego, wx, wy)
+    counts = np.zeros((2, spec.side_cells, spec.side_cells))
+    np.add.at(counts, (dets.dynamic[inside].astype(np.intp), rows[inside], cols[inside]), 1.0)
+    return Grid2D(spec, counts, channels=("static", "dynamic"), origin=scene.ego), dets
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +410,8 @@ def detections_from_jsonl(text: str | bytes) -> Detections:
 
 def _detection_columns(rows: list) -> Detections:
     """Parsed detection lines as columns: each must be an object with the
-    numbers "r", "phi", "v_r", an optional number "t" and an integer
-    "sensor_id". A failure raises EvgridError saying which check failed."""
+    numbers "r", "phi", "v_r", an optional number "t" and a corner radar's
+    integer "sensor_id". A failure raises EvgridError saying which check failed."""
     if not set(map(type, rows)) <= {dict}:
         raise EvgridError("not a JSON object")
     cols = {}
@@ -435,6 +431,9 @@ def _detection_columns(rows: list) -> Detections:
             cols[key] = np.array(col, dtype=dtype)
         except OverflowError:
             raise EvgridError(f"{key!r} must be {what}, got an integer out of range") from None
+    unknown = cols["sensor_id"][(cols["sensor_id"] < 0) | (cols["sensor_id"] >= len(SENSOR_MOUNTS))]
+    if len(unknown):
+        raise EvgridError(f"no radar sensor {unknown[0]}: the sensor ids are 0 to {len(SENSOR_MOUNTS) - 1}")
     return Detections(**cols)  # checks that the numbers are finite and the ranges >= 0
 
 
@@ -463,7 +462,7 @@ def write_dataset(n_scenes: int, spec: GridSpec, out_dir, master_seed: int = 0,
         scene = generate_scene(seed, cfg)
         target, mask = accumulated_ground_truth(scene, spec, cfg)
         radar_rng = np.random.default_rng([seed, 1])
-        image, dets, _dyn = simulate_radar(scene, spec, cfg, radar_rng)
+        image, dets = simulate_radar(scene, spec, cfg, radar_rng)
 
         sid = f"{i:05d}"
         sdir = out / "samples" / sid

@@ -1,5 +1,6 @@
 import ctypes
 import io
+import itertools
 import json
 import os
 import platform
@@ -361,7 +362,8 @@ class TestExitCodes:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["sim.occlude_by_dynamic", "train.augment", "eval.conflict_guard"])
+    @pytest.mark.parametrize("key", ["sim.occlude_by_dynamic", "train.augment", "eval.conflict_guard",
+                                     "sim.dynamic_velocity_threshold"])
     def test_dropped_switch_is_an_unknown_key(self, tmp_path, capsys, key):
         out = tmp_path / "x"
         assert main(["gen", "--out", str(out), "--set", f"{key}=false"]) == 2
@@ -547,12 +549,16 @@ class TestBadDatasetFiles:
         assert f"{data / self.DETS}: line 1:" in capsys.readouterr().err
 
     def test_detection_from_sensor_without_pose(self, dataset, tmp_path, capsys):
-        # a static detection (v_r 0) is placed by its sensor's pose; there is no sensor 9
-        edit = _first_line_edit(lambda obj: obj.update(sensor_id=9, v_r=0.0))
-        data = _damaged_copy(dataset, tmp_path, self.DETS, edit)
-        assert main(["rayism", "--dataset", str(data), "--out", str(tmp_path / "o")] + FAST) == 3
-        err = capsys.readouterr().err
-        assert self.DETS in err and "sensor 9" in err
+        # there are sensors 0 to 3; the reader refuses any other id, so a dynamic
+        # detection (v_r 3), which Ray-ISM never places, fails as a static one does
+        for sid, v_r in itertools.product((9, -1), (0.0, 3.0)):
+            edit = _first_line_edit(lambda obj: obj.update(sensor_id=sid, v_r=v_r))
+            data = _damaged_copy(dataset, tmp_path / f"{sid}-{v_r}", self.DETS, edit)
+            out = tmp_path / f"{sid}-{v_r}" / "o"
+            assert main(["rayism", "--dataset", str(data), "--out", str(out)] + FAST) == 3, (sid, v_r)
+            err = capsys.readouterr().err
+            assert self.DETS in err and "line 1" in err and f"sensor {sid}" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda blob: blob[:-10],

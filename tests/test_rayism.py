@@ -298,8 +298,13 @@ class TestScene:
 
     def test_dynamic_detections_skipped(self):
         fast = Row(r=5.0, phi=0.0, v_r=2.0)
-        out = ray_ism_scene(columns([fast]), self.POSES, SPEC, dynamic_velocity_threshold=0.5)
+        out = ray_ism_scene(columns([fast]), self.POSES, SPEC)
         assert np.allclose(out.data[2], 1.0)
+
+    def test_dynamic_is_measured_radial_speed_above_half_a_metre_per_second(self):
+        v_r = [0.0, 0.5, -0.5, np.nextafter(0.5, 1.0), -0.6, 3.0]
+        dets = columns([Row(r=5.0, phi=0.0, v_r=v) for v in v_r])
+        assert dets.dynamic.tolist() == [False, False, False, True, True, True]
 
     def test_permutation_invariant_without_saturation(self):
         dets = [Row(r=4.0, phi=0.1), Row(r=6.0, phi=-0.2, sensor_id=1), Row(r=5.0, phi=0.0)]
@@ -367,7 +372,7 @@ class TestSceneKernelParity:
         got = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
         accumulate_idms(columns(static), poses, got, cfg)
         assert np.array_equal(got.data[0], want)
-        out = ray_ism_scene(columns(dets), poses, spec, cfg, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
+        out = ray_ism_scene(columns(dets), poses, spec, cfg, ego=ego)
         assert np.array_equal(out.data, prob_to_evidential_array(1.0 / (1.0 + np.exp(-want))))
         return want
 
@@ -418,7 +423,7 @@ class TestSceneKernelParity:
         dets, poses, ego = _random_scene(rng, 20)
         dets.insert(5, Row(r=5.0, phi=0.2, v_r=0.0, sensor_id=9))
         with pytest.raises(DomainError):
-            ray_ism_scene(columns(dets), poses, self.SPEC, ego=ego, dynamic_velocity_threshold=self.THRESHOLD)
+            ray_ism_scene(columns(dets), poses, self.SPEC, ego=ego)
         with pytest.raises(DomainError):
             _reference_logodds(dets, poses, self.SPEC, RayIsmConfig(), ego, self.THRESHOLD)
 

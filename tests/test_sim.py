@@ -384,15 +384,15 @@ class TestRadar:
     def test_no_detections_when_disabled(self):
         scene = generate_scene(3)
         cfg = SimConfig(detection_prob=0.0, clutter_rate=0.0)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(3))
-        assert detection_list(dets) == [] and flags.tolist() == []
+        image, dets = simulate_radar(scene, SPEC, cfg, np.random.default_rng(3))
+        assert detection_list(dets) == [] and dets.dynamic.tolist() == [] and not image.data.any()
 
     def test_detection_ranges_match_visibility_oracle(self):
         scene = generate_scene(9, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0,
                         noise=RadarNoiseModel(sigma_r=1e-6, sigma_phi=1e-9),
                         vr_sigma=1e-9, max_detections=10_000)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
+        _, dets = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
         assert len(dets) > 0
         edges = polygon_edges(list(scene.static_shapes))
         poses = corner_sensor_poses(scene.ego)
@@ -407,21 +407,35 @@ class TestRadar:
     def test_static_scene_velocities_near_zero(self):
         scene = generate_scene(9, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, vr_sigma=1e-6)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
+        image, dets = simulate_radar(scene, SPEC, cfg, np.random.default_rng(9))
         assert all(abs(d.v_r) < 1e-3 for d in detection_list(dets))
-        assert not any(flags)
+        assert not any(dets.dynamic) and not image.data[1].any()
 
     def test_moving_object_flagged_dynamic(self):
         scene = Scene([], [(rect(4.0, -0.5, 6.0, 0.5), np.array([3.0, 0.0]))],
                       Pose2D())
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, vr_sigma=1e-6)
-        _, dets, flags = simulate_radar(scene, SPEC, cfg, np.random.default_rng(0))
-        assert len(dets) > 0 and all(flags)
+        image, dets = simulate_radar(scene, SPEC, cfg, np.random.default_rng(0))
+        assert len(dets) > 0 and all(dets.dynamic)
+        assert image.data[1].sum() > 0 and not image.data[0].any()
+
+    def test_mover_across_the_line_of_sight_is_static(self):
+        # a box 5 m out along sensor 0's boresight, moving at 2 m/s across it: the
+        # radar measures |v_r| <= 0.5 and so puts every return in the static channel
+        ego = Pose2D()
+        mount = corner_sensor_poses(ego)[0]
+        cx, cy = mount.x + 5.0 * math.cos(mount.heading), mount.y + 5.0 * math.sin(mount.heading)
+        vel = 2.0 * np.array([math.sin(mount.heading), -math.cos(mount.heading)])
+        scene = Scene([], [(rect(cx - 0.3, cy - 0.3, cx + 0.3, cy + 0.3), vel)], ego)
+        cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, vr_sigma=1e-6)
+        image, dets = simulate_radar(scene, SPEC, cfg, np.random.default_rng(0))
+        assert len(dets) > 0 and math.hypot(*vel) > 0.5 and np.abs(dets.v_r).max() <= 0.5
+        assert image.data[0].sum() == len(dets) and not image.data[1].any()
 
     def test_detection_cap(self):
         scene = generate_scene(4, SimConfig(p_dynamic=0.0))
         cfg = SimConfig(detection_prob=1.0, clutter_rate=0.0, max_detections=5)
-        _, dets, _ = simulate_radar(scene, SPEC, cfg, np.random.default_rng(4))
+        _, dets = simulate_radar(scene, SPEC, cfg, np.random.default_rng(4))
         per_sensor = {}
         for det in detection_list(dets):
             per_sensor[det.sensor_id] = per_sensor.get(det.sensor_id, 0) + 1
@@ -433,14 +447,14 @@ class TestRadar:
         b = simulate_radar(scene, SPEC, SimConfig(), np.random.default_rng(1))
         assert np.array_equal(a[0].data, b[0].data)
         assert detection_list(a[1]) == detection_list(b[1])
-        assert np.array_equal(a[2], b[2])
 
 
 def _reference_simulate_radar(scene, spec, cfg, rng):
     """The per-detection loop the per-sensor block replaced, kept as its oracle.
 
     Three scalar noise draws per detection, then clutter, then subsampling;
-    each kept detection is binned into the radar image on its own.
+    each kept detection is binned into the radar image on its own, in the
+    dynamic channel when its measured |v_r| exceeds 0.5 m/s.
     """
     sensors = corner_sensor_poses(scene.ego)
     edges = polygon_edges(list(scene.static_shapes) + [p for p, _ in scene.dynamic_objects])
@@ -475,17 +489,17 @@ def _reference_simulate_radar(scene, spec, cfg, rng):
                     phi_meas = wrap_angle(phi_true[idx] + rng.normal(0.0, cfg.noise.sigma_phi))
                     los = rel[idx] / r_true[idx]
                     v_r = float(vels[idx] @ los + rng.normal(0.0, cfg.vr_sigma))
-                    speed = float(np.hypot(*vels[idx]))
-                    recs.append((r_meas, phi_meas, v_r, speed > cfg.dynamic_velocity_threshold))
+                    recs.append((r_meas, phi_meas, v_r))
         for _ in range(rng.poisson(cfg.clutter_rate)):
             recs.append((float(rng.uniform(0.5, r_max)),
                          float(rng.uniform(-cfg.sensor_fov / 2.0, cfg.sensor_fov / 2.0)),
-                         float(rng.normal(0.0, cfg.vr_sigma)), False))
+                         float(rng.normal(0.0, cfg.vr_sigma))))
         if len(recs) > cfg.max_detections:
             pick = rng.choice(len(recs), size=cfg.max_detections, replace=False)
             recs = [recs[i] for i in np.sort(pick)]
-        for r_meas, phi_meas, v_r, dyn in recs:
+        for r_meas, phi_meas, v_r in recs:
             detections.append(Row(r=r_meas, phi=phi_meas, v_r=v_r, sensor_id=sid))
+            dyn = abs(v_r) > 0.5  # a return is dynamic by its measured radial speed
             dyn_flags.append(dyn)
             wx = pose.x + r_meas * math.cos(pose.heading + phi_meas)
             wy = pose.y + r_meas * math.sin(pose.heading + phi_meas)
@@ -499,9 +513,10 @@ class TestRadarBlockParity:
     """simulate_radar is identical, draw for draw, to the per-detection loop."""
 
     def _assert_parity(self, scene, cfg, spec=SPEC, seed=0):
-        image, dets, flags = simulate_radar(scene, spec, cfg, np.random.default_rng(seed))
+        image, dets = simulate_radar(scene, spec, cfg, np.random.default_rng(seed))
         counts, want_dets, want_flags = _reference_simulate_radar(scene, spec, cfg,
                                                                   np.random.default_rng(seed))
+        flags = dets.dynamic
         assert detections_jsonl(dets) == detections_jsonl(columns(want_dets))
         assert flags.dtype == bool and flags.tolist() == want_flags
         assert np.array_equal(image.data, counts)
@@ -538,12 +553,27 @@ class TestRadarBlockParity:
                       Pose2D(0.2, -0.1, 0.25))
         cfg = SimConfig(detection_prob=0.8, max_detections=500)
         _, _, flags = self._assert_parity(scene, cfg, seed=7)
-        assert any(flags) == (math.hypot(*vel) > cfg.dynamic_velocity_threshold)
+        assert any(flags) == (math.hypot(*vel) > 0.5)
 
     def test_detections_outside_the_grid(self):
         spec = GridSpec(side_cells=12, cell_size=0.5)
         counts, dets, _ = self._assert_parity(generate_scene(11), SimConfig(clutter_rate=20.0), spec=spec, seed=8)
         assert 0 < counts.sum() < len(dets)
+
+    @pytest.mark.parametrize("side, overrides", [
+        (32, {}),  # pipeline-32
+        (64, {"detection_prob": 0.7, "max_detections": 128, "clutter_rate": 8.0}),  # ism-64
+        (64, {"frames": 3}),  # train-64
+        (32, {"frames": 5}),  # configs/paper.json
+    ], ids=["pipeline-32", "ism-64", "train-64", "paper"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_workload_settings(self, side, overrides, seed):
+        # the scenes gen draws at each workload's sim settings; the oracle bins
+        # every detection by its own measured |v_r|
+        cfg = SimConfig(**overrides)
+        counts, dets, _ = self._assert_parity(generate_scene(_scene_seed(seed, 0), cfg), cfg,
+                                              spec=GridSpec(side_cells=side, cell_size=0.5), seed=seed)
+        assert len(dets) > 0 and counts.sum() > 0
 
 
 def _line(det: Row) -> str:
@@ -590,6 +620,8 @@ class TestDetectionsJsonl:
         (b'{"phi":0.0,"r":1.0,"sensor_id":0,"t":0.0,"v_r":0.0}} ', "extra data"),
         ('{"phi":0.0,"r":1.0,"sensor_id":true,"t":0.0,"v_r":0.0}', "'sensor_id' must be an integer, got True"),
         ('{"phi":0.0,"r":1.0,"sensor_id":' + '9' * 20 + ',"t":0.0,"v_r":0.0}', "'sensor_id' must be an integer"),
+        ('{"phi":0.0,"r":1.0,"sensor_id":4,"t":0.0,"v_r":3.0}', "no radar sensor 4"),  # dynamic, still refused
+        ('{"phi":0.0,"r":1.0,"sensor_id":-1,"t":0.0,"v_r":0.0}', "no radar sensor -1"),
         ('{"phi":0.0,"r":1.0,"sensor_id":0,"t":Infinity,"v_r":0.0}', "must be finite"),
         ('{"phi":0.0,"r":-2.0,"sensor_id":0,"v_r":0.0}', "range must be >= 0, got -2.0"),
         (b'{"phi":0.0,"r":1.0,"sensor_id":0,"t":0.0,"v_r":0.0,"note":"\xff"}', "can't decode byte 0xff"),
