@@ -17,10 +17,10 @@ cells sorted by bearing. The sorted bearings are repeated at -2 pi, 0 and
 +2 pi, a ring on which each detection's candidates, the cells within
 phi_meas +- 4 sigma_phi, are one slice found by binary search, even where
 the window crosses +-pi. The footprint test and the IDM run on all
-candidate (detection, cell) pairs at once. The logits are then added in
-detection order and clamped after each detection, touching only that
-detection's cells, so cells that saturate end up exactly as in a
-one-detection-at-a-time loop.
+candidate (detection, cell) pairs at once. A scene's detections are one
+radar frame, simultaneous and independent, so each cell's logits are
+summed in one ``np.bincount`` and the log-odds clamp applies once, to the
+sum: the grid does not depend on the order of the detections.
 """
 
 from __future__ import annotations
@@ -135,7 +135,9 @@ class RayIsmConfig:
 
     eps_free is the free-space plateau before the target, p_max the occupied
     plateau within the target band of thickness delta; behind the target the
-    ideal model is 0.5 (unknown, no occlusion reasoning).
+    ideal model is 0.5 (unknown, no occlusion reasoning). Each IDM value is
+    clipped to [prob_clamp, 1 - prob_clamp] before its logit is taken, and a
+    cell's summed log-odds are clamped to +-logodds_clamp once per scene.
     """
 
     eps_free: float = 0.05
@@ -256,10 +258,11 @@ def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Gri
     for that test are the cells whose bearing from the detection's sensor
     lies in phi_meas +- 4 sigma_phi: one slice, found by binary search, of
     the sensor's cells sorted by bearing and repeated at -2 pi, 0 and +2 pi;
-    a slice position modulo the cell count is a sorted cell. The IDMs of all
-    (detection, cell) pairs that pass are evaluated as one block; the logits
-    are then added detection by detection, clamping after each, so
-    saturated cells depend on the order of ``dets``.
+    a slice position modulo the cell count is a sorted cell, and a slice
+    spans at most one turn. The IDMs of all (detection, cell) pairs that
+    pass are evaluated as one block. Each cell's logits are summed, and the
+    grid's log-odds plus that sum are clamped to +-logodds_clamp once, so
+    the result does not depend on the order of ``dets``.
     """
     unknown = np.flatnonzero(~np.isin(dets.sensor_id, list(sensor_poses)))
     if len(unknown):
@@ -270,38 +273,32 @@ def accumulate_idms(dets: Detections, sensor_poses: dict[int, Pose2D], grid: Gri
     rng, phi, order = _polar_cells(grid, [sensor_poses[sid] for sid in sensors.tolist()])
     r4, phi4 = 4.0 * cfg.noise.sigma_r, 4.0 * cfg.noise.sigma_phi
 
-    # half stops at pi, one full turn: a wider slice would only list a cell twice,
-    # which is harmless (both copies are set to the same old + logit) but is work
-    centre, half = wrap_angle(dets.phi), min(phi4 + _BEARING_SLACK, math.pi)
+    centre, half = wrap_angle(dets.phi), phi4 + _BEARING_SLACK
     start, end = np.empty(len(dets), np.int64), np.empty(len(dets), np.int64)
     for k in range(len(sensors)):
         ring = np.concatenate([phi[k, order[k]] + turn for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)])
         sel = row == k
         start[sel] = np.searchsorted(ring, centre[sel] - half, "left")
         end[sel] = np.searchsorted(ring, centre[sel] + half, "right")
+    # at most one full turn, so a slice lists each cell once however wide the window
+    n_cells = phi.shape[1]
+    end = np.minimum(end, start + n_cells)
     # expand the slices into (detection, cell) pairs, grouped by detection
     lengths = end - start
     pair_det = np.repeat(np.arange(len(dets)), lengths)
     pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
     pair_row = row[pair_det]
-    cell = order[pair_row, pos % phi.shape[1]]
+    cell = order[pair_row, pos % n_cells]
     pair_rng, pair_phi = rng[pair_row, cell], phi[pair_row, cell]
     pair_r, pair_phi_meas = dets.r[pair_det], dets.phi[pair_det]
 
     keep = (pair_rng <= pair_r + r4) & (np.abs(wrap_angle(pair_phi - pair_phi_meas)) <= phi4)
-    idx = np.flatnonzero(keep)  # six integer gathers cost less than six boolean-mask ones
+    idx = np.flatnonzero(keep)  # five integer gathers cost less than five boolean-mask ones
     p = _idm(pair_rng[idx], pair_phi[idx], pair_r[idx], pair_phi_meas[idx], cfg)
     p = np.clip(p, cfg.prob_clamp, 1.0 - cfg.prob_clamp)
     logit = np.log(p / (1.0 - p))
-    cell, bounds = cell[idx], np.searchsorted(pair_det[idx], np.arange(len(dets) + 1))
-
-    logodds = grid.data[0].ravel()  # a copy when the grid is not contiguous
-    clamp = cfg.logodds_clamp
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        c = cell[a:b]
-        v = logodds[c] + logit[a:b]
-        logodds[c] = np.minimum(np.maximum(v, -clamp, out=v), clamp, out=v)
-    grid.data[0] = logodds.reshape(grid.data.shape[1:])
+    total = np.bincount(cell[idx], weights=logit, minlength=n_cells).reshape(grid.data.shape[1:])
+    grid.data[0] = np.clip(grid.data[0] + total, -cfg.logodds_clamp, cfg.logodds_clamp)
 
 
 def ray_ism_scene(
@@ -314,8 +311,8 @@ def ray_ism_scene(
     """Accumulate all static detections of one scene into an evidential grid.
 
     Dynamic detections (``Detections.dynamic``) are skipped; the remaining
-    IDMs are summed in log-odds and the per-cell probability is mapped
-    linearly onto (b_f, b_o, u).
+    IDMs are summed in log-odds, clamped once, and the per-cell probability
+    is mapped linearly onto (b_f, b_o, u).
     """
     logodds = Grid2D(spec, np.zeros((spec.side_cells, spec.side_cells)), channels=("logodds",), origin=ego)
     static = detections[np.flatnonzero(~detections.dynamic)]
