@@ -17,7 +17,7 @@ import numpy as np
 
 from evgrid import config as cfgmod
 from evgrid.errors import ConfigError, DomainError, EvgridError, output_dir, write_atomic
-from evgrid.grid import Grid2D, read_grid, render_pgm, render_ppm, write_grid
+from evgrid.grid import BELIEF_CHANNELS, Grid2D, read_grid, render_pgm, render_ppm, write_grid
 from evgrid.net.train import mc_predict, train
 from evgrid.net.unet import load_checkpoint
 from evgrid.parallel import map_scenes
@@ -143,18 +143,26 @@ def cmd_gen(args, cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_rayism(args, cfg: dict, out: Path) -> int:
-    manifest = load_manifest(args.dataset)
-    rcfg = cfgmod.rayism_config(cfg)
+def _write_beliefs(dataset, out: Path, predict) -> None:
+    """Write ``predict(sid, radar)``, a (3, H, W) belief array, as ``<out>/<sid>.grid`` on the
+    spec and origin of the sample's radar grid, for every sample of every split, in the scene pool."""
 
     def write_scene(sid: str) -> None:
-        sdir = Path(args.dataset) / "samples" / sid
-        radar = read_grid(sdir / "radar.grid")
-        dets = read_detections(sdir / "detections.jsonl")  # every sensor id names a corner radar
-        pred = ray_ism_scene(dets, corner_sensor_poses(radar.origin), radar.spec, rcfg, ego=radar.origin)
-        write_grid(out / f"{sid}.grid", pred)
+        radar = read_grid(Path(dataset) / "samples" / sid / "radar.grid")
+        write_grid(out / f"{sid}.grid", Grid2D(radar.spec, predict(sid, radar), BELIEF_CHANNELS, radar.origin))
 
-    map_scenes(write_scene, _sample_ids(manifest, "all"))
+    map_scenes(write_scene, _sample_ids(load_manifest(dataset), "all"))
+
+
+def cmd_rayism(args, cfg: dict, out: Path) -> int:
+    rcfg = cfgmod.rayism_config(cfg)
+
+    def predict(sid: str, radar: Grid2D) -> np.ndarray:
+        # every sensor id names a corner radar
+        dets = read_detections(Path(args.dataset) / "samples" / sid / "detections.jsonl")
+        return ray_ism_scene(dets, corner_sensor_poses(radar.origin), radar.spec, rcfg, ego=radar.origin).data
+
+    _write_beliefs(args.dataset, out, predict)
     return EXIT_OK
 
 
@@ -164,23 +172,17 @@ def cmd_train(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_infer(args, cfg: dict, out: Path) -> int:
-    params, spec, _header = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.dataset)
+    params, spec, _header = load_checkpoint(args.checkpoint)  # a bad checkpoint fails before any fork
     tcfg = cfgmod.train_config(cfg)
 
-    def write_scene(sid: str) -> None:
-        sdir = Path(args.dataset) / "samples" / sid
-        radar = read_grid(sdir / "radar.grid")
+    def predict(sid: str, radar: Grid2D) -> np.ndarray:
         rng = np.random.default_rng([cfg["master_seed"], int(sid)])
         try:
-            pred = mc_predict(params, spec, radar.data.astype(np.float32), tcfg.mc_samples,
-                              args.mode, rng, percentile=tcfg.percentile)
+            return mc_predict(params, spec, radar.data, tcfg.mc_samples, args.mode, rng, tcfg.percentile)
         except DomainError as exc:  # a network whose output overflows, e.g. a huge weight
             raise EvgridError(f"{args.checkpoint}: scene {sid}: {exc}") from exc
-        write_grid(out / f"{sid}.grid",
-                   Grid2D(radar.spec, pred, channels=("b_f", "b_o", "u"), origin=radar.origin))
 
-    map_scenes(write_scene, _sample_ids(manifest, "all"))
+    _write_beliefs(args.dataset, out, predict)
     return EXIT_OK
 
 

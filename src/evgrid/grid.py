@@ -68,6 +68,10 @@ class GridSpec:
         return self.side_cells * self.cell_size
 
 
+# the channels of every belief grid: the LiDAR targets, Ray-ISM's grids and the nets' predictions
+BELIEF_CHANNELS = ("b_f", "b_o", "u")
+
+
 @dataclass
 class Grid2D:
     """A multi-channel field over an ego-centered square.

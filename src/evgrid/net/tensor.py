@@ -14,10 +14,10 @@ from the input's data. An input given as channel-ordered parts (a decoder's
 upsampled map and its skip) is written part by part into the padded buffer,
 and the backward hands each part its channel slice. The transposed
 convolution upsamples by its kernel size, with no overlap, in one
-contraction each way. Both end in an optional epilogue, leaky ReLU
-max(a, slope*a) for 0 <= slope <= 1 then dropout by a boolean keep mask,
-applied in place to the op's fresh output, so no pre-activation becomes a
-Tensor; the backward reads the derivative from the output's sign and the mask.
+contraction each way. Both end in an optional leaky ReLU max(a, slope*a) for
+0 <= slope <= 1, and conv2d then in dropout by a boolean keep mask, applied in
+place to the op's fresh output, so no pre-activation becomes a Tensor; the
+backward reads the derivative from the output's sign and the mask.
 The array kernels conv2d_array and conv_transpose2d_array hold the math; the
 taped ops wrap them, and untaped inference (``unet.forward(record=False)``)
 calls them directly.
@@ -117,7 +117,7 @@ def _phase_planes(parts: tuple[np.ndarray, ...], kh: int, kw: int, stride: int):
     return planes, (ho, wo, hq, wq, pad), taps
 
 
-def _activate(a: np.ndarray, slope: float | None, keep: np.ndarray | None, rate: float) -> np.ndarray:
+def _activate(a: np.ndarray, slope: float | None, keep: np.ndarray | None = None, rate: float = 0.0) -> np.ndarray:
     """In place on a fresh a: max(a, slope*a) unless slope is None, then dropout by keep."""
     if slope is not None:
         np.maximum(a, slope * a, out=a)
@@ -126,7 +126,7 @@ def _activate(a: np.ndarray, slope: float | None, keep: np.ndarray | None, rate:
     return a
 
 
-def _activation_grad(y: np.ndarray, g: np.ndarray, slope, keep, rate: float) -> np.ndarray:
+def _activation_grad(y: np.ndarray, g: np.ndarray, slope, keep=None, rate: float = 0.0) -> np.ndarray:
     """g mapped through the derivative of _activate, read from its output y and keep."""
     if keep is not None:
         g = g * dropout_scale(keep, rate, y.dtype)
@@ -186,10 +186,9 @@ def conv2d(x, w: Tensor, b: Tensor, stride: int = 1, slope: float | None = None,
     return t
 
 
-def conv_transpose2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, slope: float | None = None,
-                           keep: np.ndarray | None = None, rate: float = 0.0) -> np.ndarray:
+def conv_transpose2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, slope: float | None = None) -> np.ndarray:
     """Transposed convolution of plain arrays with stride = kernel size (no overlap), then
-    _activate's epilogue; w has shape (Cin, Cout, k, k), and the output side is input * k."""
+    _activate's leaky ReLU; w has shape (Cin, Cout, k, k), and the output side is input * k."""
     cin, cout, s, kw = w.shape
     if kw != s:
         raise ConfigError(f"conv_transpose2d needs a square kernel, got {s}x{kw}")
@@ -200,19 +199,18 @@ def conv_transpose2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray, slope: f
     out = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * s, wdt * s)  # the one output copy
     del blocks
     out += b[None, :, None, None]
-    return _activate(out, slope, keep, rate)
+    return _activate(out, slope)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, slope: float | None = None,
-                     keep: np.ndarray | None = None, rate: float = 0.0) -> Tensor:
-    """conv_transpose2d_array on the tape; the backward keeps the output and keep mask."""
-    y = conv_transpose2d_array(x.data, w.data, b.data, slope, keep, rate)
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, slope: float | None = None) -> Tensor:
+    """conv_transpose2d_array on the tape; the backward keeps the output."""
+    y = conv_transpose2d_array(x.data, w.data, b.data, slope)
     t = Tensor(y, parents=(x, w, b))
     n, cin, h, wdt = x.shape
     cout, s = w.shape[1:3]
 
     def backward(g):
-        g = _activation_grad(y, g, slope, keep, rate)
+        g = _activation_grad(y, g, slope)
         xm, wm = x.data.reshape(n, cin, h * wdt), w.data.reshape(cin, cout * s * s)
         gm = g.reshape(n, cout, h, s, wdt, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, cout * s * s, h * wdt)
         _accumulate(x, (wm @ gm).reshape(x.shape))

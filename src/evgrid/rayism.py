@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from evgrid.errors import DomainError
-from evgrid.grid import Grid2D, GridSpec, Pose2D, cell_centers, polar, prob_to_evidential_array, wrap_angle
+from evgrid.grid import (BELIEF_CHANNELS, Grid2D, GridSpec, Pose2D, cell_centers, polar, prob_to_evidential_array,
+                         wrap_angle)
 
 # widens each bearing window past 4 sigma_phi, so a cell whose wrapped offset
 # rounds onto the footprint edge is still a candidate; the footprint test
@@ -318,4 +319,4 @@ def ray_ism_scene(
     static = detections[np.flatnonzero(~detections.dynamic)]
     accumulate_idms(static, sensor_poses, logodds, cfg)
     p_o = 1.0 / (1.0 + np.exp(-logodds.data[0]))
-    return Grid2D(spec, prob_to_evidential_array(p_o), channels=("b_f", "b_o", "u"), origin=ego)
+    return Grid2D(spec, prob_to_evidential_array(p_o), channels=BELIEF_CHANNELS, origin=ego)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
-from evgrid.grid import Grid2D, GridSpec, Pose2D, polar, to_local, to_world, world_to_cells, wrap_angle, write_grid
+from evgrid.grid import (BELIEF_CHANNELS, Grid2D, GridSpec, Pose2D, polar, to_local, to_world, world_to_cells,
+                         wrap_angle, write_grid)
 from evgrid.parallel import map_scenes
 from evgrid.rayism import Detections, RadarNoiseModel
 
@@ -271,7 +272,7 @@ def accumulated_ground_truth(scene: Scene, spec: GridSpec, cfg: SimConfig = SimC
     target[:2, any_free & any_occ] = 0.5
     visible = (statuses[0] != 0).astype(np.float64)
     return (
-        Grid2D(spec, target, channels=("b_f", "b_o", "u"), origin=ego),
+        Grid2D(spec, target, channels=BELIEF_CHANNELS, origin=ego),
         Grid2D(spec, visible, channels=("visible",), origin=ego),
     )
 

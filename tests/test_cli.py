@@ -188,6 +188,22 @@ class TestPipeline:
         assert not out.exists()
 
 
+class TestBeliefWriter:
+    """rayism and infer write through one scene loop: a belief grid per sample, on its radar grid."""
+
+    @pytest.mark.parametrize("command", ["rayism", "infer"])
+    def test_one_grid_per_sample_on_its_radar_grid(self, dataset, runs, command):
+        out = runs[0] if command == "rayism" else runs[2]
+        splits = sim.load_manifest(dataset)["splits"]
+        ids = sorted(sid for split in splits.values() for sid in split)
+        assert len(ids) == 6
+        assert sorted(p.name for p in out.iterdir()) == sorted(["config.json"] + [f"{sid}.grid" for sid in ids])
+        for sid in ids:
+            radar, pred = read_grid(dataset / "samples" / sid / "radar.grid"), read_grid(out / f"{sid}.grid")
+            assert pred.channels == ("b_f", "b_o", "u")
+            assert (pred.spec, pred.origin) == (radar.spec, radar.origin)
+
+
 class TestScenePool:
     """gen, rayism and infer run their scenes in a pool when the affinity holds two or more CPUs."""
 

@@ -13,6 +13,7 @@ import pytest
 
 import evgrid
 from evgrid.config import DEFAULTS
+from evgrid.grid import BELIEF_CHANNELS
 from evgrid.rayism import DYNAMIC_VELOCITY_THRESHOLD
 
 PACKAGE = Path(evgrid.__file__).parent
@@ -165,3 +166,36 @@ def test_ray_ism_sums_once_and_loops_over_sensors():
 def test_docstrings_and_comments_neither_trip_nor_hide_a_rule(source, places):
     found = [place for place, node in _placed(ast.parse(source), "m") if _is_name(node, "denom")]
     assert found == places
+
+
+def _is_belief_channels(node):
+    """A tuple or list literal of the belief channel names, in their order."""
+    return (isinstance(node, (ast.Tuple, ast.List))
+            and [getattr(elt, "value", None) for elt in node.elts] == list(BELIEF_CHANNELS))
+
+
+def test_belief_channels_are_named_once():
+    """The belief grid format: its channel tuple is written once, in ``grid``, which owns
+    the ``.grid`` format; the LiDAR targets, Ray-ISM and the prediction writer read it."""
+    assert _places(_is_belief_channels) == ["grid"]
+    readers = _places(lambda node: isinstance(node, ast.Name) and node.id == "BELIEF_CHANNELS"
+                      and isinstance(node.ctx, ast.Load))
+    assert readers == ["cli._write_beliefs.write_scene", "rayism.ray_ism_scene", "sim.accumulated_ground_truth"]
+
+
+_GRID_IO = ("read_grid", "write_grid", "Grid2D", "map_scenes")
+
+
+def _cli_calls(name):
+    """The sorted places in ``cli`` of every call of ``name``."""
+    return sorted(place for place, node in NODES if place.split(".")[0] == "cli"
+                  and isinstance(node, ast.Call) and ast.unparse(node.func) == name)
+
+
+def test_rayism_and_infer_write_through_one_scene_loop():
+    """Prediction grids: ``cli`` runs one scene loop and writes its grids in one place,
+    ``_write_beliefs``; ``rayism`` and ``infer`` supply only their predictors."""
+    assert _cli_calls("map_scenes") == ["cli._write_beliefs"]
+    assert _cli_calls("write_grid") == ["cli._write_beliefs.write_scene"]
+    for name in _GRID_IO:
+        assert [place for place in _cli_calls(name) if place.split(".")[1] in ("cmd_rayism", "cmd_infer")] == []

@@ -576,6 +576,16 @@ class TestMcPredict:
         pred = mc_predict(params, spec, x, 30, mode, np.random.default_rng(6))
         assert np.array_equal(pred, _taped_mc_predict(params, spec, x, 30, mode, np.random.default_rng(6)))
 
+    @pytest.mark.parametrize("mode, out_ch", [("ev", 2), ("ev-s", 2), ("soft", 3)])
+    def test_is_the_one_float32_cast(self, mode, out_ch):
+        # infer passes the radar grid's float64 data as read; mc_predict casts it for the network
+        params, spec, _x = self._setup(out_ch, 0.2)
+        x64 = np.random.default_rng(7).normal(size=(2, 8, 8))
+        pred64 = mc_predict(params, spec, x64, 30, mode, np.random.default_rng(6))
+        pred32 = mc_predict(params, spec, x64.astype(np.float32), 30, mode, np.random.default_rng(6))
+        assert pred64.dtype == pred32.dtype == np.float64
+        assert np.array_equal(pred64, pred32)
+
     def test_mode_head_mismatch_rejected(self):
         params, spec, x = self._setup(2, 0.2)
         with pytest.raises(ConfigError):
