@@ -102,6 +102,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
     cfg = _merge(DEFAULTS, doc)
     if cfg["sim"]["n_scenes"] < 1:
         raise ConfigError(f"sim.n_scenes must be >= 1, got {cfg['sim']['n_scenes']}")
+    if cfg["eval"]["split"] not in ("train", "val", "test", "all"):
+        raise ConfigError(f"eval.split must be train, val, test or all, got {cfg['eval']['split']!r}")
     for build in (grid_spec, sim_config, rayism_config, train_config):
         try:
             build(cfg)

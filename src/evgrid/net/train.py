@@ -173,26 +173,16 @@ def train_step(params, spec: UNetSpec, x, target, model: str, opt: Adam, dropout
     return value
 
 
-EVAL_BATCH = 16  # samples per loss term in eval_loss
-# samples per untaped forward in eval_loss: at the train batch's shapes the forward's
-# arrays fit in what train_step freed, while 16 samples' grew the heap past the step's
-# peak. Where train_step splits, each chunk's two halves run at once instead.
-EVAL_FORWARD = 8
-
-
-def eval_loss(params, spec: UNetSpec, x, target, model: str) -> float:
-    """Mean loss without dropout over terms of EVAL_BATCH samples, from forwards of
-    chunks of EVAL_FORWARD samples, each split into the training step's halves."""
+def eval_loss(params, spec: UNetSpec, x, target, model: str, batch: int) -> float:
+    """Mean loss without dropout over chunks of ``batch`` samples, each weighted by its
+    length: one untaped forward per chunk, split into the training step's halves."""
     cells = x.shape[2] * x.shape[3]
     total = 0.0
-    for i in range(0, len(x), EVAL_BATCH):
-        xs, outs = x[i:i + EVAL_BATCH], []
-        for j in range(0, len(xs), EVAL_FORWARD):
-            chunk = xs[j:j + EVAL_FORWARD]
-            outs += _in_order(lambda part: forward(params, spec, chunk[part], record=False)[0],
-                              _halves(len(chunk), cells))
-        out = np.concatenate(outs)
-        total += float(_loss(Tensor(out), target[i:i + EVAL_BATCH], model).data) * len(out)
+    for i in range(0, len(x), batch):
+        chunk = x[i:i + batch]
+        out = np.concatenate(_in_order(lambda part: forward(params, spec, chunk[part], record=False)[0],
+                                       _halves(len(chunk), cells)))
+        total += float(_loss(Tensor(out), target[i:i + batch], model).data) * len(out)
     return total / max(len(x), 1)
 
 
@@ -229,9 +219,9 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
                 train_step(params, spec, xb, tb, cfg.model, opt, dropout_rng=rng)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"epoch {epoch}, batch {i // cfg.batch_size}: {exc}") from exc
-        rows = [(epoch, "train", eval_loss(params, spec, x_train, t_train, cfg.model))]
+        rows = [(epoch, "train", eval_loss(params, spec, x_train, t_train, cfg.model, cfg.batch_size))]
         if len(x_val):
-            rows.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model)))
+            rows.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model, cfg.batch_size)))
         for _epoch, split, loss in rows:
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"epoch {epoch}: non-finite {split} eval loss: {loss}")

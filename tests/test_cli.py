@@ -367,7 +367,7 @@ class TestExitCodes:
         "sim.n_scenes=0", "sim.scene_extent=2.0", "sim.scene_extent=0", "sim.p_dynamic=1.5",
         "sim.boundary_spacing=0", "sim.vr_sigma=-1", "sim.sensor_fov=-1", "train.percentile=0",
         "train.percentile=150", "ray_ism.logodds_clamp=-1", "train.epochs=0", "sim.frames=0",
-        "sim.frames=-3",
+        "sim.frames=-3", "eval.split=bogus",
         # JSON numbers a config value cannot be: too large, not a number, infinite
         "sim.n_scenes=1e999", "sim.n_scenes=NaN", "master_seed=NaN", "sim.cell_size=NaN",
         "train.lr=NaN", "train.lr=Infinity",

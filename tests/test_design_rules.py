@@ -199,3 +199,23 @@ def test_rayism_and_infer_write_through_one_scene_loop():
     assert _cli_calls("write_grid") == ["cli._write_beliefs.write_scene"]
     for name in _GRID_IO:
         assert [place for place in _cli_calls(name) if place.split(".")[1] in ("cmd_rayism", "cmd_infer")] == []
+
+
+def _module_int_names(module):
+    """The names a module binds at its top level to a value that holds an integer literal."""
+    names = []
+    for place, node in NODES:
+        if place == module and isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(sub, ast.Constant) and type(sub.value) is int for sub in ast.walk(node.value)):
+                names += [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+    return names
+
+
+def test_eval_loss_runs_at_the_training_batch():
+    """The training batch: ``train`` hands ``eval_loss`` its ``cfg.batch_size``, so
+    ``net.train`` binds no sample count of its own; its one integer constant counts cells."""
+    assert _module_int_names("net.train") == ["SPLIT_MIN_CELLS"]
+    calls = [(place, ast.unparse(node.args[-1])) for place, node in NODES
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "eval_loss"]
+    assert calls == [("net.train.train", "cfg.batch_size")] * 2

@@ -19,7 +19,6 @@ from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entr
 from evgrid.net import tensor as T
 from evgrid.net.tensor import Tensor, square
 from evgrid.net.train import (
-    EVAL_BATCH,
     SPLIT_MIN_CELLS,
     Adam,
     TrainConfig,
@@ -212,20 +211,20 @@ class TestMemory:
 
     @pytest.mark.parametrize("model", ["ev", "soft"])
     def test_eval_loss_peaks_at_most_8_mb(self, model):
-        # its forwards run EVAL_FORWARD // 2 samples two at a time, below the step's peak
+        # at the step's batch of 8 its forwards run 4 samples two at a time, below the step's peak
         spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=8)
         params = init_params(spec, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        x = rng.random((3 * EVAL_BATCH, 2, 64, 64), dtype=np.float32)
+        x = rng.random((48, 2, 64, 64), dtype=np.float32)
         target = rng.dirichlet(np.ones(3), size=(len(x), 64, 64)).transpose(0, 3, 1, 2).astype(np.float32)
-        _live, peak = self._traced(lambda: eval_loss(params, spec, x, target, model))
+        _live, peak = self._traced(lambda: eval_loss(params, spec, x, target, model, 8))
         assert peak <= 8 * self.MB
 
     @pytest.mark.parametrize("out_ch", [2, 3])
     def test_untaped_forward_peaks_at_most_11_mb(self, out_ch):
         spec = UNetSpec(out_channels=out_ch, base_channels=8)
         params = init_params(spec, np.random.default_rng(0))
-        x = np.random.default_rng(1).random((EVAL_BATCH, 2, 64, 64), dtype=np.float32)
+        x = np.random.default_rng(1).random((16, 2, 64, 64), dtype=np.float32)
         _live, peak = self._traced(lambda: forward(params, spec, x, record=False))
         assert peak <= 11 * self.MB
 
@@ -293,29 +292,30 @@ class TestOptimization:
         x, target, spec = _toy_batch(model, rng)
         params = init_params(spec, rng)
         opt = Adam(params, lr=1e-3)
-        first = eval_loss(params, spec, x, target, model)
+        first = eval_loss(params, spec, x, target, model, len(x))
         losses = [train_step(params, spec, x, target, model, opt, dropout_rng=None)
                   for _ in range(50)]
-        last = eval_loss(params, spec, x, target, model)
+        last = eval_loss(params, spec, x, target, model, len(x))
         assert last < first
         assert last < 0.9 * first
         assert min(losses) == pytest.approx(losses[-1], rel=0.2)
 
     @pytest.mark.parametrize("model", ["soft", "ev"])
     def test_eval_loss_equals_taped_loss(self, model):
-        n, batch = EVAL_BATCH + 4, EVAL_BATCH  # a full batch and a short last one
+        n = 35  # full chunks of each batch below and a short last one of 3
         rng = np.random.default_rng(8)
         x = rng.normal(size=(n, 2, 8, 8)).astype(np.float32)
         target = rng.dirichlet(np.ones(3), size=(n, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
         spec = UNetSpec(out_channels=3 if model == "soft" else 2, base_channels=4)
         params = init_params(spec, rng)
-        total = 0.0
-        for i in range(0, n, batch):
-            out, _ = forward(params, spec, x[i:i + batch])
-            loss = (softmax_cross_entropy(out, target[i:i + batch]) if model == "soft"
-                    else evidential_bayes_risk(square(out), target[i:i + batch]))
-            total += float(loss.data) * len(out.data)
-        assert eval_loss(params, spec, x, target, model) == total / n
+        for batch in (4, 8, 16):
+            total = 0.0
+            for i in range(0, n, batch):
+                out, _ = forward(params, spec, x[i:i + batch])
+                loss = (softmax_cross_entropy(out, target[i:i + batch]) if model == "soft"
+                        else evidential_bayes_risk(square(out), target[i:i + batch]))
+                total += float(loss.data) * len(out.data)
+            assert eval_loss(params, spec, x, target, model, batch) == total / n, batch
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(7)
@@ -432,13 +432,13 @@ class TestSplitStep:
     def test_a_forked_child_runs_on_threads_of_its_own(self):
         # the parent's pool threads are not in the child; a pool that waits for them never returns
         params, spec, x, target = _split_batch("ev", 8)
-        want = eval_loss(params, spec, x, target, "ev")  # the pool's threads now exist
+        want = eval_loss(params, spec, x, target, "ev", 8)  # the pool's threads now exist
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child
             try:
                 signal.alarm(20)
-                os.write(write, repr(eval_loss(params, spec, x, target, "ev")).encode())
+                os.write(write, repr(eval_loss(params, spec, x, target, "ev", 8)).encode())
             finally:
                 os._exit(0)
         os.close(write)
@@ -450,10 +450,10 @@ class TestSplitStep:
     @pytest.mark.parametrize("model", ["ev", "soft"])
     def test_eval_loss_is_the_same_on_two_threads(self, model, monkeypatch):
         # forwards are per sample, so forwards of half as many, two at once, change no bit
-        params, spec, x, target = _split_batch(model, EVAL_BATCH + 5)
-        split = eval_loss(params, spec, x, target, model)
+        params, spec, x, target = _split_batch(model, 21)  # two chunks of 8 and a short one of 5
+        split = eval_loss(params, spec, x, target, model, 8)
         monkeypatch.setattr(importlib.import_module("evgrid.net.train"), "SPLIT_MIN_CELLS", SPLIT_MIN_CELLS)
-        assert split == eval_loss(params, spec, x, target, model)
+        assert split == eval_loss(params, spec, x, target, model, 8)
 
 
 
