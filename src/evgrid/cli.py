@@ -4,12 +4,14 @@ Subcommands: gen, rayism, train, infer, eval, render. Every command is
 reproducible from (config, seed). Each but render builds its --out directory
 aside, echoes the effective configuration into it, and swaps it in whole when
 it succeeds; a failed or interrupted run leaves --out as it was. Exit codes:
-0 ok, 1 usage, 2 config, 3 runtime, 130 interrupted (Ctrl-C).
+0 ok, 1 usage, 2 config, 3 runtime (an allocation failure included),
+130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -25,7 +27,16 @@ from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
 from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, write_dataset
 
-EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INTERRUPTED = 0, 1, 2, 3, 130
+EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INTERRUPTED, EXIT_TERMINATED = 0, 1, 2, 3, 130, 143
+
+
+class Terminated(KeyboardInterrupt):
+    """A SIGTERM, raised in the main thread so that it unwinds as Ctrl-C does: the
+    staging directory is deleted and map_scenes ends its workers."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 def _keep_freed_heap() -> bool:
@@ -247,6 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code in (0, None):
             return EXIT_OK
         return EXIT_USAGE
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         if args.command == "render":  # reads no config and writes one file
             return cmd_render(args)
@@ -264,9 +276,17 @@ def main(argv: list[str] | None = None) -> int:
     except (EvgridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # also one that a scene worker raised
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Terminated:
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:  # main also runs in-process, under a caller's own handler
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -189,8 +189,11 @@ def eval_loss(params, spec: UNetSpec, x, target, model: str, batch: int) -> floa
 def train(dataset_dir, cfg: TrainConfig, out_dir=None):
     """Train one model on the dataset's train split.
 
-    Seeded and reproducible; logs per-epoch train/val loss. When ``out_dir``
-    is given, rewrites checkpoint.ckpt and metrics.csv there after every epoch.
+    Seeded and reproducible; logs per-epoch train/val loss. The train row is
+    the mean of the epoch's step losses, each weighted by its batch's length:
+    measured under dropout while the weights move. The val row is the
+    dropout-free loss at the end of the epoch. When ``out_dir`` is given,
+    rewrites checkpoint.ckpt and metrics.csv there after every epoch.
 
     Returns (params, unet spec, metrics rows [(epoch, split, loss), ...]).
     """
@@ -208,6 +211,7 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
         write_metrics(Path(out_dir) / "metrics.csv", [])
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(x_train))
+        train_total = 0.0
         for i in range(0, len(order), cfg.batch_size):
             idx = order[i:i + cfg.batch_size]
             xb, tb = x_train[idx], t_train[idx]
@@ -216,10 +220,10 @@ def train(dataset_dir, cfg: TrainConfig, out_dir=None):
                 flips = rng.integers(0, 2, size=2)
                 xb[j], tb[j] = augment_arrays([xb[j], tb[j]], k_rot, bool(flips[0]), bool(flips[1]))
             try:
-                train_step(params, spec, xb, tb, cfg.model, opt, dropout_rng=rng)
+                train_total += len(idx) * train_step(params, spec, xb, tb, cfg.model, opt, dropout_rng=rng)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"epoch {epoch}, batch {i // cfg.batch_size}: {exc}") from exc
-        rows = [(epoch, "train", eval_loss(params, spec, x_train, t_train, cfg.model, cfg.batch_size))]
+        rows = [(epoch, "train", train_total / len(x_train))]
         if len(x_val):
             rows.append((epoch, "val", eval_loss(params, spec, x_val, t_val, cfg.model, cfg.batch_size)))
         for _epoch, split, loss in rows:

@@ -12,12 +12,21 @@ on the number of workers.
 from __future__ import annotations
 
 import os
+import signal
 
 _task = None  # the function a forked worker calls; set only while a pool runs
 
 
 def _call(chunk):
     return [_task(item) for item in chunk]
+
+
+def _default_signals() -> None:
+    """A worker dies of SIGINT or SIGTERM without a traceback, and the pool then stops the
+    others. Process.terminate() sends SIGTERM, and a forked worker would otherwise keep
+    the handler of the CLI it was forked from."""
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
 
 
 def map_scenes(fn, items) -> list:
@@ -33,7 +42,8 @@ def map_scenes(fn, items) -> list:
     KeyboardInterrupt ends the workers at once, whether the SIGINT reached them
     too (a terminal's Ctrl-C) or this process alone, and is raised once they
     are gone: what they were writing is discarded with the caller's staging
-    directory.
+    directory. The CLI raises its SIGTERM as a KeyboardInterrupt, so a SIGTERM
+    ends them the same way.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items))
@@ -41,12 +51,10 @@ def map_scenes(fn, items) -> list:
         return [fn(item) for item in items]
     # not on the import path of the CLI
     import multiprocessing
-    import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    # a worker dies of SIGINT without a traceback, and the pool then stops the others
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
+                               initializer=_default_signals)
     global _task
     _task = fn
     size = -(-len(items) // (4 * workers))  # about four chunks per worker, to even out slow scenes

@@ -71,6 +71,30 @@ def _staging_left(out: Path) -> list[str]:
     return sorted(p.name for p in out.parent.glob(f".{out.name}.*"))
 
 
+def _stat(pid: int) -> list[str] | None:
+    """The fields of /proc/<pid>/stat after the command name (state, ppid, ...), or None once it is gone."""
+    try:
+        return (Path("/proc") / str(pid) / "stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _is_live(pid: int, start: str) -> bool:
+    """Whether the process ``pid`` that started at clock tick ``start`` still runs (a zombie does not)."""
+    fields = _stat(pid)
+    return fields is not None and fields[19] == start and fields[0] not in "ZX"
+
+
+def _live_children(pid: int) -> dict[int, str]:
+    """The running child processes of ``pid``, each with its start time in clock ticks."""
+    found = {}
+    for path in Path("/proc").iterdir():
+        fields = _stat(int(path.name)) if path.name.isdigit() else None
+        if fields is not None and int(fields[1]) == pid and fields[0] not in "ZX":
+            found[int(path.name)] = fields[19]
+    return found
+
+
 class TestGen:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -415,6 +439,21 @@ class TestExitCodes:
         assert "--set sim.frames holds JSON nested too deeply" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_allocation_failure_exits_3_with_one_line(self, dataset, runs, tmp_path):
+        """An MC draw far larger than the address space, refused at once under an RLIMIT_AS
+        the child sets on itself (in a scene worker when there are two CPUs)."""
+        src = Path(cli.__file__).resolve().parents[1]
+        limit = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                 "from evgrid.cli import main; sys.exit(main(sys.argv[1:]))")
+        out = tmp_path / "o"
+        argv = _argv("infer", dataset, runs[1], runs[2], out) + ["--set", "train.mc_samples=100000000"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", limit, *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+        assert not out.exists() and _staging_left(out) == []
+
     def test_missing_dataset(self, tmp_path):
         out = tmp_path / "o"
         assert main(["rayism", "--dataset", str(tmp_path / "nope"), "--out", str(out)]) == 3
@@ -610,7 +649,7 @@ class TestTrainDivergence:
                      "--set", "sim.lidar_rays=90"]) == 0
         assert main(["train", "--dataset", str(data), "--out", str(out),
                      "--set", "train.lr=1e6", "--set", "train.epochs=1"]) == 3
-        assert "epoch 0: non-finite train eval loss" in capsys.readouterr().err
+        assert "epoch 0: non-finite val eval loss" in capsys.readouterr().err
         assert not out.exists() and _staging_left(out) == []
 
 
@@ -793,6 +832,42 @@ class TestOutputDir:
         assert (code, err) == (130, "interrupted\n")
         assert took < 2.0
         assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_sigterm_to_the_cli_process_alone(self, tmp_path):
+        """A SIGTERM (kill, timeout, a cancelled CI job) to the CLI alone stops its scene
+        workers too, and the CLI exits 143 with one line."""
+        workers = {}
+
+        def terminate(pid):
+            workers.update(_live_children(pid))
+            os.kill(pid, signal.SIGTERM)
+
+        try:
+            code, err, took = self._interrupt_running_gen(tmp_path, terminate)
+            assert (code, err) == (143, "terminated\n")
+            assert took < 2.0
+            assert sorted(p.name for p in tmp_path.iterdir()) == []
+            cpus = len(os.sched_getaffinity(0))
+            assert len(workers) == (cpus if cpus > 1 else 0)
+            deadline = time.monotonic() + 1.0
+            while any(_is_live(pid, start) for pid, start in workers.items()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid, start in workers.items() if _is_live(pid, start)] == []
+        finally:
+            for pid, start in workers.items():
+                if _is_live(pid, start):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_main_restores_the_sigterm_handler(self, tmp_path):
+        def keep(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, keep)
+        try:
+            assert main(["gen", "--out", str(tmp_path / "x"), "--set", "sim.n_scenes=0"]) == 2
+            assert signal.getsignal(signal.SIGTERM) is keep
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_sigint_to_a_running_train(self, tmp_path, tmp_path_factory):
         """A SIGINT while train's two half-batch threads run stops it with exit 130."""

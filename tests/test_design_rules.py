@@ -214,8 +214,14 @@ def _module_int_names(module):
 
 def test_eval_loss_runs_at_the_training_batch():
     """The training batch: ``train`` hands ``eval_loss`` its ``cfg.batch_size``, so
-    ``net.train`` binds no sample count of its own; its one integer constant counts cells."""
+    ``net.train`` binds no sample count of its own; its one integer constant counts cells.
+    ``eval_loss`` runs once, for the val row: the train row is the step losses' mean, so
+    ``train`` uses what ``train_step`` returns and never calls it as a bare statement."""
     assert _module_int_names("net.train") == ["SPLIT_MIN_CELLS"]
     calls = [(place, ast.unparse(node.args[-1])) for place, node in NODES
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "eval_loss"]
-    assert calls == [("net.train.train", "cfg.batch_size")] * 2
+    assert calls == [("net.train.train", "cfg.batch_size")]
+    steps = _places(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "train_step")
+    assert steps == ["net.train.train"]
+    assert _places(lambda node: isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                   and ast.unparse(node.value.func) == "train_step") == []

@@ -476,6 +476,30 @@ class TestTrainLoop:
         # two epochs, train and val rows each
         assert len(lines) == 1 + 4
 
+    @pytest.mark.parametrize("model", ["ev", "soft"])
+    def test_rows_are_the_step_mean_and_the_end_of_epoch_val_loss(self, dataset, model, monkeypatch):
+        steps, real_step = [], train_step
+
+        def record(params, spec, x, *args, **kwargs):
+            loss = real_step(params, spec, x, *args, **kwargs)
+            steps.append((len(x), loss, {k: v.copy() for k, v in params.items()}))
+            return loss
+
+        monkeypatch.setattr(importlib.import_module("evgrid.net.train"), "train_step", record)
+        cfg = TrainConfig(model=model, epochs=2, base_channels=4, batch_size=4, seed=4)
+        _params, spec, metrics = train(dataset, cfg)
+        x_train, _t, _ids = load_split(dataset, "train")
+        x_val, t_val, _ids = load_split(dataset, "val")
+        per_epoch = -(-len(x_train) // cfg.batch_size)
+        assert len(x_train) % cfg.batch_size and len(steps) == cfg.epochs * per_epoch  # a short last batch
+        for epoch in range(cfg.epochs):
+            epoch_steps = steps[epoch * per_epoch:(epoch + 1) * per_epoch]
+            assert [n for n, _loss, _p in epoch_steps] == [4, len(x_train) % 4]
+            mean = sum(n * loss for n, loss, _p in epoch_steps) / len(x_train)
+            val = eval_loss(epoch_steps[-1][2], spec, x_val, t_val, model, cfg.batch_size)
+            assert metrics[2 * epoch:2 * epoch + 2] == [(epoch, "train", pytest.approx(mean, rel=1e-12)),
+                                                        (epoch, "val", val)]
+
     def test_metrics_kept_when_later_epoch_diverges(self, dataset, tmp_path, monkeypatch):
         real_step = train_step
 
