@@ -25,7 +25,7 @@ from evgrid.net.unet import load_checkpoint
 from evgrid.parallel import map_scenes
 from evgrid.rayism import ray_ism_scene
 from evgrid.scores import ScoreAccumulator, render_table
-from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, write_dataset
+from evgrid.sim import corner_sensor_poses, load_manifest, read_detections, read_sample_grid, write_dataset
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INTERRUPTED, EXIT_TERMINATED = 0, 1, 2, 3, 130, 143
 
@@ -154,13 +154,16 @@ def cmd_gen(args, cfg: dict, out: Path) -> int:
 
 def _write_beliefs(dataset, out: Path, predict) -> None:
     """Write ``predict(sid, radar)``, a (3, H, W) belief array, as ``<out>/<sid>.grid`` on the
-    spec and origin of the sample's radar grid, for every sample of every split, in the scene pool."""
+    spec and origin of the sample's radar grid, for every sample of every split, in the scene pool.
+    A radar grid that is not the manifest's (2, side, side) fails, naming the file."""
+    manifest = load_manifest(dataset)
+    side = manifest["grid"]["side_cells"]
 
     def write_scene(sid: str) -> None:
-        radar = read_grid(Path(dataset) / "samples" / sid / "radar.grid")
+        radar = read_sample_grid(Path(dataset) / "samples" / sid / "radar.grid", (2, side, side))
         write_grid(out / f"{sid}.grid", Grid2D(radar.spec, predict(sid, radar), BELIEF_CHANNELS, radar.origin))
 
-    map_scenes(write_scene, _sample_ids(load_manifest(dataset), "all"))
+    map_scenes(write_scene, _sample_ids(manifest, "all"))
 
 
 def cmd_rayism(args, cfg: dict, out: Path) -> int:

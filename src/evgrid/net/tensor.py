@@ -15,9 +15,10 @@ upsampled map and its skip) is written part by part into the padded buffer,
 and the backward hands each part its channel slice. The transposed
 convolution upsamples by its kernel size, with no overlap, in one
 contraction each way. Both end in an optional leaky ReLU max(a, slope*a) for
-0 <= slope <= 1, and conv2d then in dropout by a boolean keep mask, applied in
-place to the op's fresh output, so no pre-activation becomes a Tensor; the
-backward reads the derivative from the output's sign and the mask.
+0 <= slope <= 1, and conv2d then in dropout by a boolean keep mask, in place on
+the op's fresh output, so no pre-activation becomes a Tensor (untaped, a 1-row
+output broadcasts over the mask's N rows); the backward reads the derivative
+from the output's sign and the mask.
 The array kernels conv2d_array and conv_transpose2d_array hold the math; the
 taped ops wrap them, and untaped inference (``unet.forward(record=False)``)
 calls them directly.
@@ -118,11 +119,12 @@ def _phase_planes(parts: tuple[np.ndarray, ...], kh: int, kw: int, stride: int):
 
 
 def _activate(a: np.ndarray, slope: float | None, keep: np.ndarray | None = None, rate: float = 0.0) -> np.ndarray:
-    """In place on a fresh a: max(a, slope*a) unless slope is None, then dropout by keep."""
+    """In place on a fresh a: max(a, slope*a) unless slope is None, then dropout by keep.
+    A 1-row a broadcasts over keep's N rows into a new array; equal shapes stay in place."""
     if slope is not None:
         np.maximum(a, slope * a, out=a)
     if keep is not None:
-        a *= dropout_scale(keep, rate, a.dtype)
+        a = np.multiply(a, dropout_scale(keep, rate, a.dtype), out=a if a.shape == keep.shape else None)
     return a
 
 

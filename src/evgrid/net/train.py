@@ -13,11 +13,10 @@ import numpy as np
 
 from evgrid.errors import ConfigError, DomainError, EvgridError, TrainingDiverged, write_atomic
 from evgrid.evidential import evidence_to_belief_array, percentile_reduce_array
-from evgrid.grid import read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax, softmax_cross_entropy
 from evgrid.net.tensor import Tensor, square
 from evgrid.net.unet import UNetSpec, dropout_masks, forward, init_params, save_checkpoint
-from evgrid.sim import augment_arrays, load_manifest
+from evgrid.sim import augment_arrays, load_manifest, read_sample_grid
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,7 @@ def load_split(dataset_dir, split: str):
     for i, sid in enumerate(ids):
         for array, path in ((images, root / "samples" / sid / "radar.grid"),
                             (targets, root / "samples" / sid / "target.grid")):
-            data = read_grid(path).data
-            if data.shape != array.shape[1:]:
-                raise EvgridError(f"{path}: grid of shape {data.shape}, "
-                                  f"the manifest's samples are {array.shape[1:]}")
-            array[i] = data
+            array[i] = read_sample_grid(path, array.shape[1:]).data
     return images, targets, ids
 
 
@@ -259,8 +254,8 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
                rng: np.random.Generator, percentile: float = TrainConfig.percentile) -> np.ndarray:
     """Monte-Carlo dropout prediction for one input image (2, H, W).
 
-    The samples are one untaped batched forward of the image repeated
-    ``n_samples`` times; its output equals the taped forward's bit for bit.
+    The samples are one untaped forward of the image as one row, with ``n_samples``
+    rows of keep masks: the stem runs once. It equals the taped forward's bit for bit.
     mode "ev": mean evidence over samples; "ev-s": nearest-rank percentile of
     the evidence samples; "soft": mean pre-softmax output through the
     softmax. Returns a (3, H, W) float64 array of (b_f, b_o, u).
@@ -271,9 +266,9 @@ def mc_predict(params, spec: UNetSpec, x: np.ndarray, n_samples: int, mode: str,
     _check_mode(mode, spec)
     if n_samples < 1:
         raise ConfigError("need at least one MC sample")
-    xb = np.broadcast_to(x.astype(np.float32), (n_samples, *x.shape))
-    out, _ = forward(params, spec, xb, dropout_rng=rng, record=False)
-    stack = out.astype(np.float64)  # (N, C, H, W)
+    keep = dropout_masks(params, spec, (n_samples, *x.shape), rng)
+    out, _ = forward(params, spec, x.astype(np.float32)[None], keep=keep, record=False)
+    stack = out.astype(np.float64)  # (N, C, H, W); one row stands for all N at rate 0
     if mode == "soft":
         return softmax(stack.mean(axis=0))
     with np.errstate(over="ignore"):

@@ -4,12 +4,12 @@ Three resolution levels: a stem convolution, two stride-2 downsampling
 convolutions, and two transposed-convolution upsampling stages each followed
 by a 3x3 convolution that takes the upsampled map and the skip as two
 parts. All activations are leaky ReLU except the last layer, which stays
-linear; dropout follows every encoder/decoder block, and both are the
-epilogue of the convolution that feeds them. The head is
-chosen by the output channel count: 3 for the softmax head, 2 for the
-quadratic evidence head. ``forward`` builds the autodiff tape for
-training, or with ``record=False`` runs the same array kernels untaped for
-inference. The leaky slope must lie in [0, 1].
+linear; dropout, by the keep masks that ``dropout_masks`` draws, follows
+every encoder/decoder block, and both are the epilogue of the convolution
+that feeds them. The head is chosen by the output channel count: 3 for the
+softmax head, 2 for the quadratic evidence head. ``forward`` builds the
+autodiff tape for training, or with ``record=False`` runs the same array
+kernels untaped for inference. The leaky slope must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -80,9 +80,10 @@ def _check_sides(sides: tuple[int, ...]) -> None:
 
 def dropout_masks(params: dict[str, np.ndarray], spec: UNetSpec, shape: tuple[int, ...],
                   dropout_rng: np.random.Generator | None) -> list[np.ndarray | None]:
-    """The boolean keep masks of the four dropout blocks' outputs for an input of
-    ``shape``, drawn from ``dropout_rng`` in block order; four Nones, and no draw,
-    when it is None or the dropout rate is 0."""
+    """The one draw of keep masks: the four dropout blocks' boolean masks for an
+    input of ``shape``, from ``dropout_rng`` in block order, drawn before any
+    activation exists so that the draws' float64 temporaries meet none; four
+    Nones, and no draw, when it is None or the dropout rate is 0."""
     n, _, rows, cols = shape
     if dropout_rng is None or spec.dropout == 0.0:
         return [None] * 4
@@ -92,16 +93,13 @@ def dropout_masks(params: dict[str, np.ndarray], spec: UNetSpec, shape: tuple[in
 
 
 def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
-            dropout_rng: np.random.Generator | None = None,
-            record: bool = True, keep: list | None = None) -> tuple[Tensor | np.ndarray, dict]:
+            keep: list | None = None, record: bool = True) -> tuple[Tensor | np.ndarray, dict]:
     """Run the network; returns the pre-head output and the parameters.
 
-    ``dropout_rng`` draws fresh dropout masks for this call with
-    ``dropout_masks``; None, or a dropout rate of 0, disables dropout and
-    draws nothing. ``keep``, when given, holds masks drawn beforehand in
-    place of that draw: rows of a larger batch's, for a training step's half
-    batch. With
-    ``record`` (training) the ops build the tape: the output is a Tensor, and
+    ``keep`` holds the blocks' masks from ``dropout_masks``, or is None for
+    no dropout. Untaped, a 1-row ``x`` may take masks of N rows: the stem
+    runs once, and its dropout broadcasts it over them. With ``record``
+    (training) the ops build the tape: the output is a Tensor, and
     the parameter Tensors are the leaves whose .grad a later backward()
     fills. Each convolution's output is its block's activation, so the tape
     holds each activation once, plus a boolean keep mask per block. Without
@@ -118,10 +116,7 @@ def forward(params: dict[str, np.ndarray], spec: UNetSpec, x: np.ndarray,
         conv, up = T.conv2d, T.conv_transpose2d
     else:
         p, h, conv, up = params, x, T.conv2d_array, T.conv_transpose2d_array
-    # the keep masks are drawn before any activation exists, so that the draws'
-    # float64 temporaries meet none
-    if keep is None:
-        keep = dropout_masks(params, spec, x.shape, dropout_rng)
+    keep = keep or [None] * 4
     # each activation stays bound only until its last reader, so the untaped
     # forward frees it there (the tape keeps what its backwards read)
     h0 = conv(h, p["stem_w"], p["stem_b"], 1, slope, keep[0], rate)

@@ -21,12 +21,29 @@ def _call(chunk):
     return [_task(item) for item in chunk]
 
 
-def _default_signals() -> None:
+def _default_signals(parent: int) -> None:
     """A worker dies of SIGINT or SIGTERM without a traceback, and the pool then stops the
     others. Process.terminate() sends SIGTERM, and a forked worker would otherwise keep
-    the handler of the CLI it was forked from."""
+    the handler of the CLI it was forked from.
+
+    A worker also dies with its parent, ``parent``, even by SIGKILL: an orphan would
+    go on writing and hold the lock that lets the next run delete the staging
+    directory. Where the C library has prctl, the kernel sends the worker SIGKILL
+    when the thread that forked it exits; every worker is forked by the pool's first
+    submit, in map_scenes' thread, which outlives the pool. The parent may have died
+    before that was set, so a worker whose parent is no longer ``parent`` exits.
+    """
+    import ctypes  # here, so that importing evgrid.parallel loads nothing more
+
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, signal.SIG_DFL)
+    pr_set_pdeathsig = 1  # from <linux/prctl.h>
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(pr_set_pdeathsig, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def map_scenes(fn, items) -> list:
@@ -54,7 +71,7 @@ def map_scenes(fn, items) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_default_signals)
+                               initializer=_default_signals, initargs=(os.getpid(),))
     global _task
     _task = fn
     size = -(-len(items) // (4 * workers))  # about four chunks per worker, to even out slow scenes

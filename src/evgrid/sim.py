@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from evgrid.errors import DomainError, EvgridError, is_int, is_number, read_input, write_atomic
-from evgrid.grid import (BELIEF_CHANNELS, Grid2D, GridSpec, Pose2D, polar, to_local, to_world, world_to_cells,
-                         wrap_angle, write_grid)
+from evgrid.grid import (BELIEF_CHANNELS, Grid2D, GridSpec, Pose2D, polar, read_grid, to_local, to_world,
+                         world_to_cells, wrap_angle, write_grid)
 from evgrid.parallel import map_scenes
 from evgrid.rayism import Detections, RadarNoiseModel
 
@@ -514,6 +514,15 @@ def _manifest_from_bytes(blob: bytes) -> dict:
     if not (isinstance(grid, dict) and is_int(grid.get("side_cells")) and is_number(grid.get("cell_size"))):
         raise EvgridError("'grid' must hold integer side_cells and numeric cell_size")
     return manifest
+
+
+def read_sample_grid(path, shape: tuple[int, ...]) -> Grid2D:
+    """A sample's grid, which must hold ``shape``, the manifest's (channels, side, side);
+    a grid of another shape raises EvgridError naming the file."""
+    grid = read_grid(path)
+    if grid.data.shape != shape:
+        raise EvgridError(f"{path}: grid of shape {grid.data.shape}, the manifest's samples are {shape}")
+    return grid
 
 
 def augment_arrays(arrays: list[np.ndarray], k_rot: int, flip_h: bool, flip_v: bool) -> list[np.ndarray]:

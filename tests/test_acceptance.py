@@ -25,7 +25,7 @@ from evgrid.evidential import (
 from evgrid.grid import EvidentialState, GridSpec, dempster_combine, read_grid
 from evgrid.net.losses import evidential_bayes_risk, softmax_cross_entropy
 from evgrid.net.tensor import Tensor, square
-from evgrid.net.unet import UNetSpec, forward, init_params
+from evgrid.net.unet import UNetSpec, dropout_masks, forward, init_params
 from evgrid.net.train import TrainConfig, mc_predict, train
 from evgrid.rayism import Detection, RayIsmConfig, angular_kernel, idm, range_model, ray_ism_scene
 from evgrid.scores import ScoreAccumulator
@@ -165,7 +165,7 @@ def test_acceptance_3_loss_matches_monte_carlo():
 # ---------------------------------------------------------------------------
 
 def _full_loss(params, spec, x, target, model):
-    out, leaves = forward(params, spec, x, dropout_rng=np.random.default_rng(99))
+    out, leaves = forward(params, spec, x, keep=dropout_masks(params, spec, x.shape, np.random.default_rng(99)))
     loss = (softmax_cross_entropy(out, target) if model == "soft"
             else evidential_bayes_risk(square(out), target))
     return loss, leaves

@@ -672,6 +672,22 @@ class TestMixedSides:
                 f"the manifest's samples are ({channels}, 32, 32)") in capsys.readouterr().err
         assert not out.exists() and _staging_left(out) == []
 
+    @pytest.mark.parametrize("command", ["rayism", "infer"])
+    @pytest.mark.parametrize("fault, shape", [("channels", (3, 16, 16)), ("side", (2, 18, 18))])
+    def test_radar_grid_of_another_shape_fails_rayism_and_infer(self, dataset, runs, tmp_path, capsys,
+                                                               command, fault, shape):
+        data, out = tmp_path / "ds", tmp_path / "o"
+        shutil.copytree(dataset, data)
+        radar = data / "samples/00001/radar.grid"
+        if fault == "channels":  # the sample's 3-channel target in the radar grid's place
+            shutil.copy(data / "samples/00001/target.grid", radar)
+        else:
+            old = read_grid(radar)
+            write_grid(radar, Grid2D(GridSpec(18, old.spec.cell_size), np.zeros(shape), old.channels, old.origin))
+        assert main(_argv(command, data, runs[1], runs[2], out)) == 3
+        assert f"{radar}: grid of shape {shape}, the manifest's samples are (2, 16, 16)" in capsys.readouterr().err
+        assert not out.exists() and _staging_left(out) == []
+
     def test_negative_manifest_side_fails_train(self, dataset, tmp_path, capsys):
         data, out = tmp_path / "ds", tmp_path / "m"
         shutil.copytree(dataset, data)
@@ -853,6 +869,33 @@ class TestOutputDir:
             while any(_is_live(pid, start) for pid, start in workers.items()) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert [pid for pid, start in workers.items() if _is_live(pid, start)] == []
+        finally:
+            for pid, start in workers.items():
+                if _is_live(pid, start):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_sigkill_to_the_cli_process_alone(self, tmp_path):
+        """A SIGKILL, which the CLI cannot catch, kills its scene workers too, so none holds
+        the staging directory's lock and the next run to the same --out deletes it."""
+        workers = {}
+
+        def kill(pid):
+            workers.update(_live_children(pid))
+            os.kill(pid, signal.SIGKILL)
+
+        try:
+            code, err, _took = self._interrupt_running_gen(tmp_path, kill)
+            assert (code, err) == (-signal.SIGKILL, "")
+            cpus = len(os.sched_getaffinity(0))
+            assert len(workers) == (cpus if cpus > 1 else 0)
+            deadline = time.monotonic() + 2.0
+            while any(_is_live(pid, start) for pid, start in workers.items()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid, start in workers.items() if _is_live(pid, start)] == []
+            out = tmp_path / "o"
+            assert _staging_left(out) != []  # the killed run's
+            assert main(["gen", "--out", str(out)] + FAST) == 0
+            assert _staging_left(out) == []
         finally:
             for pid, start in workers.items():
                 if _is_live(pid, start):

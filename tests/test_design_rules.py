@@ -225,3 +225,20 @@ def test_eval_loss_runs_at_the_training_batch():
     assert steps == ["net.train.train"]
     assert _places(lambda node: isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
                    and ast.unparse(node.value.func) == "train_step") == []
+
+
+def _calls_of(name):
+    """The sorted places of every call of ``name``, bare or as an attribute."""
+    return _places(lambda node: isinstance(node, ast.Call) and _is_name(node.func, name))
+
+
+def test_dropout_masks_are_the_one_draw():
+    """Dropout masks: ``dropout_masks`` is the one draw of keep masks, and only the
+    training step and MC prediction call it; ``forward`` takes masks and draws none,
+    and MC prediction passes its image once, not broadcast to the sample count."""
+    assert _calls_of("dropout_keep") == ["net.unet.dropout_masks"]
+    assert _calls_of("dropout_masks") == ["net.train.mc_predict", "net.train.train_step"]
+    fn, = [node for place, node in NODES
+           if place == "net.unet" and isinstance(node, ast.FunctionDef) and node.name == "forward"]
+    assert "dropout_rng" not in [arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)]
+    assert [place for place in _calls_of("broadcast_to") if place.startswith("net.")] == []

@@ -28,7 +28,7 @@ from evgrid.net.train import (
     train,
     train_step,
 )
-from evgrid.net.unet import UNetSpec, forward, init_params, load_checkpoint, save_checkpoint
+from evgrid.net.unet import UNetSpec, dropout_masks, forward, init_params, load_checkpoint, save_checkpoint
 from evgrid.sim import SimConfig, write_dataset
 
 
@@ -78,8 +78,10 @@ class TestForward:
         params = init_params(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(1, 2, 8, 8)).astype(np.float32)
         rng = np.random.default_rng(2)
-        out, _ = forward(params, spec, x, dropout_rng=rng, record=record)
+        keep = dropout_masks(params, spec, x.shape, rng)
+        assert keep == [None] * 4
         assert rng.random() == np.random.default_rng(2).random()
+        out, _ = forward(params, spec, x, keep=keep, record=record)
         plain, _ = forward(params, spec, x, record=record)
         assert np.array_equal(getattr(out, "data", out), getattr(plain, "data", plain))
 
@@ -87,8 +89,8 @@ class TestForward:
         spec = UNetSpec(base_channels=4, dropout=0.5)
         params = init_params(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(1, 2, 8, 8)).astype(np.float32)
-        a, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(2))
-        b, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(3))
+        a, _ = forward(params, spec, x, keep=dropout_masks(params, spec, x.shape, np.random.default_rng(2)))
+        b, _ = forward(params, spec, x, keep=dropout_masks(params, spec, x.shape, np.random.default_rng(3)))
         assert not np.array_equal(a.data, b.data)
 
     def test_invalid_head_rejected(self):
@@ -116,8 +118,10 @@ class TestUntapedForward:
         spec = UNetSpec(out_channels=out_ch, base_channels=4, dropout=0.3)
         params = {k: v.astype(dtype) for k, v in init_params(spec, np.random.default_rng(0)).items()}
         x = np.random.default_rng(1).normal(size=(batch, 2, 8, 8)).astype(np.float32)
-        taped, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None)
-        plain, _ = forward(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None,
+        taped, _ = forward(params, spec, x,
+                           keep=dropout_masks(params, spec, x.shape, np.random.default_rng(5) if dropout else None))
+        plain, _ = forward(params, spec, x,
+                           keep=dropout_masks(params, spec, x.shape, np.random.default_rng(5) if dropout else None),
                            record=False)
         assert isinstance(plain, np.ndarray)
         assert plain.dtype == taped.data.dtype == dtype
@@ -131,7 +135,7 @@ class TestUntapedForward:
             arr.flags.writeable = False
         image = np.random.default_rng(1).normal(size=(2, 8, 8)).astype(np.float32)
         xb = np.broadcast_to(image, (6, *image.shape))
-        forward(params, spec, xb, dropout_rng=np.random.default_rng(2), record=False)
+        forward(params, spec, xb, keep=dropout_masks(params, spec, xb.shape, np.random.default_rng(2)), record=False)
         assert np.array_equal(xb, np.broadcast_to(image, xb.shape))
         for k in params:
             assert np.array_equal(params[k], before[k])
@@ -152,8 +156,10 @@ class TestFusedForward:
         x = rng.normal(size=(batch, 2, 8, 8)).astype(np.float32)
         target = rng.dirichlet(np.ones(3), size=(batch, 8, 8)).transpose(0, 3, 1, 2).astype(np.float32)
         results = []
-        for run in (forward, composed_forward):
-            out, leaves = run(params, spec, x, dropout_rng=np.random.default_rng(5) if dropout else None)
+        rng = lambda: np.random.default_rng(5) if dropout else None
+        for run in (lambda: forward(params, spec, x, keep=dropout_masks(params, spec, x.shape, rng())),
+                    lambda: composed_forward(params, spec, x, dropout_rng=rng())):
+            out, leaves = run()
             loss = (softmax_cross_entropy(out, target) if out_ch == 3
                     else evidential_bayes_risk(square(out), target))
             loss.backward()
@@ -194,7 +200,8 @@ class TestMemory:
         spec = UNetSpec(out_channels=out_ch, base_channels=8)
         params = init_params(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).random((8, 2, 64, 64), dtype=np.float32)
-        live, _peak = self._traced(lambda: forward(params, spec, x, dropout_rng=np.random.default_rng(2)))
+        live, _peak = self._traced(
+            lambda: forward(params, spec, x, keep=dropout_masks(params, spec, x.shape, np.random.default_rng(2))))
         assert live <= 6 * self.MB
 
     @pytest.mark.parametrize("model", ["ev", "soft"])
@@ -231,7 +238,8 @@ class TestMemory:
 
 def _taped_mc_predict(params, spec, x, n_samples, mode, rng, percentile=10.0):
     """mc_predict computed on the taped forward."""
-    out, _ = forward(params, spec, np.broadcast_to(x, (n_samples, *x.shape)), dropout_rng=rng)
+    xb = np.broadcast_to(x, (n_samples, *x.shape))
+    out, _ = forward(params, spec, xb, keep=dropout_masks(params, spec, xb.shape, rng))
     stack = out.data.astype(np.float64)
     if mode == "soft":
         return softmax(stack.mean(axis=0))
@@ -388,7 +396,7 @@ class TestSplitStep:
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_gradients_equal_the_whole_batch_step(self, model, n):
         params, spec, x, target = _split_batch(model, n)
-        out, leaves = forward(params, spec, x, dropout_rng=np.random.default_rng(5))
+        out, leaves = forward(params, spec, x, keep=dropout_masks(params, spec, x.shape, np.random.default_rng(5)))
         whole = _loss_of(out, target, model)
         whole.backward()
         recorder = _GradRecorder()
@@ -599,6 +607,29 @@ class TestMcPredict:
         params, spec, x = self._setup(out_ch, 0.2)
         pred = mc_predict(params, spec, x, 30, mode, np.random.default_rng(6))
         assert np.array_equal(pred, _taped_mc_predict(params, spec, x, 30, mode, np.random.default_rng(6)))
+
+    @pytest.mark.parametrize("mode, out_ch", [("ev", 2), ("ev-s", 2), ("soft", 3)])
+    @pytest.mark.parametrize("n_samples", [1, 30])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_one_row_equals_the_repeated_image(self, mode, out_ch, n_samples, dropout):
+        # without dropout the one row stands for all samples: their float64 mean is exact
+        params, spec, x = self._setup(out_ch, dropout)
+        pred = mc_predict(params, spec, x, n_samples, mode, np.random.default_rng(6))
+        want = _taped_mc_predict(params, spec, x, n_samples, mode, np.random.default_rng(6))
+        assert pred.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_stem_runs_on_one_row(self, dropout, monkeypatch):
+        params, spec, x = self._setup(2, dropout)
+        rows, real = [], T.conv2d_array
+
+        def spy(x, *args):
+            rows.append(len(x[0] if isinstance(x, tuple) else x))
+            return real(x, *args)
+
+        monkeypatch.setattr(T, "conv2d_array", spy)
+        mc_predict(params, spec, x, 30, "ev", np.random.default_rng(6))
+        assert rows == [1] + [30 if dropout else 1] * 4
 
     @pytest.mark.parametrize("mode, out_ch", [("ev", 2), ("ev-s", 2), ("soft", 3)])
     def test_is_the_one_float32_cast(self, mode, out_ch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import evgrid
-from evgrid.parallel import map_scenes
+from evgrid.parallel import _default_signals, map_scenes
 
 from conftest import fake_cpus
 
@@ -43,6 +43,16 @@ class TestMapScenes:
         with pytest.raises(ValueError, match="item 1"):
             map_scenes(fail, range(6))
         assert not multiprocessing.active_children()
+
+    def test_a_worker_whose_parent_is_gone_exits(self):
+        # the parent died before the worker's initializer set the death signal
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                _default_signals(os.getppid() + 1)
+            finally:
+                os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 1 << 8  # exit status 1
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
